@@ -34,8 +34,7 @@ from .pipeline import (PURPOSE_INIT, PURPOSE_PRUNE_DRAW, PURPOSE_REINIT,
                        PURPOSE_RETRAIN, PURPOSE_TRAIN, IterationReport,
                        PruneConfig, history_line, iterate, read_history,
                        select_best)
-from .tensor_ops import (abs_elementwise, conv2d, conv2d_batch, conv_output_hw,
-                         frobenius_norm, im2col, matvec)
+from .tensor_ops import conv2d_batch, conv_output_hw, im2col
 from .training import (evaluate, forward_backward, init_params,
                        softmax_cross_entropy, train)
 

@@ -78,6 +78,16 @@ def _default_checkpoint(out_dir: Path, prefer_best: bool = False) -> Path:
     return out_dir / "model"
 
 
+def _read_baseline(path: Path):
+    """The test accuracy ``train`` recorded in ``path``, or None without it."""
+    if not path.is_file():
+        return None
+    try:
+        return float(json.loads(path.read_text())["test_accuracy"])
+    except (ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"cannot parse {path}: {e}") from e
+
+
 def _pruning_batch(cfg, train_ds, n: int):
     if n < 1:
         raise ConfigError(f"the pruning set must hold at least one sample, "
@@ -139,13 +149,7 @@ def cmd_prune(args) -> int:
                 f"{init_dir}; run 'train' first or switch "
                 f"prune.reinit_draw to 'fresh'")
         initial = load_model(init_dir)
-    baseline = None
-    bpath = out_dir / "baseline.json"
-    if bpath.is_file():
-        try:
-            baseline = json.loads(bpath.read_text())["test_accuracy"]
-        except (ValueError, KeyError) as e:
-            raise FormatError(f"cannot parse {bpath}: {e}") from e
+    baseline = _read_baseline(out_dir / "baseline.json")
     with _run_lock(out_dir):
         _copy_config(args, out_dir)
         _, reports, best = iterate(
@@ -209,10 +213,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no config.json in {run_dir}")
     cfg = load_config(cpath)
     train_ds, _ = load_dataset(cfg)
-    baseline_acc = None
-    bpath = run_dir / "baseline.json"
-    if bpath.is_file():
-        baseline_acc = json.loads(bpath.read_text()).get("test_accuracy")
+    baseline_acc = _read_baseline(run_dir / "baseline.json")
     best = select_best(history, baseline_acc, cfg.prune.drop_tolerance) \
         if baseline_acc is not None else None
 

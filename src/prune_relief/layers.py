@@ -14,12 +14,29 @@ import numpy as np
 
 from .activations import get_activation
 from .errors import DimensionError
-from .tensor_ops import check_stride_padding, col2im, conv2d_batch, conv_output_hw, im2col
+from .tensor_ops import check_stride_padding, col2im, conv_output_hw, im2col
 
 
 def _as_param(a, dtype):
     out = np.array(a, dtype=dtype, order="C", copy=True)
     return out
+
+
+def _bits(a):
+    """View a float array as unsigned integers of the same width."""
+    return a.view(f"u{a.itemsize}")
+
+
+def _ones_where(hit, dtype):
+    """All-ones bit pattern where ``hit`` holds, zeros elsewhere.
+
+    Selecting through this mask with bit operations does not branch;
+    ``np.where`` and masked copies do, and run several times slower when
+    ``hit`` follows no pattern, as in max pooling.
+    """
+    ones = hit.astype(dtype)
+    np.negative(ones, out=ones)
+    return ones
 
 
 def _check_mask(mask, shape, name):
@@ -225,7 +242,12 @@ class ConvLayer:
         dk = (dz2 @ cols2).reshape(self.kernels.shape)
         dk *= self.kernel_mask[:, :, None, None]
         db = dz.sum(axis=(0, 2, 3)) * self.bias_mask
-        dcols = np.matmul(self.kernels.reshape(co, -1).T, dzm)
+        # input gradient: one product over all samples, laid out sample-last
+        # (C*r*r, Ho*Wo, N) so col2im adds each tap in long contiguous runs;
+        # col2im reads it through a transposed (N, C*r*r, Ho*Wo) view
+        dzp = dz.transpose(1, 2, 3, 0).reshape(co, -1)
+        dcols = self.kernels.reshape(co, -1).T @ dzp
+        dcols = dcols.reshape(dcols.shape[0], -1, n).transpose(2, 0, 1)
         dx = col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
 
@@ -290,36 +312,48 @@ class MaxPool2D:
             stride = self.window
         self.stride, _ = check_stride_padding(stride, (0, 0))
 
+    def _taps(self, ho, wo):
+        """Yield (k, rows, cols): tap k = q * ww + t and the slices picking
+        element (q, t) of every window."""
+        wh, ww = self.window
+        sh, sw = self.stride
+        for k in range(wh * ww):
+            q, t = divmod(k, ww)
+            yield k, slice(q, q + sh * ho, sh), slice(t, t + sw * wo, sw)
+
     def forward(self, x, with_cache=False):
         if x.ndim != 4:
             raise DimensionError(f"maxpool expects (N, C, H, W), got {x.shape}")
+        _, ho, wo = self.output_shape(x.shape[1:])
+        # a running max over the taps: the strict ">" keeps the first of
+        # tied maxima, the one an argmax over the window picks, and arg
+        # records its tap
+        taps = self._taps(ho, wo)
+        _, rows, cols = next(taps)
+        y = x[:, :, rows, cols].copy()
+        y_bits = _bits(y)
         wh, ww = self.window
-        sh, sw = self.stride
-        n, c, h, w = x.shape
-        if h < wh or w < ww:
-            raise DimensionError(f"pool window {self.window} larger than map {h}x{w}")
-        win = np.lib.stride_tricks.sliding_window_view(x, (wh, ww), axis=(2, 3))
-        win = win[:, :, ::sh, ::sw]  # (N, C, Ho, Wo, wh, ww)
-        ho, wo = win.shape[2], win.shape[3]
-        flat = win.reshape(n, c, ho, wo, wh * ww)
-        arg = flat.argmax(axis=4)
-        y = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(wh * ww - 1))
+        for k, rows, cols in taps:
+            s = x[:, :, rows, cols]
+            hit = s > y
+            # y = where(hit, s, y) on the bit patterns; taps come in rising
+            # order, so the max of arg and k * hit is where(hit, k, arg)
+            y_bits ^= (_bits(s) ^ y_bits) & _ones_where(hit, y_bits.dtype)
+            np.maximum(arg, hit * arg.dtype.type(k), out=arg)
         if with_cache:
             return y, (x.shape, arg)
         return y
 
     def backward(self, cache, d_out):
         x_shape, arg = cache
-        n, c, h, w = x_shape
-        wh, ww = self.window
-        sh, sw = self.stride
-        ho, wo = arg.shape[2], arg.shape[3]
         dx = np.zeros(x_shape, dtype=d_out.dtype)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo), sparse=True)
-        rows = hi * sh + arg // ww
-        cols = wi * sw + arg % ww
-        np.add.at(dx, (np.broadcast_to(ni, arg.shape),
-                       np.broadcast_to(ci, arg.shape), rows, cols), d_out)
+        g_bits = _bits(d_out)
+        # taps in reverse: where windows overlap, an input element then
+        # receives its gradients in the row-major order of the windows
+        for k, rows, cols in reversed(list(self._taps(*arg.shape[2:]))):
+            routed = g_bits & _ones_where(arg == k, g_bits.dtype)  # else +0.0
+            dx[:, :, rows, cols] += routed.view(d_out.dtype)
         return dx, {}
 
     def params(self):

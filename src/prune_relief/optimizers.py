@@ -1,9 +1,18 @@
-"""SGD with momentum and Adam, both mask-aware.
+"""SGD with momentum and Adam, both mask-aware, updating in place.
 
 Weight decay is classic L2 added to the gradient before any moment update
-(not decoupled). Masks are multiplied into the effective gradient, the moment
-state, and the parameter itself on every step, so a masked entry and its
-moments stay exactly 0.0 bit-for-bit no matter how many steps run.
+(not decoupled). The mask is multiplied into that effective gradient once
+per step, so a masked entry's gradient is exactly 0 (or -0.0). Masked
+parameters are exactly 0 (layers enforce it) and an ``Optimizer``'s moments
+start at 0, so a masked entry's update is 0 and the parameter and its
+moments stay exactly 0 bit-for-bit no matter how many steps run; there is
+nothing left to mask. This needs the masks fixed for the optimizer's life:
+the pipeline masks between ``train`` calls, and each builds a new one.
+
+Each step is fused: it runs in place on the parameter and its state,
+writing its temporaries into two scratch buffers shaped like the parameter,
+and performs the same float operations in the same order as the textbook
+expressions in the step docstrings, so it gives the same bytes.
 """
 
 from dataclasses import dataclass, field
@@ -70,38 +79,63 @@ class OptimizerConfig:
         raise ConfigError(f"epoch {epoch} outside the lr schedule")
 
 
-def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0, mask=None):
-    """One SGD/momentum update, in place on ``param`` and ``velocity``."""
-    g = grad + weight_decay * param
+def _scratch(param, scratch, count):
+    if scratch is None:
+        return [np.empty_like(param) for _ in range(count)]
+    return scratch
+
+
+def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
+             mask=None, scratch=None):
+    """One SGD/momentum update, in place on ``param`` and ``velocity``.
+
+    g = (grad + weight_decay * param) * mask;
+    velocity = momentum * velocity + g; param -= lr * velocity.
+    ``scratch`` is a one-buffer sequence shaped like ``param``; without it
+    the step allocates its own.
+    """
+    (g,) = _scratch(param, scratch, 1)
+    np.multiply(param, weight_decay, out=g)
+    np.add(grad, g, out=g)
     if mask is not None:
-        g = g * mask
+        g *= mask
     velocity *= momentum
     velocity += g
-    param -= lr * velocity
-    if mask is not None:
-        param *= mask
-        velocity *= mask
+    np.multiply(velocity, lr, out=g)
+    param -= g
     return param, velocity
 
 
 def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
-              beta1=0.9, beta2=0.999, eps=1e-8, mask=None):
-    """One Adam update (bias-corrected), in place on ``param``, ``m``, ``v``."""
-    g = grad + weight_decay * param
+              beta1=0.9, beta2=0.999, eps=1e-8, mask=None, scratch=None):
+    """One Adam update (bias-corrected), in place on ``param``, ``m``, ``v``.
+
+    g = (grad + weight_decay * param) * mask;
+    m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
+    param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps).
+    ``scratch`` is a two-buffer sequence shaped like ``param``; without it
+    the step allocates its own.
+    """
+    g, tmp = _scratch(param, scratch, 2)
+    np.multiply(param, weight_decay, out=g)
+    np.add(grad, g, out=g)
     if mask is not None:
-        g = g * mask
+        g *= mask
     m *= beta1
-    m += (1 - beta1) * g
+    np.multiply(g, 1 - beta1, out=tmp)
+    m += tmp
     v *= beta2
-    v += (1 - beta2) * (g * g)
-    m_hat = m / (1 - beta1 ** step)
-    v_hat = v / (1 - beta2 ** step)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
-    if mask is not None:
-        update *= mask
+    np.multiply(g, g, out=tmp)
+    tmp *= 1 - beta2
+    v += tmp
+    update = g  # g is spent; its buffer takes the update
+    np.divide(m, 1 - beta1 ** step, out=update)
+    update *= lr
+    np.divide(v, 1 - beta2 ** step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    update /= tmp
     param -= update
-    if mask is not None:
-        param *= mask
     return param, m, v
 
 
@@ -117,9 +151,11 @@ class Optimizer:
             slot = {}
             for name, p in layer.params().items():
                 if cfg.kind == "sgd":
-                    slot[name] = {"velocity": np.zeros_like(p)}
+                    slot[name] = {"velocity": np.zeros_like(p),
+                                  "scratch": [np.empty_like(p)]}
                 else:
-                    slot[name] = {"m": np.zeros_like(p), "v": np.zeros_like(p)}
+                    slot[name] = {"m": np.zeros_like(p), "v": np.zeros_like(p),
+                                  "scratch": [np.empty_like(p), np.empty_like(p)]}
             self.slots.append(slot)
 
     def apply(self, net, grads, lr: float) -> None:
@@ -135,15 +171,14 @@ class Optimizer:
                 if cfg.kind == "sgd":
                     sgd_step(p, g[name], state["velocity"], lr,
                              weight_decay=cfg.weight_decay,
-                             momentum=cfg.momentum, mask=masks[name])
+                             momentum=cfg.momentum, mask=masks[name],
+                             scratch=state["scratch"])
                 else:
                     adam_step(p, g[name], state["m"], state["v"],
                               self.step_count, lr,
                               weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                              beta2=cfg.beta2, eps=cfg.eps, mask=masks[name])
-
-    def state_summary(self) -> dict:
-        return summarize(self.cfg, self.step_count)
+                              beta2=cfg.beta2, eps=cfg.eps, mask=masks[name],
+                              scratch=state["scratch"])
 
 
 def summarize(cfg: OptimizerConfig, step_count: int) -> dict:

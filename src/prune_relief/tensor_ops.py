@@ -1,4 +1,4 @@
-"""Dense tensor primitives: matrix application, 2-D convolution, norms.
+"""Dense tensor primitives: 2-D convolution and its patch lowering.
 
 Everything here is pure and dtype-preserving. Convolution follows the
 cross-correlation convention (no kernel flip) with zero padding, and is
@@ -40,33 +40,14 @@ def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
     return (h + 2 * ph - r) // sh + 1, (w + 2 * pw - r) // sw + 1
 
 
-def matvec(weights, x) -> np.ndarray:
-    w = np.asarray(weights)
-    v = np.asarray(x)
-    if w.ndim != 2 or v.ndim != 1:
-        raise DimensionError(
-            f"matvec expects a matrix and a vector, got {w.shape} and {v.shape}"
-        )
-    if w.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec shape mismatch: {w.shape} @ {v.shape}")
-    return w @ v
-
-
-def abs_elementwise(t) -> np.ndarray:
-    return np.abs(np.asarray(t))
-
-
-def frobenius_norm(m) -> float:
-    a = np.asarray(m, dtype=np.float64)
-    return float(np.sqrt(np.sum(a * a)))
-
-
 def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
-    """Lower (N, C, H, W) into patch columns of shape (N, C*r*r, Ho*Wo).
+    """Lower (N, C, H, W) into C-contiguous patch columns (N, C*r*r, Ho*Wo).
 
     Column k of sample n holds the receptive field of output position k,
     flattened channel-major then row-major, matching kernels reshaped with
-    ``kernels.reshape(C_out, -1)``.
+    ``kernels.reshape(C_out, -1)``. :func:`col2im`, the adjoint, takes the
+    same logical layout through any strides, including a sample-last
+    (C*r*r, Ho*Wo, N) array viewed as (N, C*r*r, Ho*Wo).
     """
     if x.ndim != 4:
         raise DimensionError(f"im2col expects (N, C, H, W), got shape {x.shape}")
@@ -85,18 +66,25 @@ def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
 
 
 def col2im(cols: np.ndarray, x_shape, r: int, stride, padding) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add columns back onto the input."""
+    """Adjoint of :func:`im2col`: scatter-add columns back onto the input.
+
+    ``cols`` is in the layout :func:`im2col` returns, (N, C*r*r, Ho*Wo), with
+    any strides. The taps are added one at a time, row-major over the
+    kernel, into a sample-last (C, H, W, N) buffer that is transposed to
+    (N, C, H, W) once at the end; when ``cols`` is itself stored
+    sample-last, as ``ConvLayer.backward`` passes it, every add runs over
+    long contiguous stretches of memory.
+    """
     n, c, h, w = x_shape
     (sh, sw), (ph, pw) = check_stride_padding(stride, padding)
     ho, wo = conv_output_hw(h, w, r, stride, padding)
-    dx = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    buf = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=cols.dtype)
+    dx = buf.transpose(3, 0, 1, 2)  # (N, C, H, W) view
     cols6 = cols.reshape(n, c, r, r, ho, wo)
     for q in range(r):
         for t in range(r):
             dx[:, :, q : q + sh * ho : sh, t : t + sw * wo : sw] += cols6[:, :, q, t]
-    if ph or pw:
-        return dx[:, :, ph : ph + h, pw : pw + w]
-    return dx
+    return np.ascontiguousarray(dx[:, :, ph : ph + h, pw : pw + w])
 
 
 def conv2d_batch(x, kernels, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
@@ -123,11 +111,3 @@ def conv2d_batch(x, kernels, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
     y = np.matmul(k.reshape(co, -1), cols)  # (N, Co, Ho*Wo)
     y += b[:, None]
     return y.reshape(n, co, ho, wo)
-
-
-def conv2d(input, kernels, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
-    """Single-sample convolution: (C_in, H, W) -> (C_out, H', W')."""
-    x = np.asarray(input)
-    if x.ndim != 3:
-        raise DimensionError(f"conv2d expects (C, H, W), got shape {x.shape}")
-    return conv2d_batch(x[None], kernels, bias, stride, padding)[0]

@@ -294,6 +294,14 @@ class TestFailureModes:
         assert main(["prune", "--config", str(cfg2)]) == 3
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["{oops", "[0.9]", '{"train_accuracy": 0.9}'])
+    def test_corrupt_baseline_report_exit_3(self, run, tmp_path, capsys, text):
+        _, out2 = copy_run(run, tmp_path)
+        (out2 / "baseline.json").write_text(text)
+        assert main(["report", "--run", str(out2)]) == 3
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and "Traceback" not in err
+
     def test_corrupt_model_json_exit_3(self, run, tmp_path, capsys):
         cfg2, out2 = copy_run(run, tmp_path)
         (out2 / "model" / "model.json").write_text("{oops")

@@ -5,7 +5,8 @@ import pytest
 
 from prune_relief import (ConfigError, LrSpan, Optimizer, OptimizerConfig,
                           adam_step, sgd_step)
-from tests.conftest import small_mlp
+from prune_relief.optimizers import summarize
+from tests.conftest import small_cnn, small_mlp
 
 
 def arr(*vals):
@@ -159,4 +160,109 @@ class TestOptimizerOverNetwork:
         opt.apply(net, grads, 1e-2)
         opt.apply(net, grads, 1e-2)
         assert opt.step_count == 2
-        assert opt.state_summary()["step_count"] == 2
+        assert summarize(opt.cfg, opt.step_count)["step_count"] == 2
+
+
+# The textbook steps, one NumPy expression per line, masking the gradient,
+# the update and the parameter; the fused in-place steps must give the same
+# bytes, signed zeros included.
+def ref_sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
+                 mask=None):
+    g = grad + weight_decay * param
+    if mask is not None:
+        g = g * mask
+    velocity *= momentum
+    velocity += g
+    param -= lr * velocity
+    if mask is not None:
+        param *= mask
+        velocity *= mask
+
+
+def ref_adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
+                  beta1=0.9, beta2=0.999, eps=1e-8, mask=None):
+    g = grad + weight_decay * param
+    if mask is not None:
+        g = g * mask
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * (g * g)
+    m_hat = m / (1 - beta1 ** step)
+    v_hat = v / (1 - beta2 ** step)
+    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    if mask is not None:
+        update *= mask
+    param -= update
+    if mask is not None:
+        param *= mask
+
+
+def pruned_net(rng, build):
+    net = build(rng)
+    for li in net.prunable_indices():
+        layer = net.layers[li]
+        for j in range(layer.fan_out):
+            drop = rng.choice(layer.fan_in + 1, size=(layer.fan_in + 1) // 2,
+                              replace=False)
+            layer.apply_mask(j, drop)
+        # masked entries hold zeros of either sign
+        for p, mask in zip(layer.params().values(), layer.param_masks().values()):
+            full = np.broadcast_to(mask, p.shape) == 0
+            p[full & (rng.random(p.shape) < 0.5)] = -0.0
+    return net
+
+
+def param_bytes(net):
+    return [p.tobytes() for layer in net.layers for p in layer.params().values()]
+
+
+class TestFusedStepsMatchReference:
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("build", [lambda r: small_mlp(r, (8, 6, 4)),
+                                       lambda r: small_cnn(r)],
+                             ids=["mlp", "cnn"])
+    def test_thirty_steps_bytes(self, kind, build):
+        rng = np.random.default_rng(7)
+        net = pruned_net(rng, build)
+        ref = net.clone()
+        cfg = OptimizerConfig(kind=kind, epochs=1, weight_decay=5e-4,
+                              lr_schedule=[LrSpan(1, 1, 1e-2)])
+        opt = Optimizer(net, cfg)
+        state = [{name: [np.zeros_like(p), np.zeros_like(p)]
+                  for name, p in layer.params().items()} for layer in ref.layers]
+        for step in range(1, 31):
+            # unmasked gradients with signed zeros: masking is the step's job
+            grads = [{name: np.where(rng.random(p.shape) < 0.1, -0.0,
+                                     rng.standard_normal(p.shape)).astype(np.float32)
+                      for name, p in layer.params().items()} for layer in net.layers]
+            opt.apply(net, grads, lr=1e-2)
+            for layer, g, st in zip(ref.layers, grads, state):
+                masks = layer.param_masks()
+                for name, p in layer.params().items():
+                    a, b = st[name]
+                    if kind == "sgd":
+                        ref_sgd_step(p, g[name], a, 1e-2, 5e-4, cfg.momentum,
+                                     mask=masks[name])
+                    else:
+                        ref_adam_step(p, g[name], a, b, step, 1e-2, 5e-4,
+                                      cfg.beta1, cfg.beta2, cfg.eps,
+                                      mask=masks[name])
+            assert param_bytes(net) == param_bytes(ref), step
+        for slot, st in zip(opt.slots, state):
+            for name, (a, b) in st.items():
+                if kind == "sgd":
+                    assert slot[name]["velocity"].tobytes() == a.tobytes()
+                else:
+                    assert slot[name]["m"].tobytes() == a.tobytes()
+                    assert slot[name]["v"].tobytes() == b.tobytes()
+
+    def test_steps_without_scratch_match_with_scratch(self, rng):
+        p1 = rng.standard_normal(20).astype(np.float32)
+        p2 = p1.copy()
+        g = rng.standard_normal(20).astype(np.float32)
+        m1, v1, m2, v2 = (np.zeros(20, np.float32) for _ in range(4))
+        adam_step(p1, g, m1, v1, 1, 1e-3, weight_decay=1e-4)
+        adam_step(p2, g, m2, v2, 1, 1e-3, weight_decay=1e-4,
+                  scratch=[np.empty_like(p2), np.empty_like(p2)])
+        assert p1.tobytes() == p2.tobytes() and m1.tobytes() == m2.tobytes()

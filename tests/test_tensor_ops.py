@@ -3,66 +3,44 @@
 import numpy as np
 import pytest
 
-from prune_relief import (DimensionError, abs_elementwise, conv2d,
-                          conv2d_batch, conv_output_hw, frobenius_norm,
-                          im2col, matvec)
+from prune_relief import (DenseLayer, DimensionError, conv2d_batch,
+                          conv_output_hw, im2col)
 from prune_relief.tensor_ops import col2im
 
 
+def conv2d(x, kernels, bias, stride=(1, 1), padding=(0, 0)):
+    """Single-sample convolution, (C_in, H, W) -> (C_out, H', W')."""
+    return conv2d_batch(np.asarray(x)[None], kernels, bias, stride, padding)[0]
+
+
 class TestMatvec:
+    """The matrix-vector product as a dense layer with identity units computes it."""
+
+    @staticmethod
+    def matvec(w, x):
+        w = np.asarray(w, np.float32)
+        layer = DenseLayer(w, np.zeros(w.shape[0], np.float32), "identity")
+        return layer.forward(np.asarray(x, np.float32)[None])[0]
+
     def test_identity(self):
         x = np.array([3.0, -1.0, 2.0], np.float32)
-        np.testing.assert_array_equal(matvec(np.eye(3, dtype=np.float32), x), x)
+        np.testing.assert_array_equal(self.matvec(np.eye(3), x), x)
 
     def test_hand_example(self):
         w = np.array([[2.0, -1.0]], np.float32)
-        np.testing.assert_array_equal(matvec(w, np.array([1.0, 0.0], np.float32)),
-                                      [2.0])
+        np.testing.assert_array_equal(self.matvec(w, [1.0, 0.0]), [2.0])
 
     def test_zero_matrix(self):
-        out = matvec(np.zeros((4, 3)), np.ones(3))
+        out = self.matvec(np.zeros((4, 3)), np.ones(3))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
+            self.matvec(np.zeros((2, 3)), np.zeros(4))
 
     def test_preserves_dtype(self):
-        out = matvec(np.eye(2, dtype=np.float32), np.ones(2, np.float32))
+        out = self.matvec(np.eye(2), np.ones(2))
         assert out.dtype == np.float32
-
-
-class TestAbs:
-    def test_values(self):
-        np.testing.assert_array_equal(abs_elementwise([-1.5, 0.0, 2.0]),
-                                      [1.5, 0.0, 2.0])
-
-    def test_idempotent(self, rng):
-        t = rng.standard_normal((3, 4, 5))
-        once = abs_elementwise(t)
-        np.testing.assert_array_equal(abs_elementwise(once), once)
-
-
-class TestFrobenius:
-    def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
-
-    def test_three_four(self):
-        assert frobenius_norm([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
-
-    def test_single_entry(self):
-        assert frobenius_norm([[-2.5]]) == pytest.approx(2.5)
-
-    def test_homogeneity(self, rng):
-        m = rng.standard_normal((4, 6))
-        assert frobenius_norm(3.0 * m) == pytest.approx(3.0 * frobenius_norm(m))
-
-    def test_triangle_inequality(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((5, 5))
-            b = rng.standard_normal((5, 5))
-            assert frobenius_norm(a + b) <= \
-                frobenius_norm(a) + frobenius_norm(b) + 1e-12
 
 
 class TestConvOutputSize:
