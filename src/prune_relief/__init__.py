@@ -9,16 +9,16 @@ module accounts parameters and FLOPs for the masked result.
 """
 
 from .activations import ACTIVATIONS, Activation, get_activation
-from .bounds import (bound_report, conv_filter_bound, fc_neuron_bound,
-                     measure_conv_deviation, measure_fc_deviation,
-                     network_output_bound, residual_curve)
+from .bounds import (bound_report, fc_neuron_bound, measure_conv_deviation,
+                     measure_fc_deviation, network_output_bound,
+                     residual_curve)
 from .config import build_network, load_config, load_dataset, parse_config
 from .datasets import Dataset, load_idx, load_idx_images, load_idx_labels, \
     normalize_pair, synth_dataset
 from .errors import (CapabilityError, ConfigError, DimensionError,
                      EmptyPruningSetError, FormatError, PruneReliefError,
                      TrainingError)
-from .importance import (ImportanceScores, LayerDecisions, PruneDecision,
+from .importance import (ImportanceScores, LayerDecisions, Selection,
                          conv_importance, fc_importance, prune_pass,
                          prune_single_layer, score_layer, select_kept)
 from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
@@ -27,7 +27,7 @@ from .metrics import (CompressionReport, FlopsReport, compression_stats,
                       flops_dense, gini, kept_connection_scores, masked_flops,
                       score_stats)
 from .model_io import load_model, save_model
-from .network import ActivationTrace, Network, apply_mask, forward
+from .network import ActivationTrace, Network
 from .optimizers import (LrSpan, Optimizer, OptimizerConfig, adam_step,
                          sgd_step)
 from .pipeline import (PURPOSE_INIT, PURPOSE_PRUNE_DRAW, PURPOSE_REINIT,

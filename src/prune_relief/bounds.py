@@ -23,14 +23,17 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import prune_single_layer, score_layer
+from .importance import _as_input_batch, prune_single_layer, score_layer
 from .layers import ConvLayer, DenseLayer
 from .network import Network
 from .tensor_ops import conv2d_batch
 
 
 def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
-    """Bound on the mean post-activation deviation of dense targets."""
+    """Bound on the mean post-activation deviation of dense or conv targets.
+
+    Conv filters take the same closed form, with deviations in Frobenius norm.
+    """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     s = np.asarray(s_total, dtype=np.float64)
@@ -38,11 +41,6 @@ def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
         raise ValueError("signal totals must be non-negative")
     out = lipschitz * s * (1.0 - alpha)
     return float(out) if np.isscalar(s_total) or out.ndim == 0 else out
-
-
-def conv_filter_bound(s_total, alpha: float, lipschitz: float):
-    """Same closed form as dense targets, with deviations in Frobenius norm."""
-    return fc_neuron_bound(s_total, alpha, lipschitz)
 
 
 def _check_pair(before, after, cls):
@@ -162,13 +160,7 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     section is present only for an all-dense tail; otherwise it carries the
     capability limitation as a message.
     """
-    batch = pruning_set
-    if isinstance(batch, (list, tuple)):
-        if len(batch) == 0:
-            raise EmptyPruningSetError("bound report needs at least one sample")
-        batch = np.stack(batch)
-    if batch.shape[0] == 0:
-        raise EmptyPruningSetError("bound report needs at least one sample")
+    batch = _as_input_batch(pruning_set)
     pruned_net, decisions = prune_single_layer(net, layer_index, alpha, batch)
     before = net.layers[layer_index]
     after = pruned_net.layers[layer_index]
@@ -180,16 +172,18 @@ def bound_report(net: Network, layer_index: int, alpha: float,
         delta, big_delta = measure_conv_deviation(before, after, x_in)
     c = before.act.lipschitz
     s = decisions.scores.totals
-    kappa = np.array([d.achieved_mass for d in decisions.targets])
+    keep = decisions.selection.keep
+    kappa = decisions.selection.achieved_mass
+    kept = keep.sum(axis=1)
     targets = []
-    for j, d in enumerate(decisions.targets):
+    for j in range(s.size):
         bound = c * s[j] * max(1.0 - kappa[j], 0.0)
         targets.append({
             "target": j,
             "signal_total": float(s[j]),
             "kept_mass": float(kappa[j]),
-            "kept": int(d.kept.size),
-            "pruned": int(d.pruned.size),
+            "kept": int(kept[j]),
+            "pruned": int(keep.shape[1] - kept[j]),
             "lipschitz": c,
             "pre_activation_deviation": float(delta[j]),
             "pre_activation_bound": float(s[j] * max(1.0 - kappa[j], 0.0)),

@@ -14,8 +14,6 @@ import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import bound_report
 from .config import build_network, infer_classes, load_config, load_dataset
 from .errors import (CapabilityError, ConfigError, FormatError,
@@ -25,7 +23,7 @@ from .layers import DenseLayer
 from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
 from .model_io import load_model, save_model
-from .pipeline import (PURPOSE_INIT, PURPOSE_PRUNE_DRAW, PURPOSE_TRAIN,
+from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, draw_pruning_set,
                        iterate, read_history, select_best)
 from .svg import write_line_chart
 from .training import evaluate, init_params, train
@@ -86,18 +84,6 @@ def _read_baseline(path: Path):
         return float(json.loads(path.read_text())["test_accuracy"])
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"cannot parse {path}: {e}") from e
-
-
-def _pruning_batch(cfg, train_ds, n: int):
-    if n < 1:
-        raise ConfigError(f"the pruning set must hold at least one sample, "
-                          f"got n={n}")
-    if n > train_ds.n:
-        raise ConfigError(f"pruning set of {n} exceeds the {train_ds.n} "
-                          f"training samples")
-    rng = np.random.default_rng([cfg.seed, PURPOSE_PRUNE_DRAW, 0])
-    idx = rng.choice(train_ds.n, size=n, replace=False)
-    return train_ds.images[idx]
 
 
 def cmd_train(args) -> int:
@@ -184,7 +170,7 @@ def cmd_bounds(args) -> int:
     alpha = args.alpha if args.alpha is not None else (
         cfg.prune.alpha_fc if kind == "dense" else cfg.prune.alpha_conv)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
-    batch = _pruning_batch(cfg, train_ds, n)
+    batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     report = bound_report(net, layer_index, alpha, batch)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bounds.json"
@@ -220,7 +206,8 @@ def cmd_report(args) -> int:
     base_net = load_model(run_dir / "model")
     final_net = load_model(run_dir / "iterations" /
                            f"iter_{history[-1].iteration:02d}")
-    batch = _pruning_batch(cfg, train_ds, cfg.prune.n_pruning_samples)
+    batch = draw_pruning_set(train_ds, cfg.prune.n_pruning_samples,
+                             cfg.seed, 0)
 
     def layer_scores(net):
         _, trace = net.forward(batch, capture=True)
@@ -306,7 +293,7 @@ def cmd_scores(args) -> int:
                           f"--checkpoint")
     net = load_model(ckpt)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
-    batch = _pruning_batch(cfg, train_ds, n)
+    batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     _, trace = net.forward(batch, capture=True)
     score_dir = out_dir / "scores"
     score_dir.mkdir(parents=True, exist_ok=True)

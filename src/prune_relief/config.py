@@ -179,6 +179,11 @@ def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
                           f"got {limit}")
     if limit:
         train = train.head(limit)
+    classes = _get(raw, "dataset.classes", int, default=0)
+    top = max((int(d.labels.max()) for d in (train, test) if d.n), default=-1)
+    if classes and top >= classes:
+        raise ConfigError(f"the dataset has label {top}, but config field "
+                          f"'dataset.classes' is {classes}")
     if _get(raw, "dataset.normalize", bool, default=False):
         train, test = normalize_pair(train, test)
     return train, test

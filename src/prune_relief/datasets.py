@@ -38,9 +38,6 @@ class Dataset:
     def sample_shape(self) -> tuple:
         return self.images.shape[1:]
 
-    def subset(self, indices) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices])
-
     def head(self, n: int) -> "Dataset":
         return Dataset(self.images[:n], self.labels[:n])
 

@@ -4,8 +4,15 @@ Each target unit j of a prunable layer gets one score per contributor: every
 input connection (dense) or input-channel kernel (conv), plus the bias as the
 last entry. Scores are the contributor's mean absolute signal on a pruning
 set, normalized by the target's total signal S_j, so a live target's row sums
-to one. Selection keeps the smallest group of top contributors whose combined
-score mass reaches the threshold ``alpha`` and masks the rest.
+to one. Selection keeps, for each target, the smallest group of top
+contributors whose combined score mass reaches the threshold ``alpha`` and
+masks the rest.
+
+Selection and masking work on a whole layer at once: ``select_kept`` takes
+the layer's (targets, contributors + 1) score matrix and returns a boolean
+keep matrix of the same shape with one prefix length, threshold and achieved
+mass per target, and the layer masks every dropped (target, contributor)
+pair in a single ``apply_mask`` call.
 
 Dense layer, contributor i of target j:
 
@@ -25,7 +32,7 @@ with the absolute kernel. Score accumulation runs in float64 regardless of
 the network dtype.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,15 +66,28 @@ class ImportanceScores:
 
 
 @dataclass
-class PruneDecision:
-    """Outcome of mask selection for a single target unit."""
+class Selection:
+    """Which contributors survive, row by row, at one threshold ``alpha``.
 
-    target: int
-    kept: np.ndarray
-    pruned: np.ndarray
-    prefix_len: int
-    threshold: float
-    achieved_mass: float
+    ``keep`` has the shape of the scores it was selected from; the other
+    fields take their leading shape, one entry per target (plain scalars for
+    a single row). Dead targets keep nothing and read 0 in every field.
+    """
+
+    keep: np.ndarray
+    prefix_len: np.ndarray
+    threshold: np.ndarray
+    achieved_mass: np.ndarray
+
+    @property
+    def kept(self) -> np.ndarray:
+        """Indices of the surviving contributors of a single row."""
+        return np.flatnonzero(self.keep)
+
+    @property
+    def pruned(self) -> np.ndarray:
+        """Indices of the masked contributors of a single row."""
+        return np.flatnonzero(~self.keep)
 
 
 @dataclass
@@ -76,23 +96,16 @@ class LayerDecisions:
     kind: str
     alpha: float
     scores: ImportanceScores
-    targets: list = field(default_factory=list)
-
-    def kept_score_values(self) -> np.ndarray:
-        vals = [self.scores.scores[d.target][d.kept] for d in self.targets]
-        if not vals:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(vals)
+    selection: Selection
 
 
 def _as_input_batch(inputs) -> np.ndarray:
-    if isinstance(inputs, (list, tuple)):
-        if len(inputs) == 0:
-            raise EmptyPruningSetError("importance scoring needs at least one sample")
+    """The pruning set as one array; a list of samples is stacked."""
+    if isinstance(inputs, (list, tuple)) and len(inputs) > 0:
         inputs = np.stack(inputs)
     x = np.asarray(inputs)
     if x.shape[0] == 0:
-        raise EmptyPruningSetError("importance scoring needs at least one sample")
+        raise EmptyPruningSetError("the pruning set needs at least one sample")
     return x
 
 
@@ -146,43 +159,42 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     return _normalize(numer, bias_numer)
 
 
-def select_kept(scores, alpha: float) -> PruneDecision:
-    """Choose which contributors of one target survive at threshold ``alpha``.
+def select_kept(scores, alpha: float) -> Selection:
+    """Choose which contributors survive at threshold ``alpha``, row by row.
 
-    Contributors are ranked by descending score (ties broken by ascending
-    index) and the shortest prefix whose mass reaches ``alpha`` sets the score
-    threshold; everything scoring strictly below it is pruned, so ties at the
-    threshold are kept. ``alpha`` is capped at the total available mass, which
-    makes alpha = 1.0 prune exactly the zero-score contributors. A dead target
-    (all scores zero) prunes everything.
+    Selection runs along the last axis, so one call covers a whole layer's
+    score matrix. In each row, contributors are ranked by descending score
+    (ties broken by ascending index) and the shortest prefix whose mass
+    reaches ``alpha`` sets the score threshold; everything scoring strictly
+    below it is pruned, so ties at the threshold are kept. ``alpha`` is
+    capped at the row's total mass, which makes alpha = 1.0 prune exactly the
+    zero-score contributors. A dead row (all scores zero) prunes everything.
     """
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise DimensionError("select_kept needs at least one score")
+    s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
+    if s.shape[-1] == 0:
+        raise DimensionError("select_kept needs at least one score per row")
     if np.any(s < 0):
         raise ValueError("scores must be non-negative")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    m = s.size
-    order = np.lexsort((np.arange(m), -s))
-    cum = np.cumsum(s[order])
-    total = float(cum[-1])
-    if total <= 0:
-        return PruneDecision(target=-1, kept=np.zeros(0, dtype=np.int64),
-                             pruned=np.arange(m, dtype=np.int64), prefix_len=0,
-                             threshold=0.0, achieved_mass=0.0)
-    target_mass = min(alpha, total)
-    p0 = int(np.searchsorted(cum, target_mass, side="left")) + 1
-    threshold = float(s[order[p0 - 1]])
-    keep = s >= threshold
-    return PruneDecision(
-        target=-1,
-        kept=np.flatnonzero(keep).astype(np.int64),
-        pruned=np.flatnonzero(~keep).astype(np.int64),
-        prefix_len=p0,
-        threshold=threshold,
-        achieved_mass=float(s[keep].sum()),
-    )
+    lead = s.shape[:-1]
+    rows = s.reshape(-1, s.shape[-1])
+    # a stable sort of -s ranks by descending score, ties by ascending index
+    order = np.argsort(-rows, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    total = cum[:, -1:]
+    live = total[:, 0] > 0
+    # cum never decreases, so the shortest prefix reaching min(alpha, total)
+    # ends one past the entries still short of it
+    p0 = np.count_nonzero(cum < np.minimum(alpha, total), axis=1) + 1
+    last = np.take_along_axis(order, p0[:, None] - 1, axis=1)
+    threshold = np.take_along_axis(rows, last, axis=1)[:, 0]  # 0 if dead
+    keep = (rows >= threshold[:, None]) & live[:, None]
+    return Selection(
+        keep=keep.reshape(s.shape),
+        prefix_len=np.where(live, p0, 0).reshape(lead)[()],
+        threshold=threshold.reshape(lead)[()],
+        achieved_mass=np.where(keep, rows, 0.0).sum(axis=1).reshape(lead)[()])
 
 
 def score_layer(layer, inputs) -> ImportanceScores:
@@ -195,14 +207,9 @@ def score_layer(layer, inputs) -> ImportanceScores:
 
 def _mask_layer(layer, scores: ImportanceScores, alpha: float,
                 layer_index: int) -> LayerDecisions:
-    dec = LayerDecisions(layer_index=layer_index, kind=layer.kind, alpha=alpha,
-                         scores=scores)
-    for j in range(scores.num_targets):
-        d = select_kept(scores.scores[j], alpha)
-        d.target = j
-        layer.apply_mask(j, d.pruned)
-        dec.targets.append(d)
-    return dec
+    selection = select_kept(scores.scores, alpha)
+    layer.apply_mask(*np.nonzero(~selection.keep))
+    return LayerDecisions(layer_index, layer.kind, alpha, scores, selection)
 
 
 def prune_pass(net: Network, pruning_set, alpha_conv: float,
@@ -213,10 +220,7 @@ def prune_pass(net: Network, pruning_set, alpha_conv: float,
     layer is then scored from that single captured trace, so later layers see
     activations unaffected by the masks applied earlier in the same pass.
     """
-    batch = pruning_set
-    if isinstance(batch, (list, tuple)) and len(batch) == 0:
-        raise EmptyPruningSetError("prune pass needs at least one sample")
-    _, trace = net.forward(batch, capture=True)
+    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
     decisions = []
     for li in net.prunable_indices():
         layer = net.layers[li]
@@ -235,7 +239,7 @@ def prune_single_layer(net: Network, layer_index: int, alpha: float,
     """
     if layer_index not in net.prunable_indices():
         raise IndexError(f"layer {layer_index} is not prunable")
-    _, trace = net.forward(pruning_set, capture=True)
+    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
     pruned = net.clone()
     layer = pruned.layers[layer_index]
     scores = score_layer(layer, trace.inputs_to(layer_index))

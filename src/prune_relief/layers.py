@@ -3,7 +3,12 @@
 Dense and conv layers carry pruning masks next to their parameters. The
 invariant maintained everywhere is that a masked entry holds the value 0.0
 exactly; constructors validate it and ``apply_mask`` zeroes what it masks.
-Conv masks have one bit per (filter, input-channel) kernel, not per tap.
+Masks address (target, contributor) pairs: a target is an output unit or
+filter, a contributor an input unit or input channel, and contributor index
+``fan_in`` is the target's bias. Conv masks have one bit per (filter,
+input-channel) kernel, not per tap. ``apply_mask`` takes broadcastable index
+arrays, so one call masks a few contributors of one target or every dropped
+pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
 what ``backward`` needs; layers themselves stay immutable during the forward
@@ -46,7 +51,38 @@ def _check_mask(mask, shape, name):
         raise ValueError(f"{name} must contain only 0/1 entries")
 
 
-class DenseLayer:
+class _MaskedLayer:
+    """The mask writer shared by dense and conv layers.
+
+    Subclasses list the weight tensor before the bias in both ``params`` and
+    ``stored_masks``, and define ``fan_in`` and ``fan_out``.
+    """
+
+    def apply_mask(self, targets, contributors) -> None:
+        """Mask the (target, contributor) pairs of broadcastable index arrays.
+
+        ``apply_mask(j, [i, k])`` masks two contributors of target j, and
+        ``apply_mask(*np.nonzero(drop))`` every True entry of a (fan_out,
+        fan_in + 1) matrix. A masked conv contributor zeroes a whole kernel.
+        """
+        t = np.asarray(targets, dtype=np.int64)
+        c = np.asarray(contributors, dtype=np.int64)
+        if t.size and (t.min() < 0 or t.max() >= self.fan_out):
+            raise IndexError(f"targets must lie in [0, {self.fan_out}), got "
+                             f"[{t.min()}, {t.max()}]")
+        if c.size and (c.min() < 0 or c.max() > self.fan_in):
+            raise IndexError(f"contributor indices must lie in [0, "
+                             f"{self.fan_in}], got [{c.min()}, {c.max()}]")
+        t, c = np.broadcast_arrays(t, c)
+        on_bias = c == self.fan_in
+        rows, cols, units = t[~on_bias], c[~on_bias], t[on_bias]
+        weights, bias = self.params().values()
+        weight_mask, bias_mask = self.stored_masks().values()
+        weight_mask[rows, cols] = weights[rows, cols] = 0
+        bias_mask[units] = bias[units] = 0
+
+
+class DenseLayer(_MaskedLayer):
     """Fully connected layer: y = act(W x + b), W of shape (out, in)."""
 
     kind = "dense"
@@ -107,25 +143,6 @@ class DenseLayer:
         dx = dz @ self.weights
         return dx, {"weights": dw, "bias": db}
 
-    def apply_mask(self, target: int, contributors) -> None:
-        """Mask contributor indices of one target unit; index fan_in is the bias."""
-        if not 0 <= target < self.fan_out:
-            raise IndexError(f"target {target} out of range for {self.fan_out} units")
-        idx = np.asarray(contributors, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() > self.fan_in:
-            raise IndexError(
-                f"contributor indices must lie in [0, {self.fan_in}], got "
-                f"[{idx.min()}, {idx.max()}]"
-            )
-        cols = idx[idx < self.fan_in]
-        self.weight_mask[target, cols] = 0
-        self.weights[target, cols] = 0
-        if np.any(idx == self.fan_in):
-            self.bias_mask[target] = 0
-            self.bias[target] = 0
-
     def params(self) -> dict[str, np.ndarray]:
         return {"weights": self.weights, "bias": self.bias}
 
@@ -157,7 +174,7 @@ class DenseLayer:
         return (self.fan_out,)
 
 
-class ConvLayer:
+class ConvLayer(_MaskedLayer):
     """2-D convolution with square kernels, zero padding, per-filter bias."""
 
     kind = "conv"
@@ -251,27 +268,6 @@ class ConvLayer:
         dx = col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
 
-    def apply_mask(self, target: int, contributors) -> None:
-        """Mask kernels feeding one target filter; index in_channels is the bias."""
-        if not 0 <= target < self.out_channels:
-            raise IndexError(
-                f"target {target} out of range for {self.out_channels} filters"
-            )
-        idx = np.asarray(contributors, dtype=np.int64).ravel()
-        if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() > self.in_channels:
-            raise IndexError(
-                f"contributor indices must lie in [0, {self.in_channels}], got "
-                f"[{idx.min()}, {idx.max()}]"
-            )
-        chans = idx[idx < self.in_channels]
-        self.kernel_mask[target, chans] = 0
-        self.kernels[target, chans] = 0
-        if np.any(idx == self.in_channels):
-            self.bias_mask[target] = 0
-            self.bias[target] = 0
-
     def params(self) -> dict[str, np.ndarray]:
         return {"kernels": self.kernels, "bias": self.bias}
 
@@ -301,7 +297,23 @@ class ConvLayer:
         return (self.out_channels, ho, wo)
 
 
-class MaxPool2D:
+class _ParameterFree:
+    """Layers with nothing to learn or mask."""
+
+    def params(self):
+        return {}
+
+    def param_masks(self):
+        return {}
+
+    def stored_masks(self):
+        return {}
+
+    def astype(self, dtype):
+        return self.clone()
+
+
+class MaxPool2D(_ParameterFree):
     """Max pooling over non-overlapping or strided windows. No parameters."""
 
     kind = "maxpool"
@@ -356,20 +368,8 @@ class MaxPool2D:
             dx[:, :, rows, cols] += routed.view(d_out.dtype)
         return dx, {}
 
-    def params(self):
-        return {}
-
-    def param_masks(self):
-        return {}
-
-    def stored_masks(self):
-        return {}
-
     def clone(self) -> "MaxPool2D":
         return MaxPool2D(self.window, self.stride)
-
-    def astype(self, dtype) -> "MaxPool2D":
-        return self.clone()
 
     def output_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -381,7 +381,7 @@ class MaxPool2D:
         return (c, (h - wh) // self.stride[0] + 1, (w - ww) // self.stride[1] + 1)
 
 
-class Flatten:
+class Flatten(_ParameterFree):
     """Reshape (N, ...) to (N, prod). No parameters."""
 
     kind = "flatten"
@@ -395,19 +395,7 @@ class Flatten:
     def backward(self, cache, d_out):
         return d_out.reshape(cache), {}
 
-    def params(self):
-        return {}
-
-    def param_masks(self):
-        return {}
-
-    def stored_masks(self):
-        return {}
-
     def clone(self) -> "Flatten":
-        return Flatten()
-
-    def astype(self, dtype) -> "Flatten":
         return Flatten()
 
     def output_shape(self, in_shape):

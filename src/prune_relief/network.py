@@ -109,14 +109,3 @@ class Network:
         return Network([l.astype(dtype) for l in self.layers], self.input_shape,
                        self.classes, strict=False)
 
-
-def forward(net: Network, batch, capture: bool = False):
-    return net.forward(batch, capture)
-
-
-def apply_mask(net: Network, layer_index: int, target: int, contributors) -> None:
-    """Mask contributors of one target unit of one prunable layer, in place."""
-    layer = net.layers[layer_index]
-    if layer.kind not in PRUNABLE_KINDS:
-        raise IndexError(f"layer {layer_index} ({layer.kind}) has no masks")
-    layer.apply_mask(target, contributors)

@@ -157,15 +157,24 @@ def _restore_surviving(net: Network, source: Network) -> None:
             p[...] = sp * mask.astype(p.dtype)
 
 
-def _draw_pruning_batch(train: Dataset, pcfg: PruneConfig, seed, iteration: int):
-    if pcfg.n_pruning_samples > train.n:
-        raise ConfigError(
-            f"n_pruning_samples={pcfg.n_pruning_samples} exceeds the "
-            f"{train.n} training samples")
-    key = iteration if pcfg.pruning_set_policy == "resample" else 0
+def draw_pruning_set(train: Dataset, n: int, seed, key: int):
+    """``n`` distinct training images from the generator keyed by
+    (seed, pruning draw, key): key 0 for a fixed set, the iteration when
+    each iteration resamples."""
+    if n < 1:
+        raise ConfigError(f"the pruning set must hold at least one sample, "
+                          f"got n={n}")
+    if n > train.n:
+        raise ConfigError(f"pruning set of {n} exceeds the {train.n} "
+                          f"training samples")
     rng = np.random.default_rng([seed, PURPOSE_PRUNE_DRAW, key])
-    idx = rng.choice(train.n, size=pcfg.n_pruning_samples, replace=False)
+    idx = rng.choice(train.n, size=n, replace=False)
     return train.images[idx]
+
+
+# iterate draws through this second name only, so perfbench's tracer can
+# mark iterations on it while the CLI's one-off draws stay unmarked
+_draw_pruning_batch = draw_pruning_set
 
 
 def _iteration_dir(out_dir: Path, iteration: int) -> Path:
@@ -213,7 +222,9 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
                 log(f"resuming after iteration {len(reports)}")
 
     for it in range(len(reports) + 1, pcfg.iterations + 1):
-        batch = _draw_pruning_batch(train_ds, pcfg, seed, it)
+        key = it if pcfg.pruning_set_policy == "resample" else 0
+        batch = _draw_pruning_batch(train_ds, pcfg.n_pruning_samples, seed,
+                                    key)
         _, decisions = prune_pass(net, batch, pcfg.alpha_conv, pcfg.alpha_fc)
         pre_acc = evaluate(net, test_ds.images, test_ds.labels)
         if pcfg.retrain_mode == "reinit":
@@ -228,7 +239,8 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         post_acc = evaluate(net, test_ds.images, test_ds.labels)
         comp = compression_stats(net)
         fl = masked_flops(net)
-        kept = np.concatenate([d.kept_score_values() for d in decisions]) \
+        kept = np.concatenate(
+            [d.scores.scores[d.selection.keep] for d in decisions]) \
             if decisions else np.zeros(0)
         report = IterationReport(
             iteration=it,

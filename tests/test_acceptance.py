@@ -157,7 +157,7 @@ def _bound_margins(net, layer_index, alpha, batch, measure):
     delta, big_delta = measure(net.layers[layer_index],
                                pruned.layers[layer_index], batch)
     s = decisions.scores.totals
-    kappa = np.array([d.achieved_mass for d in decisions.targets])
+    kappa = decisions.selection.achieved_mass
     c = net.layers[layer_index].act.lipschitz
     pre_gap = s * np.maximum(1.0 - kappa, 0.0) + 1e-5 - delta
     post_gap = c * delta + 1e-5 - big_delta

@@ -5,10 +5,10 @@ import pytest
 
 from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           DimensionError, EmptyPruningSetError, Flatten,
-                          Network, bound_report, conv_filter_bound,
-                          fc_neuron_bound, measure_conv_deviation,
-                          measure_fc_deviation, network_output_bound,
-                          prune_single_layer, residual_curve)
+                          Network, bound_report, fc_neuron_bound,
+                          measure_conv_deviation, measure_fc_deviation,
+                          network_output_bound, prune_single_layer,
+                          residual_curve)
 from tests.conftest import random_dense, small_cnn, small_mlp
 
 F32 = np.float32
@@ -31,9 +31,6 @@ class TestClosedForm:
     def test_vector_signal(self):
         out = fc_neuron_bound(np.array([2.0, 4.0]), 0.75, 0.5)
         np.testing.assert_array_equal(out, [0.25, 0.5])
-
-    def test_conv_form_is_identical(self):
-        assert conv_filter_bound(3.0, 0.9, 1.0) == fc_neuron_bound(3.0, 0.9, 1.0)
 
     def test_alpha_one_gives_zero(self):
         assert fc_neuron_bound(5.0, 1.0, 1.0) == 0.0
@@ -85,8 +82,9 @@ class TestHandEqualities:
         net = Network([layer], (1,), 1)
         x = np.array([[1.0]], F32)
         pruned, decisions = prune_single_layer(net, 0, 0.75, x)
-        d = decisions.targets[0]
-        assert list(d.pruned) == [1] and d.achieved_mass == 0.75
+        sel = decisions.selection
+        assert sel.keep.tolist() == [[True, False]]
+        assert sel.achieved_mass[0] == 0.75
         delta, big_delta = measure_fc_deviation(layer, pruned.layers[0], x)
         assert delta[0] == 0.5
         assert big_delta[0] == 0.5
@@ -103,12 +101,13 @@ class TestHandEqualities:
                                   "identity")], (2, 1, 1), 1)
         x = np.ones((1, 2, 1, 1), F32)
         pruned, decisions = prune_single_layer(net, 0, 0.75, x)
-        d = decisions.targets[0]
-        assert list(d.kept) == [0] and d.achieved_mass == 0.75
+        sel = decisions.selection
+        assert sel.keep.tolist() == [[True, False, False]]
+        assert sel.achieved_mass[0] == 0.75
         delta, big_delta = measure_conv_deviation(conv, pruned.layers[0], x)
         assert delta[0] == 1.0
         assert big_delta[0] == 1.0
-        assert conv_filter_bound(4.0, 0.75, 1.0) == 1.0
+        assert fc_neuron_bound(4.0, 0.75, 1.0) == 1.0
 
     def test_network_bound_two_layers(self):
         # pruning the bias of layer 0 changes its output by 0.5, which the
@@ -201,7 +200,7 @@ class TestRandomSatisfaction:
             delta, big_delta = measure_fc_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
             s = decisions.scores.totals
-            kappa = np.array([d.achieved_mass for d in decisions.targets])
+            kappa = decisions.selection.achieved_mass
             c = net.layers[0].act.lipschitz
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(delta, s * (1.0 - alpha) if alpha < 1 else s * 0.0)
@@ -225,11 +224,11 @@ class TestRandomSatisfaction:
             delta, big_delta = measure_conv_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
             s = decisions.scores.totals
-            kappa = np.array([d.achieved_mass for d in decisions.targets])
+            kappa = decisions.selection.achieved_mass
             c = net.layers[0].act.lipschitz
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(big_delta, c * delta)
-            leq(big_delta, conv_filter_bound(s, alpha, c))
+            leq(big_delta, fc_neuron_bound(s, alpha, c))
 
     def test_network_bound(self):
         # float64 networks end to end; with matching precision on both sides
@@ -247,7 +246,7 @@ class TestRandomSatisfaction:
             pruned, decisions = prune_single_layer(net, li, alpha, x)
             measured = np.abs(logits - pruned.forward(x)).mean(0)
             leq(measured, bound, tol=1e-12)
-            kappa = np.array([d.achieved_mass for d in decisions.targets])
+            kappa = decisions.selection.achieved_mass
             tight = network_output_bound(net, li, alpha, trace,
                                          kept_mass=kappa)
             leq(tight, bound, tol=1e-12)

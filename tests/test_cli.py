@@ -14,6 +14,7 @@ import pytest
 
 from prune_relief.cli import main
 from prune_relief.pipeline import read_history
+from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 
 
 def write_config(path, out=None, **overrides):
@@ -313,6 +314,24 @@ class TestFailureModes:
                            dataset={"kind": "idx"})
         assert main(["train", "--config", str(cfg)]) == 2
         assert "'dataset.train_images' is missing" in capsys.readouterr().err
+
+    def test_label_beyond_classes_exit_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split, n in (("train", 40), ("test", 20)):
+            images = tmp_path / f"{split}-images"
+            labels = tmp_path / f"{split}-labels"
+            images.write_bytes(idx_images_bytes(
+                rng.integers(0, 256, size=(n, 4, 4))))
+            labels.write_bytes(idx_labels_bytes(np.arange(n) % 10))
+            paths[f"{split}_images"] = str(images)
+            paths[f"{split}_labels"] = str(labels)
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                           model="mlp:16-8-5",
+                           dataset={"kind": "idx", "classes": 5, **paths})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "label 9" in err and "Traceback" not in err
 
     def test_divergence_exit_4(self, tmp_path, capsys):
         # identity hidden units compound the oversized step multiplicatively,

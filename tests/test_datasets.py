@@ -79,11 +79,8 @@ class TestDatasetContainer:
         with pytest.raises(FormatError):
             Dataset(np.zeros((3, 1, 2, 2), np.float32), np.zeros(4, np.int64))
 
-    def test_subset_and_head(self):
+    def test_head(self):
         ds = synth_dataset(1, 20, 2)
-        sub = ds.subset([3, 5, 7])
-        assert sub.n == 3
-        np.testing.assert_array_equal(sub.labels, ds.labels[[3, 5, 7]])
         head = ds.head(4)
         assert head.n == 4
         np.testing.assert_array_equal(head.images, ds.images[:4])

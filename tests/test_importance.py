@@ -234,6 +234,27 @@ class TestSelectKept:
             d = select_kept(row, alpha)
             assert d.achieved_mass >= min(alpha, row.sum()) - 1e-9
 
+    def test_matrix_rows_match_single_rows(self, rng):
+        # quantized draws force ties and exact zeros; row 3 is dead
+        s = rng.integers(0, 6, size=(9, 11)).astype(np.float64)
+        s[3] = 0.0
+        s /= np.maximum(s.sum(axis=1, keepdims=True), 1.0)
+        for alpha in (0.5, 0.7, 0.9, 0.95, 1.0):
+            sel = select_kept(s, alpha)
+            assert sel.keep.shape == s.shape
+            assert not sel.keep[3].any() and sel.prefix_len[3] == 0
+            for i, row in enumerate(s):
+                one = select_kept(row, alpha)
+                np.testing.assert_array_equal(sel.keep[i], one.keep)
+                assert sel.prefix_len[i] == one.prefix_len
+                assert sel.threshold[i] == one.threshold
+                assert sel.achieved_mass[i] == one.achieved_mass
+                kept, _, p0, thr = oracle_select(list(row), alpha)
+                assert np.flatnonzero(sel.keep[i]).tolist() == kept
+                assert (sel.prefix_len[i], sel.threshold[i]) == (p0, thr)
+                assert sel.achieved_mass[i] == pytest.approx(row[kept].sum(),
+                                                             abs=1e-12)
+
     def test_alpha_monotonicity(self, rng):
         # a larger alpha never keeps fewer contributors
         for _ in range(50):
@@ -252,10 +273,11 @@ class TestPrunePass:
         assert [d.layer_index for d in decisions] == [0, 1]
         for d in decisions:
             layer = net.layers[d.layer_index]
-            for t in d.targets:
-                cols = t.pruned[t.pruned < layer.fan_in]
-                assert np.all(layer.weight_mask[t.target, cols] == 0)
-                assert np.all(layer.weights[t.target, cols] == 0.0)
+            dropped = ~d.selection.keep
+            assert dropped.any()
+            assert np.all(layer.weight_mask[dropped[:, :-1]] == 0)
+            assert np.all(layer.weights[dropped[:, :-1]] == 0.0)
+            assert np.all(layer.bias[dropped[:, -1]] == 0.0)
 
     def test_alpha_one_keeps_dense_random_net_intact(self, rng):
         # no exact zero scores in a fully random net, so nothing is pruned
@@ -283,14 +305,16 @@ class TestPrunePass:
         _, decisions = prune_pass(net, x, 0.8, 0.85)
         for d in decisions:
             alpha = 0.85 if d.kind == "dense" else 0.8
-            for t in d.targets:
-                if d.scores.totals[t.target] > 0:
-                    assert t.achieved_mass >= alpha - 1e-9
+            live = d.scores.totals > 0
+            assert np.all(d.selection.achieved_mass[live] >= alpha - 1e-9)
 
     def test_empty_pruning_set(self, rng):
-        net = small_mlp(rng, (4, 3))
-        with pytest.raises(EmptyPruningSetError):
-            prune_pass(net, [], 0.9, 0.9)
+        net = small_mlp(rng, (4, 3, 2))
+        for empty in ([], np.zeros((0, 4), np.float32)):
+            with pytest.raises(EmptyPruningSetError):
+                prune_pass(net, empty, 0.9, 0.9)
+            with pytest.raises(EmptyPruningSetError):
+                prune_single_layer(net, 1, 0.9, empty)
 
     def test_repeated_pass_is_monotone(self, rng):
         net = small_mlp(rng, (12, 9, 4))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError, Flatten,
-                          MaxPool2D, Network, apply_mask, forward)
+                          MaxPool2D, Network)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -87,12 +87,40 @@ class TestMasking:
             DenseLayer([[1.0, 2.0]], [0.0], "relu",
                        weight_mask=[[0.0, 1.0]], bias_mask=[1.0])
 
-    def test_network_level_apply_mask(self, rng):
-        net = small_mlp(rng, (5, 4, 3))
-        apply_mask(net, 0, 2, [0, 1])
-        assert np.all(net.layers[0].weights[2, :2] == 0.0)
+    def test_index_arrays_span_targets_and_bias(self, rng):
+        layer = random_dense(rng, 4, 3)
+        w, b = layer.weights.copy(), layer.bias.copy()
+        # pairs (0, 1), (2, 0), and the biases (index 4) of targets 2 and 1
+        layer.apply_mask([0, 2, 2, 1], [1, 0, 4, 4])
+        kept = np.ones((3, 4), np.float32)
+        kept[0, 1] = kept[2, 0] = 0
+        np.testing.assert_array_equal(layer.weight_mask, kept)
+        np.testing.assert_array_equal(layer.weights, w * kept)
+        np.testing.assert_array_equal(layer.bias_mask, [1, 0, 0])
+        np.testing.assert_array_equal(layer.bias, [b[0], 0, 0])
         with pytest.raises(IndexError):
-            apply_mask(net, 0, 9, [0])
+            layer.apply_mask([0, 3], [0, 0])
+        # a (2, 1) column of filters broadcasts against two contributors:
+        # channel 1 and the bias (index 3) of filters 0 and 2
+        conv = random_conv(rng, 3, 4, 2)
+        k = conv.kernels.copy()
+        conv.apply_mask(np.array([[0], [2]]), [1, 3])
+        assert np.all(conv.kernels[[0, 2], 1] == 0.0)
+        np.testing.assert_array_equal(conv.kernel_mask[:, 1], [0, 1, 0, 1])
+        np.testing.assert_array_equal(conv.bias_mask, [0, 1, 0, 1])
+        np.testing.assert_array_equal(conv.kernels[[1, 3]], k[[1, 3]])
+
+    def test_whole_layer_matches_target_by_target(self, rng):
+        for layer in (random_dense(rng, 7, 5), random_conv(rng, 3, 4, 2)):
+            drop = rng.random((layer.fan_out, layer.fan_in + 1)) < 0.4
+            bulk, single = layer.clone(), layer.clone()
+            bulk.apply_mask(*np.nonzero(drop))
+            for j in range(layer.fan_out):
+                single.apply_mask(j, np.flatnonzero(drop[j]))
+            for name, p in bulk.params().items():
+                assert p.tobytes() == single.params()[name].tobytes()
+            for name, m in bulk.stored_masks().items():
+                assert m.tobytes() == single.stored_masks()[name].tobytes()
 
     def test_fully_masked_conv_filter_is_dead(self, rng):
         layer = random_conv(rng, 3, 4, 2)
@@ -145,7 +173,7 @@ class TestNetworkForward:
     def test_list_of_samples_accepted(self, rng):
         net = small_mlp(rng, (4, 3))
         samples = [rng.standard_normal(4).astype(np.float32) for _ in range(5)]
-        out = forward(net, samples)
+        out = net.forward(samples)
         assert out.shape == (5, 3)
 
     def test_wrong_sample_shape(self, rng):
