@@ -9,9 +9,8 @@ module accounts parameters and FLOPs for the masked result.
 """
 
 from .activations import ACTIVATIONS, Activation, get_activation
-from .bounds import (bound_report, fc_neuron_bound, measure_conv_deviation,
-                     measure_fc_deviation, network_output_bound,
-                     residual_curve)
+from .bounds import (bound_report, fc_neuron_bound, measure_deviation,
+                     network_output_bound)
 from .config import build_network, load_config, load_dataset, parse_config
 from .datasets import Dataset, load_idx, load_idx_images, load_idx_labels, \
     normalize_pair, synth_dataset
@@ -20,7 +19,8 @@ from .errors import (CapabilityError, ConfigError, DimensionError,
                      TrainingError)
 from .importance import (ImportanceScores, LayerDecisions, Selection,
                          conv_importance, fc_importance, prune_pass,
-                         prune_single_layer, score_layer, select_kept)
+                         prune_single_layer, score_layer, score_network,
+                         select_kept)
 from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
 from .metrics import (CompressionReport, FlopsReport, compression_stats,
                       export_heatmaps, export_importance_csv, flops_conv,
@@ -34,7 +34,7 @@ from .pipeline import (PURPOSE_INIT, PURPOSE_PRUNE_DRAW, PURPOSE_REINIT,
                        PURPOSE_RETRAIN, PURPOSE_TRAIN, IterationReport,
                        PruneConfig, history_line, iterate, read_history,
                        select_best)
-from .tensor_ops import conv2d_batch, conv_output_hw, im2col
+from .tensor_ops import conv_output_hw, im2col
 from .training import (evaluate, forward_backward, init_params,
                        softmax_cross_entropy, train)
 

@@ -15,6 +15,12 @@ evaluated innermost-first (|.| elementwise on the weight matrices, S(l) the
 pruned layer's signal-total vector, C_k over the pruned and intermediate
 layers). Pruning the last layer degenerates to (1 - alpha) * S(L).
 
+``bound_report`` does the pass-start work once: one captured forward of the
+pruning set and one scoring of the pruned layer give the masks, the signal
+totals S(l) that every bound takes, and the layer inputs the deviations are
+measured on. ``measure_deviation`` runs both layers of a pair through their
+own ``forward``, so the measured layer is the one the network evaluates.
+
 All measurement and bound arithmetic here runs in float64: bounds compared
 against measurements at 1e-5 tolerances should not inherit float32
 accumulation noise from the network dtype.
@@ -23,10 +29,9 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import _as_input_batch, prune_single_layer, score_layer
+from .importance import _mask_copy, score_network
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import conv2d_batch
 
 
 def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
@@ -43,68 +48,63 @@ def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
     return float(out) if np.isscalar(s_total) or out.ndim == 0 else out
 
 
-def _check_pair(before, after, cls):
-    if not isinstance(before, cls) or not isinstance(after, cls):
-        raise DimensionError(f"deviation measurement expects two {cls.__name__}s")
+def _pre_and_post(layer, x):
+    """z and act(z) of a float64 copy of ``layer`` on ``x``.
+
+    The rest of the forward cache (a conv layer's patch columns) is dropped
+    on return, before the caller runs the next layer.
+    """
+    y, cache = layer.astype(np.float64).forward(x, with_cache=True)
+    return cache[-1], y
+
+
+def measure_deviation(before, after, inputs):
+    """Mean pre- and post-activation deviation per target of a layer pair.
+
+    ``after`` is meant to be a masked copy of ``before``; both run their own
+    ``forward`` on the same inputs in float64. Dense targets report the mean
+    |delta z|, conv filters the mean Frobenius norm of the difference over
+    their output map.
+    """
+    if type(before) is not type(after) \
+            or not isinstance(before, (DenseLayer, ConvLayer)):
+        raise DimensionError("deviation measurement expects two dense or two "
+                             "conv layers")
     pb, pa = before.params(), after.params()
     for name in pb:
         if pb[name].shape != pa[name].shape:
             raise DimensionError(
                 f"layer pair differs in {name} shape: {pb[name].shape} vs "
                 f"{pa[name].shape}")
-
-
-def measure_fc_deviation(before: DenseLayer, after: DenseLayer, inputs):
-    """Mean |pre-activation| and |post-activation| deviation per target.
-
-    ``after`` is meant to be a masked copy of ``before``; both are evaluated
-    on the same inputs in float64.
-    """
-    _check_pair(before, after, DenseLayer)
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != before.fan_in:
-        raise DimensionError(
-            f"dense layer with fan-in {before.fan_in} got batch {x.shape}")
+    before.output_shape(x.shape[1:])  # rejects a wrongly shaped batch
     if x.shape[0] == 0:
         raise EmptyPruningSetError("deviation measurement needs samples")
-    act = before.act
-    zb = x @ before.weights.astype(np.float64).T + before.bias.astype(np.float64)
-    za = x @ after.weights.astype(np.float64).T + after.bias.astype(np.float64)
-    delta = np.abs(zb - za).mean(axis=0)
-    big_delta = np.abs(act.f(zb) - act.f(za)).mean(axis=0)
-    return delta, big_delta
+    zb, yb = _pre_and_post(before, x)
+    za, ya = _pre_and_post(after, x)
+    return _mean_norm(zb, za), _mean_norm(yb, ya)
 
 
-def measure_conv_deviation(before: ConvLayer, after: ConvLayer, inputs):
-    """Mean Frobenius deviation of pre- and post-activation maps per filter."""
-    _check_pair(before, after, ConvLayer)
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1] != before.in_channels:
-        raise DimensionError(
-            f"conv layer with {before.in_channels} input channels got batch "
-            f"{x.shape}")
-    if x.shape[0] == 0:
-        raise EmptyPruningSetError("deviation measurement needs samples")
-    act = before.act
-    zb = conv2d_batch(x, before.kernels.astype(np.float64),
-                      before.bias.astype(np.float64), before.stride, before.padding)
-    za = conv2d_batch(x, after.kernels.astype(np.float64),
-                      after.bias.astype(np.float64), after.stride, after.padding)
-    diff = zb - za
-    delta = np.sqrt((diff * diff).sum(axis=(2, 3))).mean(axis=0)
-    adiff = act.f(zb) - act.f(za)
-    big_delta = np.sqrt((adiff * adiff).sum(axis=(2, 3))).mean(axis=0)
-    return delta, big_delta
+def _mean_norm(a, b):
+    """Mean over samples of each target's |a - b|, or of its Frobenius norm
+    over a conv map. The difference is squared in place: at the bound
+    commands' sizes each conv map array is tens of MB."""
+    d = a - b
+    if d.ndim == 2:
+        return np.abs(d, out=d).mean(axis=0)
+    d *= d
+    return np.sqrt(d.sum(axis=(2, 3))).mean(axis=0)
 
 
-def network_output_bound(net: Network, layer_index: int, alpha: float, trace,
-                         kept_mass=None) -> np.ndarray:
+def network_output_bound(net: Network, layer_index: int, alpha: float,
+                         s_total, kept_mass=None) -> np.ndarray:
     """Per-logit bound on the mean output change from pruning one dense layer.
 
-    The tail from the pruned layer to the output must be dense. ``trace`` is
-    an activation capture of the unpruned network on the pruning set. When
-    ``kept_mass`` (per-target achieved score mass) is given, the leading
-    (1 - alpha) is replaced by the tighter per-target (1 - kept_mass).
+    The tail from the pruned layer to the output must be dense. ``s_total``
+    is the pruned layer's signal totals S(l) on the pruning set, one per
+    target. When ``kept_mass`` (per-target achieved score mass) is given,
+    the leading (1 - alpha) is replaced by the tighter per-target
+    (1 - kept_mass).
     """
     if layer_index not in net.prunable_indices():
         raise IndexError(f"layer {layer_index} is not prunable")
@@ -116,9 +116,11 @@ def network_output_bound(net: Network, layer_index: int, alpha: float, trace,
             f"layer to the output; layers {layer_index}.. are {kinds}")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    layer = net.layers[layer_index]
-    scores = score_layer(layer, trace.inputs_to(layer_index))
-    s = scores.totals  # float64
+    s = np.asarray(s_total, dtype=np.float64)
+    if s.shape != (tail[0].fan_out,):
+        raise DimensionError(
+            f"s_total shape {s.shape} does not match the "
+            f"{tail[0].fan_out} targets of layer {layer_index}")
     if kept_mass is None:
         v = s * (1.0 - alpha)
     else:
@@ -138,20 +140,6 @@ def network_output_bound(net: Network, layer_index: int, alpha: float, trace,
     return c_prod * v
 
 
-def residual_curve(sorted_scores, s_total: float) -> np.ndarray:
-    """Deviation bound left after keeping each prefix of ranked scores.
-
-    ``sorted_scores`` must be in descending order; entry p of the result is
-    the bound S * (1 - mass of the first p+1 scores), clipped at zero.
-    """
-    s = np.asarray(sorted_scores, dtype=np.float64).ravel()
-    if s.size and np.any(np.diff(s) > 0):
-        raise ValueError("scores must be sorted in descending order")
-    if s_total < 0:
-        raise ValueError("signal total must be non-negative")
-    return np.maximum(s_total * (1.0 - np.cumsum(s)), 0.0)
-
-
 def bound_report(net: Network, layer_index: int, alpha: float,
                  pruning_set) -> dict:
     """Prune one layer on a copy, measure deviations, assemble a report dict.
@@ -160,16 +148,13 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     section is present only for an all-dense tail; otherwise it carries the
     capability limitation as a message.
     """
-    batch = _as_input_batch(pruning_set)
-    pruned_net, decisions = prune_single_layer(net, layer_index, alpha, batch)
+    trace, scores = score_network(net, pruning_set, [layer_index])
+    pruned_net, decisions = _mask_copy(net, layer_index, scores[layer_index],
+                                       alpha)
+    batch = trace.inputs_to(0)
     before = net.layers[layer_index]
-    after = pruned_net.layers[layer_index]
-    _, trace = net.forward(batch, capture=True)
-    x_in = trace.inputs_to(layer_index)
-    if isinstance(before, DenseLayer):
-        delta, big_delta = measure_fc_deviation(before, after, x_in)
-    else:
-        delta, big_delta = measure_conv_deviation(before, after, x_in)
+    delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
+                                         trace.inputs_to(layer_index))
     c = before.act.lipschitz
     s = decisions.scores.totals
     keep = decisions.selection.keep
@@ -198,7 +183,7 @@ def bound_report(net: Network, layer_index: int, alpha: float,
         "targets": targets,
     }
     try:
-        bound_vec = network_output_bound(net, layer_index, alpha, trace,
+        bound_vec = network_output_bound(net, layer_index, alpha, s,
                                          kept_mass=kappa)
     except CapabilityError as e:
         report["network"] = {"error": str(e)}

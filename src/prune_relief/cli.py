@@ -18,7 +18,7 @@ from .bounds import bound_report
 from .config import build_network, infer_classes, load_config, load_dataset
 from .errors import (CapabilityError, ConfigError, FormatError,
                      PruneReliefError, TrainingError)
-from .importance import score_layer
+from .importance import score_network
 from .layers import DenseLayer
 from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
@@ -70,10 +70,19 @@ def _copy_config(args, out_dir: Path) -> None:
         shutil.copyfile(src, dst)
 
 
-def _default_checkpoint(out_dir: Path, prefer_best: bool = False) -> Path:
-    if prefer_best and (out_dir / "best" / "model.json").is_file():
-        return out_dir / "best"
-    return out_dir / "model"
+def _checkpoint(args, out_dir: Path, prefer_best: bool = False) -> Path:
+    """The model directory a command loads: --checkpoint, else the run's
+    ``model/`` (``best/`` first when ``prefer_best`` and it exists)."""
+    if args.checkpoint:
+        ckpt = Path(args.checkpoint)
+    elif prefer_best and (out_dir / "best" / "model.json").is_file():
+        ckpt = out_dir / "best"
+    else:
+        ckpt = out_dir / "model"
+    if not (ckpt / "model.json").is_file():
+        raise ConfigError(f"no model at {ckpt}; run 'train' first or pass "
+                          f"--checkpoint")
+    return ckpt
 
 
 def _read_baseline(path: Path):
@@ -120,12 +129,7 @@ def cmd_prune(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
     train_ds, test_ds = load_dataset(cfg)
-    ckpt = Path(args.checkpoint) if args.checkpoint \
-        else _default_checkpoint(out_dir)
-    if not (ckpt / "model.json").is_file():
-        raise ConfigError(f"no trained model at {ckpt}; run 'train' first or "
-                          f"pass --checkpoint")
-    net = load_model(ckpt)
+    net = load_model(_checkpoint(args, out_dir))
     initial = None
     if cfg.prune.retrain_mode == "reinit" and cfg.prune.reinit_draw == "original":
         init_dir = out_dir / "initial"
@@ -155,12 +159,7 @@ def cmd_bounds(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
     train_ds, _ = load_dataset(cfg)
-    ckpt = Path(args.checkpoint) if args.checkpoint \
-        else _default_checkpoint(out_dir)
-    if not (ckpt / "model.json").is_file():
-        raise ConfigError(f"no model at {ckpt}; run 'train' first or pass "
-                          f"--checkpoint")
-    net = load_model(ckpt)
+    net = load_model(_checkpoint(args, out_dir))
     layer_index = args.layer
     if layer_index not in net.prunable_indices():
         raise ConfigError(
@@ -209,15 +208,12 @@ def cmd_report(args) -> int:
     batch = draw_pruning_set(train_ds, cfg.prune.n_pruning_samples,
                              cfg.seed, 0)
 
-    def layer_scores(net):
-        _, trace = net.forward(batch, capture=True)
-        return {li: score_layer(net.layers[li], trace.inputs_to(li))
-                for li in net.prunable_indices()}
-
+    _, base_scores = score_network(base_net, batch)
+    _, final_scores = score_network(final_net, batch)
     # both stat sides use the final masks: the surviving connections'
     # original scores against their re-scored values after the run
-    comp = compression_stats(final_net, scores_before=layer_scores(base_net),
-                             scores_after=layer_scores(final_net))
+    comp = compression_stats(final_net, scores_before=base_scores,
+                             scores_after=final_scores)
     fl = masked_flops(final_net)
     metrics = {
         "baseline_accuracy": baseline_acc,
@@ -235,13 +231,11 @@ def cmd_report(args) -> int:
     (run_dir / "metrics.json").write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n")
 
-    _, trace = base_net.forward(batch, capture=True)
     wrote = ["metrics.json"]
-    for li in base_net.prunable_indices():
+    for li, scores in base_scores.items():
         layer = base_net.layers[li]
         if not isinstance(layer, DenseLayer):
             continue
-        scores = score_layer(layer, trace.inputs_to(li))
         spath = run_dir / f"layer{li}_scores.csv"
         mpath = run_dir / f"layer{li}_magnitudes.csv"
         export_heatmaps(layer, scores, spath, mpath)
@@ -270,10 +264,7 @@ def cmd_eval(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
     _, test_ds = load_dataset(cfg)
-    ckpt = Path(args.checkpoint) if args.checkpoint \
-        else _default_checkpoint(out_dir, prefer_best=True)
-    if not (ckpt / "model.json").is_file():
-        raise ConfigError(f"no model at {ckpt}")
+    ckpt = _checkpoint(args, out_dir, prefer_best=True)
     net = load_model(ckpt)
     acc = evaluate(net, test_ds.images, test_ds.labels)
     comp = compression_stats(net)
@@ -286,20 +277,13 @@ def cmd_scores(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
     train_ds, _ = load_dataset(cfg)
-    ckpt = Path(args.checkpoint) if args.checkpoint \
-        else _default_checkpoint(out_dir)
-    if not (ckpt / "model.json").is_file():
-        raise ConfigError(f"no model at {ckpt}; run 'train' first or pass "
-                          f"--checkpoint")
-    net = load_model(ckpt)
+    net = load_model(_checkpoint(args, out_dir))
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
-    _, trace = net.forward(batch, capture=True)
+    _, layer_scores = score_network(net, batch)
     score_dir = out_dir / "scores"
     score_dir.mkdir(parents=True, exist_ok=True)
-    for li in net.prunable_indices():
-        layer = net.layers[li]
-        scores = score_layer(layer, trace.inputs_to(li))
+    for li, scores in layer_scores.items():
         path = score_dir / f"layer{li}_importance.csv"
         export_importance_csv(scores, path)
         print(f"[scores] wrote {path} ({scores.num_targets} targets x "

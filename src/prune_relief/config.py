@@ -12,7 +12,7 @@ or ``cnn:<part,...>`` where parts are ``conv<C>k<K>[s<S>][p<P>]``,
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,10 @@ def _get(d: dict, path: str, kind, default=...):
         if bad:
             raise ConfigError(f"config field '{path}' must be "
                               f"{kind.__name__}, got {type(v).__name__}")
+    # JSON parsing accepts NaN and Infinity, which no range check rejects
+    if kind is float and not np.isfinite(v):
+        raise ConfigError(f"config field '{path}' must be a finite number, "
+                          f"got {v}")
     return v
 
 
@@ -112,7 +116,6 @@ class RunConfig:
     prune: PruneConfig
     seed: int
     out: str | None
-    raw: dict = field(default_factory=dict, repr=False)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -142,8 +145,7 @@ def parse_config(data: dict) -> RunConfig:
         retrain=retrain,
         prune=_parse_prune(data),
         seed=seed,
-        out=_get(data, "out", str, default=None),
-        raw=data)
+        out=_get(data, "out", str, default=None))
 
 
 def load_config(path) -> RunConfig:
@@ -164,6 +166,11 @@ def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         train = load_idx(cfg.dataset["train_images"],
                          cfg.dataset["train_labels"])
         test = load_idx(cfg.dataset["test_images"], cfg.dataset["test_labels"])
+        for split, d in (("train", train), ("test", test)):
+            if d.n == 0:
+                raise ConfigError(
+                    f"the {split} split ({cfg.dataset[f'{split}_images']}) "
+                    f"has no samples")
     else:
         classes = _get(raw, "dataset.classes", int)
         n_train = _get(raw, "dataset.n_train", int, default=2000)
@@ -180,7 +187,7 @@ def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if limit:
         train = train.head(limit)
     classes = _get(raw, "dataset.classes", int, default=0)
-    top = max((int(d.labels.max()) for d in (train, test) if d.n), default=-1)
+    top = max(int(d.labels.max()) for d in (train, test))
     if classes and top >= classes:
         raise ConfigError(f"the dataset has label {top}, but config field "
                           f"'dataset.classes' is {classes}")

@@ -8,6 +8,12 @@ to one. Selection keeps, for each target, the smallest group of top
 contributors whose combined score mass reaches the threshold ``alpha`` and
 masks the rest.
 
+``score_network`` is the one place that scores a network: it forwards the
+pruning set once with capture and scores the requested prunable layers (all
+of them by default) from that trace, so every layer sees the activations of
+the same pass-start network. Pruning passes, bound reports and the CLI's
+report and score exports all go through it.
+
 Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
 keep matrix of the same shape with one prefix length, threshold and achieved
@@ -205,6 +211,24 @@ def score_layer(layer, inputs) -> ImportanceScores:
     raise DimensionError(f"layer kind {layer.kind!r} has no importance scores")
 
 
+def score_network(net: Network, pruning_set, layer_indices=None):
+    """Forward the pruning set once, with capture, and score prunable layers.
+
+    Scores the layers in ``layer_indices`` (every prunable layer by default)
+    from the one captured trace. Returns ``(trace, scores)`` with ``scores``
+    mapping layer index to ImportanceScores in the order given.
+    """
+    prunable = net.prunable_indices()
+    if layer_indices is None:
+        layer_indices = prunable
+    for li in layer_indices:
+        if li not in prunable:
+            raise IndexError(f"layer {li} is not prunable")
+    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
+    return trace, {li: score_layer(net.layers[li], trace.inputs_to(li))
+                   for li in layer_indices}
+
+
 def _mask_layer(layer, scores: ImportanceScores, alpha: float,
                 layer_index: int) -> LayerDecisions:
     selection = select_kept(scores.scores, alpha)
@@ -212,21 +236,28 @@ def _mask_layer(layer, scores: ImportanceScores, alpha: float,
     return LayerDecisions(layer_index, layer.kind, alpha, scores, selection)
 
 
+def _mask_copy(net: Network, layer_index: int, scores: ImportanceScores,
+              alpha: float) -> tuple[Network, LayerDecisions]:
+    """Mask one layer of a copy of ``net`` from scores already taken."""
+    pruned = net.clone()
+    return pruned, _mask_layer(pruned.layers[layer_index], scores, alpha,
+                               layer_index)
+
+
 def prune_pass(net: Network, pruning_set, alpha_conv: float,
                alpha_fc: float) -> tuple[Network, list[LayerDecisions]]:
     """One full pruning pass over every prunable layer, in place.
 
-    The pruning set is pushed through the pass-start network once; every
-    layer is then scored from that single captured trace, so later layers see
-    activations unaffected by the masks applied earlier in the same pass.
+    Every layer is scored from one trace of the pass-start network before
+    any is masked, so later layers see activations unaffected by the masks
+    of earlier ones.
     """
-    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
+    _, scores = score_network(net, pruning_set)
     decisions = []
-    for li in net.prunable_indices():
+    for li, layer_scores in scores.items():
         layer = net.layers[li]
-        scores = score_layer(layer, trace.inputs_to(li))
         alpha = alpha_fc if layer.kind == "dense" else alpha_conv
-        decisions.append(_mask_layer(layer, scores, alpha, li))
+        decisions.append(_mask_layer(layer, layer_scores, alpha, li))
     return net, decisions
 
 
@@ -235,12 +266,6 @@ def prune_single_layer(net: Network, layer_index: int, alpha: float,
     """Score and mask one prunable layer on a copy of the network.
 
     Returns the pruned copy and the decisions; the original is untouched.
-    Used by bound reporting, which compares the copy against the original.
     """
-    if layer_index not in net.prunable_indices():
-        raise IndexError(f"layer {layer_index} is not prunable")
-    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
-    pruned = net.clone()
-    layer = pruned.layers[layer_index]
-    scores = score_layer(layer, trace.inputs_to(layer_index))
-    return pruned, _mask_layer(layer, scores, alpha, layer_index)
+    _, scores = score_network(net, pruning_set, [layer_index])
+    return _mask_copy(net, layer_index, scores[layer_index], alpha)

@@ -11,8 +11,10 @@ arrays, so one call masks a few contributors of one target or every dropped
 pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
-what ``backward`` needs; layers themselves stay immutable during the forward
-pass so a frozen network can be evaluated from many threads.
+what ``backward`` needs; for dense and conv layers its last entry is the
+pre-activation z, which deviation measurement reads. Layers themselves stay
+immutable during the forward pass so a frozen network can be evaluated from
+many threads.
 """
 
 import numpy as np

@@ -11,7 +11,6 @@ unit with u surviving inputs costs max(2 u - 1, 0) and a conv filter with u
 surviving kernels costs 2 H W (u K^2 + bias_bit); wholly dead units are free.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,16 +209,11 @@ def compression_stats(net: Network, scores_before: dict | None = None,
                              per_layer=per_layer, score_stats=stats)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _fmt(v: float) -> str:
-    return "%.9g" % v
+def _write_grid(path, names, grid) -> None:
+    """One CSV header line of ``names``, then ``grid``'s rows at 9
+    significant digits, CRLF-terminated."""
+    np.savetxt(path, grid, fmt="%.9g", delimiter=",", newline="\r\n",
+               header=",".join(names), comments="")
 
 
 def export_heatmaps(layer, scores, scores_path, magnitudes_path) -> None:
@@ -237,16 +231,15 @@ def export_heatmaps(layer, scores, scores_path, magnitudes_path) -> None:
     if grid.shape != layer.weights.shape:
         raise ValueError(f"scores grid {grid.shape} does not match weights "
                          f"{layer.weights.shape}")
-    _write_csv(scores_path,
-               [f"score_in_{i}" for i in range(layer.fan_in)],
-               ([_fmt(v) for v in row] for row in grid))
-    _write_csv(magnitudes_path,
-               [f"abs_weight_in_{i}" for i in range(layer.fan_in)],
-               ([_fmt(v) for v in row] for row in np.abs(layer.weights)))
+    _write_grid(scores_path, [f"score_in_{i}" for i in range(layer.fan_in)],
+                grid)
+    _write_grid(magnitudes_path,
+                [f"abs_weight_in_{i}" for i in range(layer.fan_in)],
+                np.abs(layer.weights))
 
 
 def export_importance_csv(scores, path) -> None:
     """Full score matrix of one layer: rows are targets, bias column last."""
     m = scores.scores.shape[1] - 1
     header = [f"in_{i}" for i in range(m)] + ["bias"]
-    _write_csv(path, header, ([_fmt(v) for v in row] for row in scores.scores))
+    _write_grid(path, header, scores.scores)

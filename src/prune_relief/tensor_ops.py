@@ -1,9 +1,9 @@
-"""Dense tensor primitives: 2-D convolution and its patch lowering.
+"""Dense tensor primitives: the patch lowering behind 2-D convolution.
 
-Everything here is pure and dtype-preserving. Convolution follows the
-cross-correlation convention (no kernel flip) with zero padding, and is
-implemented by lowering patches to columns so the contraction runs as one
-matrix product.
+Everything here is pure and dtype-preserving. ``ConvLayer`` follows the
+cross-correlation convention (no kernel flip) with zero padding: it lowers
+patches to columns with :func:`im2col` so the contraction runs as one matrix
+product, and :func:`col2im` is the adjoint its backward pass uses.
 """
 
 import numpy as np
@@ -86,28 +86,3 @@ def col2im(cols: np.ndarray, x_shape, r: int, stride, padding) -> np.ndarray:
             dx[:, :, q : q + sh * ho : sh, t : t + sw * wo : sw] += cols6[:, :, q, t]
     return np.ascontiguousarray(dx[:, :, ph : ph + h, pw : pw + w])
 
-
-def conv2d_batch(x, kernels, bias, stride=(1, 1), padding=(0, 0)) -> np.ndarray:
-    """Convolve a batch (N, C_in, H, W) with kernels (C_out, C_in, r, r)."""
-    x = np.asarray(x)
-    k = np.asarray(kernels)
-    b = np.asarray(bias)
-    if x.ndim != 4 or k.ndim != 4:
-        raise DimensionError(
-            f"conv2d_batch expects 4-D input and kernels, got {x.shape}, {k.shape}"
-        )
-    if k.shape[2] != k.shape[3]:
-        raise DimensionError(f"kernels must be square, got {k.shape}")
-    if k.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"input has {x.shape[1]} channels but kernels expect {k.shape[1]}"
-        )
-    if b.shape != (k.shape[0],):
-        raise DimensionError(f"bias shape {b.shape} does not match {k.shape[0]} filters")
-    n = x.shape[0]
-    co, _, r, _ = k.shape
-    ho, wo = conv_output_hw(x.shape[2], x.shape[3], r, stride, padding)
-    cols = im2col(x, r, stride, padding)  # (N, C*r*r, Ho*Wo)
-    y = np.matmul(k.reshape(co, -1), cols)  # (N, Co, Ho*Wo)
-    y += b[:, None]
-    return y.reshape(n, co, ho, wo)

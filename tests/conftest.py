@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
-                          softmax_cross_entropy)
+                          importance, softmax_cross_entropy)
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -78,6 +78,22 @@ def numeric_gradients(net, x, labels, eps=1e-5):
             g[name] = gp
         grads.append(g)
     return grads
+
+
+def count_forwards_and_scores(monkeypatch) -> dict:
+    """Count ``Network.forward`` and ``score_layer`` calls from now on."""
+    calls = {"forward": 0, "score_layer": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Network, "forward", counted("forward", Network.forward))
+    monkeypatch.setattr(importance, "score_layer",
+                        counted("score_layer", importance.score_layer))
+    return calls
 
 
 @pytest.fixture

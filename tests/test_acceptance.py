@@ -18,9 +18,9 @@ import pytest
 
 from prune_relief import (LrSpan, Network, OptimizerConfig, conv_importance,
                           fc_importance, flops_conv, flops_dense,
-                          forward_backward, measure_conv_deviation,
-                          measure_fc_deviation, network_output_bound,
-                          prune_single_layer, select_kept, train)
+                          forward_backward, measure_deviation,
+                          network_output_bound, prune_single_layer,
+                          select_kept, train)
 from prune_relief.cli import main
 from prune_relief.pipeline import read_history
 
@@ -152,10 +152,10 @@ def test_02_select_kept_matches_oracle(capsys):
 # 3 and 4. single-layer deviation bounds
 
 
-def _bound_margins(net, layer_index, alpha, batch, measure):
+def _bound_margins(net, layer_index, alpha, batch):
     pruned, decisions = prune_single_layer(net, layer_index, alpha, batch)
-    delta, big_delta = measure(net.layers[layer_index],
-                               pruned.layers[layer_index], batch)
+    delta, big_delta = measure_deviation(net.layers[layer_index],
+                                         pruned.layers[layer_index], batch)
     s = decisions.scores.totals
     kappa = decisions.selection.achieved_mass
     c = net.layers[layer_index].act.lipschitz
@@ -184,7 +184,7 @@ def test_03_fc_deviation_bounds(capsys):
         if rng.random() < 0.15:
             x[:, : max(1, n_in // 4)] = 0.0
         alpha = float(alphas[t % len(alphas)])
-        pre, post = _bound_margins(net, 0, alpha, x, measure_fc_deviation)
+        pre, post = _bound_margins(net, 0, alpha, x)
         worst_pre = min(worst_pre, pre)
         worst_post = min(worst_post, post)
     ok = worst_pre >= 0.0 and worst_post >= 0.0
@@ -217,7 +217,7 @@ def test_04_conv_deviation_bounds(capsys):
         x = (rng.standard_normal((int(rng.integers(1, 7)), c_in, h, w))
              * rng.uniform(0.2, 3.0)).astype(np.float32)
         alpha = float(alphas[t % len(alphas)])
-        pre, post = _bound_margins(net, 0, alpha, x, measure_conv_deviation)
+        pre, post = _bound_margins(net, 0, alpha, x)
         worst_pre = min(worst_pre, pre)
         worst_post = min(worst_post, post)
     ok = worst_pre >= 0.0 and worst_post >= 0.0
@@ -246,12 +246,13 @@ def test_05_network_output_bound(capsys):
                 int(rng.integers(3, 8)), int(rng.integers(2, 6)))
         net = small_mlp(rng, dims, "relu", np.float64)
         batch = rng.standard_normal((int(rng.integers(2, 9)), dims[0]))
-        _, trace = net.forward(batch, capture=True)
         logits_before = net.forward(batch)
         for layer_index in net.prunable_indices():
             for alpha in (0.8, 0.95):
-                bound = network_output_bound(net, layer_index, alpha, trace)
-                pruned, _ = prune_single_layer(net, layer_index, alpha, batch)
+                pruned, decisions = prune_single_layer(net, layer_index, alpha,
+                                                       batch)
+                bound = network_output_bound(net, layer_index, alpha,
+                                             decisions.scores.totals)
                 measured = np.abs(logits_before
                                   - pruned.forward(batch)).mean(axis=0)
                 gap = bound + 1e-12 - measured

@@ -6,10 +6,10 @@ import pytest
 from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           DimensionError, EmptyPruningSetError, Flatten,
                           Network, bound_report, fc_neuron_bound,
-                          measure_conv_deviation, measure_fc_deviation,
-                          network_output_bound, prune_single_layer,
-                          residual_curve)
-from tests.conftest import random_dense, small_cnn, small_mlp
+                          measure_deviation, network_output_bound,
+                          prune_single_layer, score_layer)
+from tests.conftest import (count_forwards_and_scores, random_dense, small_cnn,
+                            small_mlp)
 
 F32 = np.float32
 
@@ -46,30 +46,6 @@ class TestClosedForm:
             fc_neuron_bound(-1.0, 0.5, 1.0)
 
 
-class TestResidualCurve:
-    def test_hand_values(self):
-        out = residual_curve([0.5, 0.3, 0.2], 10.0)
-        np.testing.assert_allclose(out, [5.0, 2.0, 0.0], atol=1e-12)
-        assert np.all(out >= 0.0)
-
-    def test_monotone_nonincreasing(self, rng):
-        s = np.sort(rng.random(20))[::-1]
-        s = s / s.sum()
-        out = residual_curve(s, 7.0)
-        assert np.all(np.diff(out) <= 1e-12)
-
-    def test_empty(self):
-        assert residual_curve([], 3.0).size == 0
-
-    def test_rejects_ascending(self):
-        with pytest.raises(ValueError):
-            residual_curve([0.2, 0.3], 1.0)
-
-    def test_rejects_negative_total(self):
-        with pytest.raises(ValueError):
-            residual_curve([0.5], -1.0)
-
-
 class TestHandEqualities:
     """Cases built so the triangle inequality is tight."""
 
@@ -85,7 +61,7 @@ class TestHandEqualities:
         sel = decisions.selection
         assert sel.keep.tolist() == [[True, False]]
         assert sel.achieved_mass[0] == 0.75
-        delta, big_delta = measure_fc_deviation(layer, pruned.layers[0], x)
+        delta, big_delta = measure_deviation(layer, pruned.layers[0], x)
         assert delta[0] == 0.5
         assert big_delta[0] == 0.5
         assert fc_neuron_bound(2.0, 0.75, 1.0) == 0.5
@@ -104,7 +80,7 @@ class TestHandEqualities:
         sel = decisions.selection
         assert sel.keep.tolist() == [[True, False, False]]
         assert sel.achieved_mass[0] == 0.75
-        delta, big_delta = measure_conv_deviation(conv, pruned.layers[0], x)
+        delta, big_delta = measure_deviation(conv, pruned.layers[0], x)
         assert delta[0] == 1.0
         assert big_delta[0] == 1.0
         assert fc_neuron_bound(4.0, 0.75, 1.0) == 1.0
@@ -118,8 +94,8 @@ class TestHandEqualities:
                        DenseLayer(np.array([[2.0]], F32),
                                   np.zeros(1, F32), "identity")], (1,), 1)
         x = np.array([[1.0]], F32)
-        logits, trace = net.forward(x, capture=True)
-        bound = network_output_bound(net, 0, 0.75, trace)
+        logits = net.forward(x)
+        bound = network_output_bound(net, 0, 0.75, [2.0])
         np.testing.assert_array_equal(bound, [1.0])
         pruned, _ = prune_single_layer(net, 0, 0.75, x)
         measured = np.abs(logits.astype(np.float64)
@@ -129,21 +105,18 @@ class TestHandEqualities:
     def test_network_bound_last_layer_degenerates(self):
         net = Network([DenseLayer(np.array([[1.5]], F32),
                                   np.array([0.5], F32), "identity")], (1,), 1)
-        x = np.array([[1.0]], F32)
-        _, trace = net.forward(x, capture=True)
         np.testing.assert_array_equal(
-            network_output_bound(net, 0, 0.75, trace), [0.5])
+            network_output_bound(net, 0, 0.75, [2.0]), [0.5])
 
     def test_network_bound_kept_mass_form(self):
         net = Network([DenseLayer(np.array([[1.5]], F32),
                                   np.array([0.5], F32), "identity"),
                        DenseLayer(np.array([[2.0]], F32),
                                   np.zeros(1, F32), "identity")], (1,), 1)
-        _, trace = net.forward(np.array([[1.0]], F32), capture=True)
-        out = network_output_bound(net, 0, 0.75, trace,
+        out = network_output_bound(net, 0, 0.75, [2.0],
                                    kept_mass=np.array([0.9]))
         np.testing.assert_allclose(out, [0.4], atol=1e-12)
-        out = network_output_bound(net, 0, 0.75, trace,
+        out = network_output_bound(net, 0, 0.75, [2.0],
                                    kept_mass=np.array([1.0]))
         np.testing.assert_array_equal(out, [0.0])
 
@@ -151,32 +124,42 @@ class TestHandEqualities:
 class TestMeasurement:
     def test_zero_when_nothing_masked(self, rng):
         layer = random_dense(rng, 6, 4)
-        delta, big_delta = measure_fc_deviation(layer, layer.clone(),
-                                                rng.standard_normal((8, 6)))
+        delta, big_delta = measure_deviation(layer, layer.clone(),
+                                             rng.standard_normal((8, 6)))
         np.testing.assert_array_equal(delta, np.zeros(4))
         np.testing.assert_array_equal(big_delta, np.zeros(4))
 
     def test_wrong_input_width(self, rng):
         layer = random_dense(rng, 6, 4)
         with pytest.raises(DimensionError):
-            measure_fc_deviation(layer, layer.clone(),
-                                 rng.standard_normal((8, 5)))
+            measure_deviation(layer, layer.clone(),
+                              rng.standard_normal((8, 5)))
+        conv = small_cnn(rng).layers[0]  # two input channels
+        with pytest.raises(DimensionError):
+            measure_deviation(conv, conv.clone(),
+                              rng.standard_normal((2, 3, 6, 6)))
 
     def test_empty_batch(self, rng):
         layer = random_dense(rng, 6, 4)
         with pytest.raises(EmptyPruningSetError):
-            measure_fc_deviation(layer, layer.clone(), np.zeros((0, 6)))
+            measure_deviation(layer, layer.clone(), np.zeros((0, 6)))
+        conv = small_cnn(rng).layers[0]
+        with pytest.raises(EmptyPruningSetError):
+            measure_deviation(conv, conv.clone(), np.zeros((0, 2, 6, 6)))
 
     def test_mismatched_pair(self, rng):
         a = random_dense(rng, 6, 4)
         b = random_dense(rng, 6, 5)
         with pytest.raises(DimensionError):
-            measure_fc_deviation(a, b, rng.standard_normal((8, 6)))
+            measure_deviation(a, b, rng.standard_normal((8, 6)))
 
     def test_kind_mismatch(self, rng):
         a = random_dense(rng, 6, 4)
+        b = small_cnn(rng).layers[0]
         with pytest.raises(DimensionError):
-            measure_conv_deviation(a, a.clone(), rng.standard_normal((2, 6)))
+            measure_deviation(a, b, rng.standard_normal((2, 6)))
+        with pytest.raises(DimensionError):
+            measure_deviation(Flatten(), Flatten(), rng.standard_normal((2, 6)))
 
 
 ALPHAS = (0.5, 0.7, 0.9, 0.95, 1.0)
@@ -197,7 +180,7 @@ class TestRandomSatisfaction:
             net = small_mlp(rng, dims, activation=act)
             x = rng.standard_normal((int(rng.integers(1, 20)), n_in)).astype(F32)
             pruned, decisions = prune_single_layer(net, 0, alpha, x)
-            delta, big_delta = measure_fc_deviation(
+            delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
             s = decisions.scores.totals
             kappa = decisions.selection.achieved_mass
@@ -221,7 +204,7 @@ class TestRandomSatisfaction:
             x = rng.standard_normal(
                 (int(rng.integers(1, 6)), c_in, hw, hw)).astype(F32)
             pruned, decisions = prune_single_layer(net, 0, alpha, x)
-            delta, big_delta = measure_conv_deviation(
+            delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
             s = decisions.scores.totals
             kappa = decisions.selection.achieved_mass
@@ -241,47 +224,54 @@ class TestRandomSatisfaction:
             alpha = (0.8, 0.95)[case % 2]
             li = case % 3  # prunable layers 0, 1, 2
             x = rng.standard_normal((int(rng.integers(2, 16)), dims[0]))
-            logits, trace = net.forward(x, capture=True)
-            bound = network_output_bound(net, li, alpha, trace)
             pruned, decisions = prune_single_layer(net, li, alpha, x)
-            measured = np.abs(logits - pruned.forward(x)).mean(0)
+            s = decisions.scores.totals
+            bound = network_output_bound(net, li, alpha, s)
+            measured = np.abs(net.forward(x) - pruned.forward(x)).mean(0)
             leq(measured, bound, tol=1e-12)
             kappa = decisions.selection.achieved_mass
-            tight = network_output_bound(net, li, alpha, trace,
-                                         kept_mass=kappa)
+            tight = network_output_bound(net, li, alpha, s, kept_mass=kappa)
             leq(tight, bound, tol=1e-12)
             leq(measured, tight, tol=1e-12)
+
+
+def _totals(net, layer_index, x):
+    """S(l) of one prunable layer on a batch of network inputs."""
+    _, trace = net.forward(x, capture=True)
+    return score_layer(net.layers[layer_index],
+                       trace.inputs_to(layer_index)).totals
 
 
 class TestNetworkBoundErrors:
     def test_conv_tail_unsupported(self, rng):
         net = small_cnn(rng)
-        _, trace = net.forward(rng.standard_normal((2, 2, 6, 6)).astype(F32),
-                               capture=True)
+        s = _totals(net, 0, rng.standard_normal((2, 2, 6, 6)).astype(F32))
         with pytest.raises(CapabilityError, match="all-dense tail"):
-            network_output_bound(net, 0, 0.9, trace)
+            network_output_bound(net, 0, 0.9, s)
 
     def test_non_prunable_layer(self, rng):
         net = small_cnn(rng)
-        _, trace = net.forward(rng.standard_normal((2, 2, 6, 6)).astype(F32),
-                               capture=True)
         with pytest.raises(IndexError):
-            network_output_bound(net, 1, 0.9, trace)  # pool layer
+            network_output_bound(net, 1, 0.9, np.ones(3))  # pool layer
 
     def test_kept_mass_shape_mismatch(self, rng):
         net = small_mlp(rng, (4, 3, 2))
-        _, trace = net.forward(rng.standard_normal((2, 4)).astype(F32),
-                               capture=True)
+        s = _totals(net, 0, rng.standard_normal((2, 4)).astype(F32))
         with pytest.raises(DimensionError):
-            network_output_bound(net, 0, 0.9, trace,
-                                 kept_mass=np.ones(5))
+            network_output_bound(net, 0, 0.9, s, kept_mass=np.ones(5))
+
+    @pytest.mark.parametrize("s_total", [np.ones(2), np.ones(4), np.ones((3, 1)),
+                                         2.0])
+    def test_s_total_shape_mismatch(self, rng, s_total):
+        net = small_mlp(rng, (4, 3, 2))  # layer 0 has 3 targets
+        with pytest.raises(DimensionError, match="s_total"):
+            network_output_bound(net, 0, 0.9, s_total)
 
     def test_bad_alpha(self, rng):
         net = small_mlp(rng, (4, 3, 2))
-        _, trace = net.forward(rng.standard_normal((2, 4)).astype(F32),
-                               capture=True)
+        s = _totals(net, 0, rng.standard_normal((2, 4)).astype(F32))
         with pytest.raises(ValueError):
-            network_output_bound(net, 0, 0.0, trace)
+            network_output_bound(net, 0, 0.0, s)
 
 
 class TestBoundReport:
@@ -314,6 +304,19 @@ class TestBoundReport:
         for t in report["targets"]:
             leq(t["post_activation_deviation"], t["post_activation_bound"],
                 tol=1e-7)
+
+    @pytest.mark.parametrize("build,x_shape,layer,forwards", [
+        (lambda rng: small_mlp(rng, (6, 5, 4, 3)), (10, 6), 1, 2),
+        (lambda rng: small_cnn(rng), (4, 2, 6, 6), 0, 1)])
+    def test_pass_start_work_runs_once(self, rng, monkeypatch, build, x_shape,
+                                       layer, forwards):
+        # one captured forward and one scoring of the pruned layer; an
+        # all-dense tail adds the pruned copy's forward for the logits
+        net = build(rng)
+        x = rng.standard_normal(x_shape).astype(F32)
+        calls = count_forwards_and_scores(monkeypatch)
+        bound_report(net, layer, 0.9, x)
+        assert calls == {"forward": forwards, "score_layer": 1}
 
     def test_list_input_and_empty(self, rng):
         net = small_mlp(rng, (4, 3, 2))

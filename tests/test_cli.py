@@ -14,6 +14,7 @@ import pytest
 
 from prune_relief.cli import main
 from prune_relief.pipeline import read_history
+from tests.conftest import count_forwards_and_scores
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 
 
@@ -130,6 +131,14 @@ class TestReport:
             assert head.startswith("abs_weight_in_0,")
         for name in ("accuracy.svg", "remaining.svg"):
             assert b"<svg" in (out / name).read_bytes()
+
+    def test_scores_each_network_once(self, run, tmp_path, monkeypatch):
+        _, out2 = copy_run(run, tmp_path)
+        calls = count_forwards_and_scores(monkeypatch)
+        assert main(["report", "--run", str(out2)]) == 0
+        # the base and the final network: one captured forward and one
+        # scoring of each of their two dense layers; heatmaps reuse the base
+        assert calls == {"forward": 2, "score_layer": 4}
 
     def test_needs_history(self, tmp_path, capsys):
         assert main(["report", "--run", str(tmp_path)]) == 2
@@ -332,6 +341,59 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "label 9" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section,field", [
+        ("train", "lr"), ("train", "weight_decay"), ("dataset", "spread")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, section, field,
+                                     value):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
+        data = json.loads(cfg.read_text())
+        data[section][field] = value
+        cfg.write_text(json.dumps(data))  # writes NaN / Infinity literals
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'{section}.{field}' must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("empty", ["train", "test"])
+    def test_empty_idx_split_exit_2(self, tmp_path, capsys, empty):
+        rng = np.random.default_rng(0)
+        paths = {}
+        for split in ("train", "test"):
+            n = 0 if split == empty else 12
+            images = tmp_path / f"{split}-images"
+            labels = tmp_path / f"{split}-labels"
+            images.write_bytes(idx_images_bytes(
+                rng.integers(0, 256, size=(n, 4, 4))))
+            labels.write_bytes(idx_labels_bytes(np.arange(n) % 3))
+            paths[f"{split}_images"] = str(images)
+            paths[f"{split}_labels"] = str(labels)
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                           dataset={"kind": "idx", **paths})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"the {empty} split" in err and "no samples" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["prune", "bounds", "eval", "scores"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_missing_checkpoint_exit_2(self, tmp_path, capsys, command,
+                                       explicit):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
+        argv = [command, "--config", str(cfg)]
+        if command == "bounds":
+            argv += ["--layer", "1"]
+        ckpt = tmp_path / "run" / "model"
+        if explicit:
+            ckpt = tmp_path / "elsewhere"
+            argv += ["--checkpoint", str(ckpt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"no model at {ckpt}; run 'train' first" in err
+        assert "Traceback" not in err
 
     def test_divergence_exit_4(self, tmp_path, capsys):
         # identity hidden units compound the oversized step multiplicatively,

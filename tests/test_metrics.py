@@ -1,10 +1,13 @@
 """FLOPs accounting, compression statistics, and CSV exports."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from prune_relief import (CapabilityError, ConvLayer, DenseLayer, Flatten,
-                          MaxPool2D, Network, compression_stats,
+                          ImportanceScores, MaxPool2D, Network,
+                          compression_stats,
                           export_heatmaps, export_importance_csv, fc_importance,
                           flops_conv, flops_dense, gini,
                           kept_connection_scores, masked_flops,
@@ -343,3 +346,32 @@ class TestHeatmapExport:
         rows = path.read_text().splitlines()
         assert rows[0] == "in_0,in_1,bias"
         assert rows[1] == "0.5,0.25,0.25"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_csv_module_writer(self, tmp_path, dtype):
+        def old_writer(path, header, grid):
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in grid:
+                    writer.writerow(["%.9g" % v for v in row])
+
+        # tiny and subnormal, huge, exactly 9 and more significant digits,
+        # integral, and zero
+        fi = np.finfo(dtype)
+        values = [fi.smallest_subnormal, fi.tiny, 1e-30, fi.max, 3.4e38, 1e30,
+                  0.123456789, 123456789.0, 1.23456789e-5, 0.1234567891234,
+                  2 / 3, 0.0, 1.0, 2.0, 7.0, 1234567890.0, 16777217.0, 1e9]
+        grid = np.array(values * 2, dtype).reshape(4, 9)
+        layer = DenseLayer(grid[:, :-1], grid[:, -1], "relu", dtype=dtype)
+        scores = ImportanceScores(scores=grid, totals=np.ones(4))
+        names = [f"in_{i}" for i in range(8)]
+        sp, mp, ip = (tmp_path / f"{n}.csv" for n in "smi")
+        export_heatmaps(layer, scores, sp, mp)
+        export_importance_csv(scores, ip)
+        for path, header, expect in (
+                (sp, [f"score_{n}" for n in names], grid[:, :-1]),
+                (mp, [f"abs_weight_{n}" for n in names], grid[:, :-1]),
+                (ip, names + ["bias"], grid)):
+            old_writer(tmp_path / "old.csv", header, expect)
+            assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()

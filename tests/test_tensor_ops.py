@@ -3,14 +3,22 @@
 import numpy as np
 import pytest
 
-from prune_relief import (DenseLayer, DimensionError, conv2d_batch,
+from prune_relief import (ConvLayer, DenseLayer, DimensionError,
                           conv_output_hw, im2col)
 from prune_relief.tensor_ops import col2im
 
 
+def conv_batch(x, kernels, bias, stride=(1, 1), padding=(0, 0)):
+    """Batch convolution (N, C_in, H, W) -> (N, C_out, H', W') through a conv
+    layer with identity units, in the kernels' dtype."""
+    k = np.asarray(kernels)
+    layer = ConvLayer(k, bias, "identity", stride, padding, dtype=k.dtype)
+    return layer.forward(np.asarray(x, dtype=k.dtype))
+
+
 def conv2d(x, kernels, bias, stride=(1, 1), padding=(0, 0)):
     """Single-sample convolution, (C_in, H, W) -> (C_out, H', W')."""
-    return conv2d_batch(np.asarray(x)[None], kernels, bias, stride, padding)[0]
+    return conv_batch(np.asarray(x)[None], kernels, bias, stride, padding)[0]
 
 
 class TestMatvec:
@@ -135,7 +143,7 @@ class TestConv2d:
         x = rng.standard_normal((4, 2, 5, 5)).astype(np.float32)
         k = rng.standard_normal((3, 2, 2, 2)).astype(np.float32)
         b = rng.standard_normal(3).astype(np.float32)
-        batched = conv2d_batch(x, k, b)
+        batched = conv_batch(x, k, b)
         for n in range(4):
             np.testing.assert_array_equal(batched[n], conv2d(x[n], k, b))
 
