@@ -149,12 +149,16 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     capability limitation as a message.
     """
     trace, scores = score_network(net, pruning_set, [layer_index])
+    # keep only what the rest reads, so the other layers' activations are
+    # freed before the deviation measurement allocates its own
+    batch, inputs, logits = (trace.inputs_to(0), trace.inputs_to(layer_index),
+                             trace.logits)
+    del trace
     pruned_net, decisions = _mask_copy(net, layer_index, scores[layer_index],
                                        alpha)
-    batch = trace.inputs_to(0)
     before = net.layers[layer_index]
     delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
-                                         trace.inputs_to(layer_index))
+                                         inputs)
     c = before.act.lipschitz
     s = decisions.scores.totals
     keep = decisions.selection.keep
@@ -188,7 +192,7 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     except CapabilityError as e:
         report["network"] = {"error": str(e)}
     else:
-        logits_before = trace.logits.astype(np.float64)
+        logits_before = logits.astype(np.float64)
         logits_after = pruned_net.forward(batch).astype(np.float64)
         measured = np.abs(logits_before - logits_after).mean(axis=0)
         report["network"] = {

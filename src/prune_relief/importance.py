@@ -159,7 +159,7 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     for i in range(ci):
         cols = im2col(xabs[:, i : i + 1], r, layer.stride, layer.padding)
         maps = np.matmul(khat[:, i].reshape(co, -1), cols)  # (N, Co, Ho*Wo)
-        norms = np.sqrt(np.sum(maps**2, axis=2))
+        norms = np.sqrt(np.sum(np.square(maps, out=maps), axis=2))
         numer[:, i] = norms.mean(axis=0)
     bias_numer = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
     return _normalize(numer, bias_numer)

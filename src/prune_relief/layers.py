@@ -12,9 +12,11 @@ pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
 what ``backward`` needs; for dense and conv layers its last entry is the
-pre-activation z, which deviation measurement reads. Layers themselves stay
-immutable during the forward pass so a frozen network can be evaluated from
-many threads.
+pre-activation z, which deviation measurement reads. ``backward(cache,
+d_out)`` returns ``(d_input, param_grads)``; dense and conv layers take
+``input_grad=False`` to skip the input gradient and return None in its place.
+Layers themselves stay immutable during the forward pass so a frozen network
+can be evaluated from many threads.
 """
 
 import numpy as np
@@ -137,12 +139,12 @@ class DenseLayer(_MaskedLayer):
             return y, (x, z)
         return y
 
-    def backward(self, cache, d_out):
+    def backward(self, cache, d_out, input_grad=True):
         x, z = cache
         dz = d_out * self.act.df(z)
         dw = (dz.T @ x) * self.weight_mask
         db = dz.sum(axis=0) * self.bias_mask
-        dx = dz @ self.weights
+        dx = dz @ self.weights if input_grad else None
         return dx, {"weights": dw, "bias": db}
 
     def params(self) -> dict[str, np.ndarray]:
@@ -249,7 +251,7 @@ class ConvLayer(_MaskedLayer):
             return y, (x.shape, cols, z)
         return y
 
-    def backward(self, cache, d_out):
+    def backward(self, cache, d_out, input_grad=True):
         x_shape, cols, z = cache
         n = x_shape[0]
         co = self.out_channels
@@ -261,6 +263,8 @@ class ConvLayer(_MaskedLayer):
         dk = (dz2 @ cols2).reshape(self.kernels.shape)
         dk *= self.kernel_mask[:, :, None, None]
         db = dz.sum(axis=(0, 2, 3)) * self.bias_mask
+        if not input_grad:
+            return None, {"kernels": dk, "bias": db}
         # input gradient: one product over all samples, laid out sample-last
         # (C*r*r, Ho*Wo, N) so col2im adds each tap in long contiguous runs;
         # col2im reads it through a transposed (N, C*r*r, Ho*Wo) view

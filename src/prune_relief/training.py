@@ -58,7 +58,12 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
-    """One supervised step's worth of math: loss, per-layer grads, correct count."""
+    """One supervised step's worth of math: loss, per-layer grads, correct count.
+
+    The backward pass stops at the first layer with parameters: it builds
+    only its parameter gradients, since no one reads the gradient of the
+    input batch, and the layers before it get ``{}``.
+    """
     a = x
     caches = []
     for layer in net.layers:
@@ -66,11 +71,12 @@ def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
         caches.append(cache)
     loss, d = softmax_cross_entropy(a, labels)
     correct = int(np.sum(a.argmax(axis=1) == labels))
-    grads = []
-    for layer, cache in zip(reversed(net.layers), reversed(caches)):
-        d, g = layer.backward(cache, d)
-        grads.append(g)
-    grads.reverse()
+    first = next(i for i, layer in enumerate(net.layers) if layer.params())
+    grads = [{} for _ in net.layers]
+    for i in range(len(net.layers) - 1, first, -1):
+        d, grads[i] = net.layers[i].backward(caches[i], d)
+    _, grads[first] = net.layers[first].backward(caches[first], d,
+                                                 input_grad=False)
     return loss, grads, correct
 
 

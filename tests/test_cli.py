@@ -5,6 +5,7 @@ module; read-only commands share that run directory. Tests that corrupt
 files work on a copy of it.
 """
 
+import ctypes
 import json
 import shutil
 import warnings
@@ -45,6 +46,13 @@ def run(tmp_path_factory):
     assert main(["train", "--config", str(cfg)]) == 0
     assert main(["prune", "--config", str(cfg)]) == 0
     return cfg, out
+
+
+def has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
 
 
 def copy_run(run, tmp_path):
@@ -414,3 +422,20 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="no mallopt in this libc")
+def test_freed_memory_stays_in_process(run):
+    """Once the CLI has run, freeing a training step's worth of multi-MB
+    arrays keeps their pages: the next round maps nothing new. glibc's
+    default policy returns them, and every round faults them in again."""
+    import resource
+
+    def round_faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.full(1 << 19, 1.0) for _ in range(6)]  # 6 x 4 MB
+        del arrays
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults = [round_faults() for _ in range(5)]
+    assert max(faults[1:]) < 50, faults

@@ -9,6 +9,7 @@ from prune_relief import (ConvLayer, DenseLayer, Flatten, LrSpan, MaxPool2D,
                           Network, OptimizerConfig, TrainingError, evaluate,
                           forward_backward, init_params, softmax_cross_entropy,
                           synth_dataset, train)
+from prune_relief.config import build_network
 from tests.conftest import (numeric_gradients, random_conv, random_dense,
                             small_cnn, small_mlp)
 
@@ -137,6 +138,49 @@ class TestGradients:
         _, grads, _ = forward_backward(net, x, rng.integers(0, 3, size=4))
         assert np.all(grads[0]["weights"][2, [0, 3]] == 0.0)
         assert grads[0]["bias"][2] == 0.0
+
+
+def full_backward(net, x, labels):
+    """Every layer's gradients from a backward pass that runs to the input."""
+    a, caches = x, []
+    for layer in net.layers:
+        a, cache = layer.forward(a, with_cache=True)
+        caches.append(cache)
+    _, d = softmax_cross_entropy(a, labels)
+    grads = []
+    for layer, cache in zip(reversed(net.layers), reversed(caches)):
+        d, g = layer.backward(cache, d)
+        grads.append(g)
+    return grads[::-1]
+
+
+class TestBackwardStopsAtFirstParameters:
+    @pytest.mark.parametrize("model", ["lenet5", "lenet300100"])
+    def test_gradient_bytes(self, rng, model):
+        net = build_network(model, (1, 28, 28), 10)
+        init_params(net, 3)
+        net.layers[-1].apply_mask(0, [1, 2])
+        x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
+        labels = rng.integers(0, 10, size=8)
+        _, grads, _ = forward_backward(net, x, labels)
+        ref = full_backward(net, x, labels)
+        assert len(grads) == len(net.layers)
+        for li, (g, r) in enumerate(zip(grads, ref)):
+            assert g.keys() == r.keys(), f"layer {li}"
+            for name in g:
+                assert g[name].tobytes() == r[name].tobytes(), \
+                    f"layer {li} {name}"
+
+    def test_first_layer_skips_input_gradient(self, rng):
+        for layer, x in ((random_dense(rng, 5, 4), rng.standard_normal((3, 5))),
+                         (random_conv(rng, 2, 3, 3),
+                          rng.standard_normal((3, 2, 6, 6)))):
+            y, cache = layer.forward(x.astype(np.float32), with_cache=True)
+            dx, grads = layer.backward(cache, np.ones_like(y),
+                                       input_grad=False)
+            assert dx is None
+            for name, g in layer.backward(cache, np.ones_like(y))[1].items():
+                assert grads[name].tobytes() == g.tobytes()
 
 
 class TestTrainLoop:
