@@ -21,7 +21,8 @@ from .importance import (ImportanceScores, LayerDecisions, Selection,
                          conv_importance, fc_importance, prune_pass,
                          prune_single_layer, score_layer, score_network,
                          select_kept)
-from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
+from .layers import (ConvLayer, DenseLayer, Flatten, MaxPool2D, sample_first,
+                     sample_last)
 from .metrics import (CompressionReport, FlopsReport, compression_stats,
                       export_heatmaps, export_importance_csv, flops_conv,
                       flops_dense, gini, kept_connection_scores, masked_flops,

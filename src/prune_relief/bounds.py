@@ -29,7 +29,7 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import _mask_copy, score_network
+from .importance import _as_input_batch, _mask_copy, score_network
 from .layers import ConvLayer, DenseLayer
 from .network import Network
 
@@ -62,9 +62,10 @@ def measure_deviation(before, after, inputs):
     """Mean pre- and post-activation deviation per target of a layer pair.
 
     ``after`` is meant to be a masked copy of ``before``; both run their own
-    ``forward`` on the same inputs in float64. Dense targets report the mean
-    |delta z|, conv filters the mean Frobenius norm of the difference over
-    their output map.
+    ``forward`` on the same inputs in float64. ``inputs`` are in the layers'
+    layout: (N, features) for dense, (C, H, W, N) maps for conv layers.
+    Dense targets report the mean |delta z|, conv filters the mean Frobenius
+    norm of the difference over their output map.
     """
     if type(before) is not type(after) \
             or not isinstance(before, (DenseLayer, ConvLayer)):
@@ -77,8 +78,10 @@ def measure_deviation(before, after, inputs):
                 f"layer pair differs in {name} shape: {pb[name].shape} vs "
                 f"{pa[name].shape}")
     x = np.asarray(inputs, dtype=np.float64)
-    before.output_shape(x.shape[1:])  # rejects a wrongly shaped batch
-    if x.shape[0] == 0:
+    conv = isinstance(before, ConvLayer)
+    # rejects a wrongly shaped batch
+    before.output_shape(x.shape[:-1] if conv else x.shape[1:])
+    if x.shape[-1 if conv else 0] == 0:
         raise EmptyPruningSetError("deviation measurement needs samples")
     zb, yb = _pre_and_post(before, x)
     za, ya = _pre_and_post(after, x)
@@ -86,14 +89,15 @@ def measure_deviation(before, after, inputs):
 
 
 def _mean_norm(a, b):
-    """Mean over samples of each target's |a - b|, or of its Frobenius norm
-    over a conv map. The difference is squared in place: at the bound
-    commands' sizes each conv map array is tens of MB."""
+    """Mean over samples of each target's |a - b| for (N, targets) arrays,
+    or of its Frobenius norm over the (H, W) axes of (targets, H, W, N) conv
+    maps. The difference is squared in place: at the bound commands' sizes
+    each conv map array is tens of MB."""
     d = a - b
     if d.ndim == 2:
         return np.abs(d, out=d).mean(axis=0)
     d *= d
-    return np.sqrt(d.sum(axis=(2, 3))).mean(axis=0)
+    return np.sqrt(d.sum(axis=(1, 2))).mean(axis=1)
 
 
 def network_output_bound(net: Network, layer_index: int, alpha: float,
@@ -148,11 +152,11 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     section is present only for an all-dense tail; otherwise it carries the
     capability limitation as a message.
     """
-    trace, scores = score_network(net, pruning_set, [layer_index])
+    batch = _as_input_batch(pruning_set)
+    trace, scores = score_network(net, batch, [layer_index])
     # keep only what the rest reads, so the other layers' activations are
     # freed before the deviation measurement allocates its own
-    batch, inputs, logits = (trace.inputs_to(0), trace.inputs_to(layer_index),
-                             trace.logits)
+    inputs, logits = trace.inputs_to(layer_index), trace.logits
     del trace
     pruned_net, decisions = _mask_copy(net, layer_index, scores[layer_index],
                                        alpha)

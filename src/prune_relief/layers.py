@@ -17,6 +17,15 @@ d_out)`` returns ``(d_input, param_grads)``; dense and conv layers take
 ``input_grad=False`` to skip the input gradient and return None in its place.
 Layers themselves stay immutable during the forward pass so a frozen network
 can be evaluated from many threads.
+
+Activation layout: dense layers read and write (N, features) batches. Conv
+and max-pool layers read and write sample-last (C, H, W, N) maps, so a conv
+step is one 2-D matrix product over every sample and position, and pool taps
+run over contiguous runs of samples. ``Network`` converts an (N, C, H, W)
+batch with :func:`sample_last` when its first layer is spatial, and a
+``Flatten`` that follows a spatial layer turns (C, H, W, N) maps into
+(N, C*H*W) rows in (c, h, w) feature order, the order of the batch-first
+layout, so dense weights do not depend on the layout.
 """
 
 import numpy as np
@@ -24,6 +33,21 @@ import numpy as np
 from .activations import get_activation
 from .errors import DimensionError
 from .tensor_ops import check_stride_padding, col2im, conv_output_hw, im2col
+
+
+SPATIAL_KINDS = ("conv", "maxpool")
+
+
+def sample_last(batch: np.ndarray) -> np.ndarray:
+    """An (N, C, H, W) batch as the C-contiguous (C, H, W, N) maps that conv
+    and pool layers read."""
+    return np.ascontiguousarray(np.moveaxis(batch, 0, -1))
+
+
+def sample_first(maps: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`sample_last`: (C, H, W, N) maps as an
+    (N, C, H, W) batch."""
+    return np.ascontiguousarray(np.moveaxis(maps, -1, 0))
 
 
 def _as_param(a, dtype):
@@ -235,17 +259,17 @@ class ConvLayer(_MaskedLayer):
         return self.out_channels
 
     def forward(self, x, with_cache=False):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer with {self.in_channels} input channels got "
-                f"batch of shape {x.shape}"
+                f"(C, H, W, N) maps of shape {x.shape}"
             )
         r = self.kernel_size
-        ho, wo = conv_output_hw(x.shape[2], x.shape[3], r, self.stride, self.padding)
+        ho, wo = conv_output_hw(x.shape[1], x.shape[2], r, self.stride, self.padding)
         cols = im2col(x, r, self.stride, self.padding)
         z = np.matmul(self.kernels.reshape(self.out_channels, -1), cols)
         z += self.bias[:, None]
-        z = z.reshape(x.shape[0], self.out_channels, ho, wo)
+        z = z.reshape(self.out_channels, ho, wo, x.shape[3])
         y = self.act.f(z)
         if with_cache:
             return y, (x.shape, cols, z)
@@ -253,24 +277,15 @@ class ConvLayer(_MaskedLayer):
 
     def backward(self, cache, d_out, input_grad=True):
         x_shape, cols, z = cache
-        n = x_shape[0]
-        co = self.out_channels
-        dz = d_out * self.act.df(z)
-        dzm = dz.reshape(n, co, -1)  # (N, Co, L)
-        # weight gradient: contract over samples and output positions
-        dz2 = dzm.transpose(1, 0, 2).reshape(co, -1)
-        cols2 = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
-        dk = (dz2 @ cols2).reshape(self.kernels.shape)
+        dz = (d_out * self.act.df(z)).reshape(self.out_channels, -1)
+        # both products contract over every sample and output position;
+        # cols goes in as a transposed operand, not a copy
+        dk = (dz @ cols.T).reshape(self.kernels.shape)
         dk *= self.kernel_mask[:, :, None, None]
-        db = dz.sum(axis=(0, 2, 3)) * self.bias_mask
+        db = dz.sum(axis=1) * self.bias_mask
         if not input_grad:
             return None, {"kernels": dk, "bias": db}
-        # input gradient: one product over all samples, laid out sample-last
-        # (C*r*r, Ho*Wo, N) so col2im adds each tap in long contiguous runs;
-        # col2im reads it through a transposed (N, C*r*r, Ho*Wo) view
-        dzp = dz.transpose(1, 2, 3, 0).reshape(co, -1)
-        dcols = self.kernels.reshape(co, -1).T @ dzp
-        dcols = dcols.reshape(dcols.shape[0], -1, n).transpose(2, 0, 1)
+        dcols = self.kernels.reshape(self.out_channels, -1).T @ dz
         dx = col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
 
@@ -320,7 +335,8 @@ class _ParameterFree:
 
 
 class MaxPool2D(_ParameterFree):
-    """Max pooling over non-overlapping or strided windows. No parameters."""
+    """Max pooling of (C, H, W, N) maps over non-overlapping or strided
+    windows. No parameters."""
 
     kind = "maxpool"
 
@@ -331,8 +347,8 @@ class MaxPool2D(_ParameterFree):
         self.stride, _ = check_stride_padding(stride, (0, 0))
 
     def _taps(self, ho, wo):
-        """Yield (k, rows, cols): tap k = q * ww + t and the slices picking
-        element (q, t) of every window."""
+        """Yield (k, rows, cols): tap k = q * ww + t and the slices of axes 1
+        and 2 picking element (q, t) of every window."""
         wh, ww = self.window
         sh, sw = self.stride
         for k in range(wh * ww):
@@ -341,19 +357,19 @@ class MaxPool2D(_ParameterFree):
 
     def forward(self, x, with_cache=False):
         if x.ndim != 4:
-            raise DimensionError(f"maxpool expects (N, C, H, W), got {x.shape}")
-        _, ho, wo = self.output_shape(x.shape[1:])
+            raise DimensionError(f"maxpool expects (C, H, W, N), got {x.shape}")
+        _, ho, wo = self.output_shape(x.shape[:3])
         # a running max over the taps: the strict ">" keeps the first of
         # tied maxima, the one an argmax over the window picks, and arg
         # records its tap
         taps = self._taps(ho, wo)
         _, rows, cols = next(taps)
-        y = x[:, :, rows, cols].copy()
+        y = x[:, rows, cols].copy()
         y_bits = _bits(y)
         wh, ww = self.window
         arg = np.zeros(y.shape, dtype=np.min_scalar_type(wh * ww - 1))
         for k, rows, cols in taps:
-            s = x[:, :, rows, cols]
+            s = x[:, rows, cols]
             hit = s > y
             # y = where(hit, s, y) on the bit patterns; taps come in rising
             # order, so the max of arg and k * hit is where(hit, k, arg)
@@ -369,9 +385,9 @@ class MaxPool2D(_ParameterFree):
         g_bits = _bits(d_out)
         # taps in reverse: where windows overlap, an input element then
         # receives its gradients in the row-major order of the windows
-        for k, rows, cols in reversed(list(self._taps(*arg.shape[2:]))):
+        for k, rows, cols in reversed(list(self._taps(*arg.shape[1:3]))):
             routed = g_bits & _ones_where(arg == k, g_bits.dtype)  # else +0.0
-            dx[:, :, rows, cols] += routed.view(d_out.dtype)
+            dx[:, rows, cols] += routed.view(d_out.dtype)
         return dx, {}
 
     def clone(self) -> "MaxPool2D":
@@ -388,17 +404,30 @@ class MaxPool2D(_ParameterFree):
 
 
 class Flatten(_ParameterFree):
-    """Reshape (N, ...) to (N, prod). No parameters."""
+    """Reshape (N, ...) to (N, prod). No parameters.
+
+    ``Network`` sets ``sample_last`` on a Flatten that follows a conv or pool
+    layer: it then reads (C, H, W, N) maps and writes C-contiguous
+    (N, C*H*W) rows, and its backward pass returns (C, H, W, N) maps.
+    """
 
     kind = "flatten"
 
+    def __init__(self):
+        self.sample_last = False
+
     def forward(self, x, with_cache=False):
-        y = x.reshape(x.shape[0], -1)
+        if self.sample_last:
+            y = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+        else:
+            y = x.reshape(x.shape[0], -1)
         if with_cache:
             return y, x.shape
         return y
 
     def backward(self, cache, d_out):
+        if self.sample_last:
+            return np.ascontiguousarray(d_out.T).reshape(cache), {}
         return d_out.reshape(cache), {}
 
     def clone(self) -> "Flatten":

@@ -1,10 +1,16 @@
 """Feed-forward network container and forward evaluation with capture.
 
 A network is an ordered list of layers plus the per-sample input shape and
-class count. ``forward`` can capture the full activation trace: batch X(0) as
-fed in, then each layer's post-activation output X(1)..X(L). The trace is what
+class count. ``forward`` can capture the full activation trace: batch X(0),
+then each layer's post-activation output X(1)..X(L). The trace is what
 importance scoring and deviation measurement consume, so both always see
 activations from the same pass-start state of the network.
+
+Batches go in and come out as (N, ...) arrays. Inside, conv and pool layers
+carry sample-last (C, H, W, N) maps (see ``layers``): the batch is converted
+once on entry when the first layer is spatial, and once on the way out, at
+the ``Flatten`` after the last spatial layer or, for a net that ends in a
+spatial layer, at its exit.
 """
 
 from dataclasses import dataclass
@@ -12,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .layers import PRUNABLE_KINDS, DenseLayer
+from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, DenseLayer, Flatten,
+                     sample_first, sample_last)
 
 
 @dataclass
 class ActivationTrace:
-    """batches[l] is the input batch to layer l; batches[-1] is the logits."""
+    """batches[l] is the input to layer l, in that layer's layout;
+    batches[-1] is the network's (N, ...) output."""
 
     batches: list
 
@@ -48,6 +56,9 @@ class Network:
                     f"last layer emits {last.fan_out} logits but the network "
                     f"declares {self.classes} classes"
                 )
+        for prev, layer in zip(self.layers, self.layers[1:]):
+            if isinstance(layer, Flatten):
+                layer.sample_last = prev.kind in SPATIAL_KINDS
 
     def _as_batch(self, batch) -> np.ndarray:
         if isinstance(batch, (list, tuple)):
@@ -62,17 +73,24 @@ class Network:
             )
         return x
 
+    def first_layer_input(self, batch) -> np.ndarray:
+        """An (N, ...) batch in the first layer's layout."""
+        x = self._as_batch(batch)
+        return sample_last(x) if self.layers[0].kind in SPATIAL_KINDS else x
+
     def forward(self, batch, capture: bool = False):
         """Run the batch through every layer; optionally keep all activations.
 
         Returns logits, or ``(logits, ActivationTrace)`` when capturing. The
         computed values are identical either way; capture only retains them.
         """
-        x = self._as_batch(batch)
+        x = self.first_layer_input(batch)
         batches = [x]
         for layer in self.layers:
             x = layer.forward(x)
             batches.append(x)
+        if self.layers[-1].kind in SPATIAL_KINDS:
+            x = batches[-1] = sample_first(x)
         if capture:
             return x, ActivationTrace(batches)
         return x

@@ -1,9 +1,12 @@
 """Dense tensor primitives: the patch lowering behind 2-D convolution.
 
-Everything here is pure and dtype-preserving. ``ConvLayer`` follows the
-cross-correlation convention (no kernel flip) with zero padding: it lowers
-patches to columns with :func:`im2col` so the contraction runs as one matrix
-product, and :func:`col2im` is the adjoint its backward pass uses.
+Everything here is pure and dtype-preserving. Maps are sample-last,
+(C, H, W, N), the layout conv and pool layers carry their activations in.
+``ConvLayer`` follows the cross-correlation convention (no kernel flip) with
+zero padding: it lowers patches to (C*r*r, Ho*Wo*N) columns with
+:func:`im2col`, so the forward pass is one 2-D matrix product, the weight
+gradient reads the columns as a transposed operand, and :func:`col2im`, the
+adjoint, adds the input gradient's columns back into a (C, H, W, N) map.
 """
 
 import numpy as np
@@ -41,48 +44,45 @@ def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
 
 
 def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
-    """Lower (N, C, H, W) into C-contiguous patch columns (N, C*r*r, Ho*Wo).
+    """Lower sample-last (C, H, W, N) maps into patch columns (C*r*r, Ho*Wo*N).
 
-    Column k of sample n holds the receptive field of output position k,
-    flattened channel-major then row-major, matching kernels reshaped with
-    ``kernels.reshape(C_out, -1)``. :func:`col2im`, the adjoint, takes the
-    same logical layout through any strides, including a sample-last
-    (C*r*r, Ho*Wo, N) array viewed as (N, C*r*r, Ho*Wo).
+    Row (c, q, t) holds tap (q, t) of channel c at every output position,
+    positions row-major with the sample fastest. The rows match kernels
+    reshaped with ``kernels.reshape(C_out, -1)``, so one product gives the
+    (C_out, Ho, Wo, N) output. Each tap is copied as one strided slice, in
+    runs of Wo*N elements when the column stride is 1.
     """
     if x.ndim != 4:
-        raise DimensionError(f"im2col expects (N, C, H, W), got shape {x.shape}")
-    n, c, h, w = x.shape
+        raise DimensionError(f"im2col expects (C, H, W, N), got shape {x.shape}")
+    c, h, w, n = x.shape
     (sh, sw), (ph, pw) = check_stride_padding(stride, padding)
     ho, wo = conv_output_hw(h, w, r, stride, padding)
     if ph or pw:
-        xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        xp[:, :, ph : ph + h, pw : pw + w] = x
+        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+        xp[:, ph : ph + h, pw : pw + w] = x
     else:
         xp = x
-    win = np.lib.stride_tricks.sliding_window_view(xp, (r, r), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]  # (N, C, Ho, Wo, r, r)
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * r * r, ho * wo)
-    return np.ascontiguousarray(cols)
+    cols = np.empty((c, r, r, ho, wo, n), dtype=x.dtype)
+    for q in range(r):
+        for t in range(r):
+            cols[:, q, t] = xp[:, q : q + sh * ho : sh, t : t + sw * wo : sw]
+    return cols.reshape(c * r * r, ho * wo * n)
 
 
 def col2im(cols: np.ndarray, x_shape, r: int, stride, padding) -> np.ndarray:
     """Adjoint of :func:`im2col`: scatter-add columns back onto the input.
 
-    ``cols`` is in the layout :func:`im2col` returns, (N, C*r*r, Ho*Wo), with
-    any strides. The taps are added one at a time, row-major over the
-    kernel, into a sample-last (C, H, W, N) buffer that is transposed to
-    (N, C, H, W) once at the end; when ``cols`` is itself stored
-    sample-last, as ``ConvLayer.backward`` passes it, every add runs over
-    long contiguous stretches of memory.
+    ``cols`` is in the layout :func:`im2col` returns, (C*r*r, Ho*Wo*N), and
+    the result is a C-contiguous (C, H, W, N) array. The taps are added one
+    at a time, row-major over the kernel, so where windows overlap an input
+    element receives its terms in a fixed order.
     """
-    n, c, h, w = x_shape
+    c, h, w, n = x_shape
     (sh, sw), (ph, pw) = check_stride_padding(stride, padding)
     ho, wo = conv_output_hw(h, w, r, stride, padding)
-    buf = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=cols.dtype)
-    dx = buf.transpose(3, 0, 1, 2)  # (N, C, H, W) view
-    cols6 = cols.reshape(n, c, r, r, ho, wo)
+    dx = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=cols.dtype)
+    cols6 = cols.reshape(c, r, r, ho, wo, n)
     for q in range(r):
         for t in range(r):
-            dx[:, :, q : q + sh * ho : sh, t : t + sw * wo : sw] += cols6[:, :, q, t]
-    return np.ascontiguousarray(dx[:, :, ph : ph + h, pw : pw + w])
-
+            dx[:, q : q + sh * ho : sh, t : t + sw * wo : sw] += cols6[:, q, t]
+    return np.ascontiguousarray(dx[:, ph : ph + h, pw : pw + w])

@@ -64,7 +64,7 @@ def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
     only its parameter gradients, since no one reads the gradient of the
     input batch, and the layers before it get ``{}``.
     """
-    a = x
+    a = net.first_layer_input(x)
     caches = []
     for layer in net.layers:
         a, cache = layer.forward(a, with_cache=True)

@@ -20,12 +20,13 @@ from prune_relief import (LrSpan, Network, OptimizerConfig, conv_importance,
                           fc_importance, flops_conv, flops_dense,
                           forward_backward, measure_deviation,
                           network_output_bound, prune_single_layer,
-                          select_kept, train)
+                          sample_last, select_kept, train)
 from prune_relief.cli import main
 from prune_relief.pipeline import read_history
 
 from conftest import (numeric_gradients, random_conv, random_dense, small_cnn,
                       small_mlp)
+from test_datasets import idx_images_bytes, idx_labels_bytes
 
 ALL_ACTIVATIONS = ("relu", "elu", "sigmoid", "tanh", "identity")
 
@@ -77,7 +78,7 @@ def test_01_score_rows_sum_to_one(capsys):
             h = int(rng.integers(k, k + 7))
             w = int(rng.integers(k, k + 7))
             x = rng.standard_normal((int(rng.integers(1, 5)), c_in, h, w))
-            scores = conv_importance(layer, x.astype(np.float32))
+            scores = conv_importance(layer, sample_last(x.astype(np.float32)))
         sums = scores.scores.sum(axis=1)
         dead = scores.dead_targets()
         if (~dead).any():
@@ -155,7 +156,8 @@ def test_02_select_kept_matches_oracle(capsys):
 def _bound_margins(net, layer_index, alpha, batch):
     pruned, decisions = prune_single_layer(net, layer_index, alpha, batch)
     delta, big_delta = measure_deviation(net.layers[layer_index],
-                                         pruned.layers[layer_index], batch)
+                                         pruned.layers[layer_index],
+                                         net.first_layer_input(batch))
     s = decisions.scores.totals
     kappa = decisions.selection.achieved_mass
     c = net.layers[layer_index].act.lipschitz
@@ -546,3 +548,49 @@ def test_11s_determinism_synthetic(tmp_path, capsys):
     verdict(capsys, "11-synthetic", same,
             "two same-seed runs wrote byte-identical history, best "
             "selection, and checkpoints")
+
+
+def _write_idx_splits(directory, rng, classes=3, side=12):
+    """Train and test IDX files of class-dependent blobs; returns the config
+    paths."""
+    paths = {}
+    for split, n in (("train", 96), ("test", 48)):
+        labels = np.arange(n) % classes
+        pixels = rng.integers(0, 60, size=(n, side, side))
+        for c in range(classes):
+            rows = slice(4 * c, 4 * c + 4)
+            pixels[labels == c, rows, :] += 180
+        for kind, data in (("images", idx_images_bytes(pixels)),
+                           ("labels", idx_labels_bytes(labels))):
+            path = directory / f"{split}-{kind}.idx"
+            path.write_bytes(data)
+            paths[f"{split}_{kind}"] = str(path)
+    return paths
+
+
+def test_11s_determinism_cnn_idx(tmp_path, capsys):
+    """Criterion 11's byte identity for a conv net on IDX files: the conv,
+    pool and conv-scoring code runs on every train, prune and retrain."""
+    cfg = {
+        "seed": 5,
+        "model": "cnn:conv4k3,pool2,conv6k2,pool2,fc12,fc3",
+        "dataset": {"kind": "idx",
+                    **_write_idx_splits(tmp_path, np.random.default_rng(11))},
+        "train": {"optimizer": "adam", "epochs": 3, "batch_size": 16,
+                  "lr": 1e-2, "weight_decay": 5e-4},
+        "retrain": {"optimizer": "adam", "epochs": 1, "batch_size": 16,
+                    "lr": 1e-2},
+        "prune": {"alpha_conv": 0.9, "alpha_fc": 0.9,
+                  "n_pruning_samples": 40, "iterations": 2,
+                  "drop_tolerance": 50.0},
+    }
+    out_a, _, history = _run_pipeline(cfg, tmp_path, "cnn_a")
+    out_b, _, _ = _run_pipeline(cfg, tmp_path, "cnn_b")
+    files = sorted(p.relative_to(out_a) for p in out_a.rglob("*")
+                   if p.name in ("history.jsonl", "model.json", "weights.bin"))
+    same = all((out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+               for rel in files)
+    ok = same and len(history) == 2 and history[-1].remaining_fraction < 1.0
+    verdict(capsys, "11-synthetic-cnn", ok,
+            f"two same-seed conv-net runs wrote byte-identical history and "
+            f"{len(files) - 1} checkpoint files")

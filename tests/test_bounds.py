@@ -7,7 +7,7 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           DimensionError, EmptyPruningSetError, Flatten,
                           Network, bound_report, fc_neuron_bound,
                           measure_deviation, network_output_bound,
-                          prune_single_layer, score_layer)
+                          prune_single_layer, sample_last, score_layer)
 from tests.conftest import (count_forwards_and_scores, random_dense, small_cnn,
                             small_mlp)
 
@@ -80,7 +80,8 @@ class TestHandEqualities:
         sel = decisions.selection
         assert sel.keep.tolist() == [[True, False, False]]
         assert sel.achieved_mass[0] == 0.75
-        delta, big_delta = measure_deviation(conv, pruned.layers[0], x)
+        delta, big_delta = measure_deviation(conv, pruned.layers[0],
+                                             sample_last(x))
         assert delta[0] == 1.0
         assert big_delta[0] == 1.0
         assert fc_neuron_bound(4.0, 0.75, 1.0) == 1.0
@@ -137,7 +138,7 @@ class TestMeasurement:
         conv = small_cnn(rng).layers[0]  # two input channels
         with pytest.raises(DimensionError):
             measure_deviation(conv, conv.clone(),
-                              rng.standard_normal((2, 3, 6, 6)))
+                              rng.standard_normal((3, 6, 6, 2)))
 
     def test_empty_batch(self, rng):
         layer = random_dense(rng, 6, 4)
@@ -145,7 +146,7 @@ class TestMeasurement:
             measure_deviation(layer, layer.clone(), np.zeros((0, 6)))
         conv = small_cnn(rng).layers[0]
         with pytest.raises(EmptyPruningSetError):
-            measure_deviation(conv, conv.clone(), np.zeros((0, 2, 6, 6)))
+            measure_deviation(conv, conv.clone(), np.zeros((2, 6, 6, 0)))
 
     def test_mismatched_pair(self, rng):
         a = random_dense(rng, 6, 4)
@@ -205,7 +206,8 @@ class TestRandomSatisfaction:
                 (int(rng.integers(1, 6)), c_in, hw, hw)).astype(F32)
             pruned, decisions = prune_single_layer(net, 0, alpha, x)
             delta, big_delta = measure_deviation(
-                net.layers[0], pruned.layers[0], x.astype(np.float64))
+                net.layers[0], pruned.layers[0],
+                sample_last(x.astype(np.float64)))
             s = decisions.scores.totals
             kappa = decisions.selection.achieved_mass
             c = net.layers[0].act.lipschitz

@@ -10,7 +10,8 @@ import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError,
                           EmptyPruningSetError, conv_importance, fc_importance,
-                          prune_pass, prune_single_layer, select_kept)
+                          prune_pass, prune_single_layer, sample_last,
+                          select_kept)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -93,7 +94,7 @@ class TestConvImportance:
         k = np.array([[[[1.0, -1.0], [0.0, 2.0]]]], np.float32)
         layer = ConvLayer(k, [1.0], "relu")
         x = np.array([[[[1.0, 0.0], [0.0, 1.0]]]], np.float32)
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         np.testing.assert_allclose(sc.scores, [[0.75, 0.25]], atol=1e-12)
         assert sc.totals[0] == pytest.approx(4.0)
 
@@ -103,7 +104,7 @@ class TestConvImportance:
         k = np.zeros((1, 1, 2, 2), np.float32)
         layer = ConvLayer(k, [2.0], "relu")
         x = rng.standard_normal((3, 1, 5, 5)).astype(np.float32)
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         assert sc.totals[0] == pytest.approx(2.0 * 4.0)  # sqrt(16 positions)
 
     def test_zero_kernel_scores_zero(self, rng):
@@ -111,7 +112,7 @@ class TestConvImportance:
         k[1, 2] = 0.0
         layer = ConvLayer(k, [0.1, 0.1], "relu")
         x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         assert sc.scores[1, 2] == 0.0
         assert sc.scores[0, 2] > 0.0
 
@@ -120,24 +121,24 @@ class TestConvImportance:
         k[0, 0] = 1.0
         layer = ConvLayer(k, [0.0], "relu")
         x = np.abs(rng.standard_normal((3, 2, 4, 4))).astype(np.float32) + 0.1
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         np.testing.assert_allclose(sc.scores, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rows_sum_to_one(self, rng):
         layer = random_conv(rng, 4, 6, 3)
         x = rng.standard_normal((8, 4, 9, 9)).astype(np.float32)
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         np.testing.assert_allclose(sc.scores.sum(axis=1), np.ones(6),
                                    atol=1e-5)
 
     def test_respects_stride_and_padding(self, rng):
         layer = random_conv(rng, 2, 3, 3, stride=(2, 2), padding=(1, 1))
         x = rng.standard_normal((5, 2, 8, 8)).astype(np.float32)
-        sc = conv_importance(layer, x)
+        sc = conv_importance(layer, sample_last(x))
         # output is 4x4 under these settings; a bias-only filter shows it
         bias_only = ConvLayer(np.zeros_like(layer.kernels), layer.bias.copy(),
                               "relu", (2, 2), (1, 1))
-        sc2 = conv_importance(bias_only, x)
+        sc2 = conv_importance(bias_only, sample_last(x))
         np.testing.assert_allclose(sc2.totals, np.abs(layer.bias) * 4.0,
                                    rtol=1e-6)
         assert sc.scores.shape == (3, 3)

@@ -1,16 +1,19 @@
-"""The pooling and convolution kernels against the straightforward NumPy code.
+"""The pooling and convolution kernels against straightforward NumPy code.
 
-The references below are the array-idiom versions of max pooling (argmax
-over each window, ``np.add.at`` for the gradient) and of the convolution
-backward pass (one product per sample, then a scatter-add per kernel tap).
-The layers must reproduce them bit for bit, signed zeros included, because
-run fingerprints hash the trained weights.
+The layers carry (C, H, W, N) maps; the references below are written for
+(N, C, H, W) batches and are compared through transposes. Max pooling only
+selects and routes values, so it must match the array-idiom reference (argmax
+over each window, ``np.add.at`` for the gradient) bit for bit, signed zeros
+included, and so must ``col2im``, which adds the same taps in the same order.
+The convolution's products accumulate in another order than any reference,
+so its forward and backward passes are compared with a float64 per-sample
+oracle to a tolerance set from float32 rounding.
 """
 
 import numpy as np
 import pytest
 
-from prune_relief import ConvLayer, MaxPool2D, im2col
+from prune_relief import ConvLayer, MaxPool2D, im2col, sample_first, sample_last
 from prune_relief.tensor_ops import check_stride_padding, col2im, conv_output_hw
 
 
@@ -42,6 +45,7 @@ def ref_pool_backward(x_shape, arg, d_out, window, stride):
 
 
 def ref_col2im(cols, x_shape, r, stride, padding):
+    """col2im for (N, C*r*r, Ho*Wo) columns onto an (N, C, H, W) batch."""
     n, c, h, w = x_shape
     (sh, sw), (ph, pw) = check_stride_padding(stride, padding)
     ho, wo = conv_output_hw(h, w, r, stride, padding)
@@ -50,25 +54,39 @@ def ref_col2im(cols, x_shape, r, stride, padding):
     for q in range(r):
         for t in range(r):
             dx[:, :, q : q + sh * ho : sh, t : t + sw * wo : sw] += cols6[:, :, q, t]
-    if ph or pw:
-        return dx[:, :, ph : ph + h, pw : pw + w]
-    return dx
+    return np.ascontiguousarray(dx[:, :, ph : ph + h, pw : pw + w])
 
 
-def ref_conv_backward(layer, cache, d_out):
-    x_shape, cols, z = cache
-    n = x_shape[0]
-    co = layer.out_channels
-    dz = d_out * layer.act.df(z)
-    dzm = dz.reshape(n, co, -1)  # (N, Co, L)
-    dz2 = dzm.transpose(1, 0, 2).reshape(co, -1)
-    cols2 = cols.transpose(0, 2, 1).reshape(-1, cols.shape[1])
-    dk = (dz2 @ cols2).reshape(layer.kernels.shape)
+def oracle_conv(layer, x, d_out):
+    """Forward output and gradients of a relu conv layer, one sample at a
+    time in float64, for an (N, C, H, W) batch."""
+    k = layer.kernels.astype(np.float64)
+    b = layer.bias.astype(np.float64)
+    r = layer.kernel_size
+    (sh, sw), (ph, pw) = layer.stride, layer.padding
+    x = x.astype(np.float64)
+    d_out = d_out.astype(np.float64)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = d_out.shape[2:]
+    y = np.empty(d_out.shape)
+    dk = np.zeros(k.shape)
+    db = np.zeros(b.shape)
+    dxp = np.zeros(xp.shape)
+    for n in range(x.shape[0]):
+        win = np.lib.stride_tricks.sliding_window_view(xp[n], (r, r), axis=(1, 2))
+        win = win[:, ::sh, ::sw][:, :ho, :wo]  # (C, Ho, Wo, r, r)
+        z = np.einsum("chwqt,fcqt->fhw", win, k) + b[:, None, None]
+        y[n] = np.maximum(z, 0.0)
+        dz = d_out[n] * (z > 0)
+        dk += np.einsum("fhw,chwqt->fcqt", dz, win)
+        db += dz.sum(axis=(1, 2))
+        for q in range(r):
+            for t in range(r):
+                dxp[n, :, q : q + sh * ho : sh, t : t + sw * wo : sw] += \
+                    np.einsum("fhw,fc->chw", dz, k[:, :, q, t])
     dk *= layer.kernel_mask[:, :, None, None]
-    db = dz.sum(axis=(0, 2, 3)) * layer.bias_mask
-    dcols = np.matmul(layer.kernels.reshape(co, -1).T, dzm)
-    dx = ref_col2im(dcols, x_shape, layer.kernel_size, layer.stride, layer.padding)
-    return dx, {"kernels": dk, "bias": db}
+    db *= layer.bias_mask
+    return y, dxp[:, :, ph : ph + x.shape[2], pw : pw + x.shape[3]], dk, db
 
 
 def signed_zeros(rng, a, frac):
@@ -94,6 +112,16 @@ def same_bytes(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def pool_nchw(pool, x, d_out):
+    """The pool layer's output and input gradient for (N, C, H, W) arrays,
+    run on the (C, H, W, N) maps it carries."""
+    y, cache = pool.forward(sample_last(x), with_cache=True)
+    same_bytes(pool.forward(sample_last(x)), y)
+    dx, grads = pool.backward(cache, sample_last(d_out))
+    assert grads == {}
+    return sample_first(y), sample_first(dx)
+
+
 POOLS = [
     # window, stride, map height, width
     ((2, 2), (2, 2), 8, 8),      # LeNet-5: tiles the map
@@ -110,45 +138,36 @@ class TestMaxPoolMatchesArgmax:
     def test_forward_and_backward_bytes(self, rng, window, stride, h, w):
         x = relu_maps(rng, (3, 4, h, w))
         pool = MaxPool2D(window, stride)
-        y, cache = pool.forward(x, with_cache=True)
         y_ref, arg_ref = ref_pool_forward(x, window, stride)
+        d_out = signed_zeros(rng, rng.standard_normal(y_ref.shape).astype(np.float32), 0.3)
+        y, dx = pool_nchw(pool, x, d_out)
         same_bytes(y, y_ref)
-        same_bytes(pool.forward(x), y_ref)
-        d_out = signed_zeros(rng, rng.standard_normal(y.shape).astype(np.float32), 0.3)
-        dx, grads = pool.backward(cache, d_out)
-        assert grads == {}
         same_bytes(dx, ref_pool_backward(x.shape, arg_ref, d_out, window, stride))
 
     def test_first_of_tied_maxima_gets_the_gradient(self):
         x = np.zeros((1, 1, 2, 2), np.float32)
         x[0, 0] = [[-0.0, 0.0], [0.0, -1.0]]
-        pool = MaxPool2D((2, 2))
-        y, cache = pool.forward(x, with_cache=True)
+        y, dx = pool_nchw(MaxPool2D((2, 2)), x, np.full((1, 1, 1, 1), 2.0, np.float32))
         assert y.tobytes() == np.float32(-0.0).tobytes()
-        dx, _ = pool.backward(cache, np.full((1, 1, 1, 1), 2.0, np.float32))
         np.testing.assert_array_equal(dx[0, 0], [[2.0, 0.0], [0.0, 0.0]])
 
     def test_non_finite_gradient_reaches_only_the_max(self, rng):
         x = relu_maps(rng, (2, 2, 9, 9))
-        pool = MaxPool2D((3, 3), (2, 2))
-        y, cache = pool.forward(x, with_cache=True)
-        d_out = rng.standard_normal(y.shape).astype(np.float32)
+        y_ref, arg_ref = ref_pool_forward(x, (3, 3), (2, 2))
+        d_out = rng.standard_normal(y_ref.shape).astype(np.float32)
         d_out[0, 0, 1, 1] = np.inf
         d_out[1, 1, 2, 0] = -np.inf
-        dx, _ = pool.backward(cache, d_out)
-        _, arg_ref = ref_pool_forward(x, (3, 3), (2, 2))
+        _, dx = pool_nchw(MaxPool2D((3, 3), (2, 2)), x, d_out)
         same_bytes(dx, ref_pool_backward(x.shape, arg_ref, d_out, (3, 3), (2, 2)))
         assert not np.isnan(dx).any()
 
     def test_float64_maps(self, rng):
         x = relu_maps(rng, (2, 3, 9, 9)).astype(np.float64)
-        pool = MaxPool2D((3, 3), (2, 2))
-        y, cache = pool.forward(x, with_cache=True)
         y_ref, arg_ref = ref_pool_forward(x, (3, 3), (2, 2))
+        d_out = rng.standard_normal(y_ref.shape)
+        y, dx = pool_nchw(MaxPool2D((3, 3), (2, 2)), x, d_out)
         same_bytes(y, y_ref)
-        d_out = rng.standard_normal(y.shape)
-        same_bytes(pool.backward(cache, d_out)[0],
-                   ref_pool_backward(x.shape, arg_ref, d_out, (3, 3), (2, 2)))
+        same_bytes(dx, ref_pool_backward(x.shape, arg_ref, d_out, (3, 3), (2, 2)))
 
 
 CONVS = [
@@ -161,27 +180,49 @@ CONVS = [
 ]
 
 
+def close_to(got, want):
+    """float32 results against a float64 oracle, relative to its scale."""
+    scale = max(float(np.abs(want).max()), 1e-30)
+    np.testing.assert_allclose(got, want, rtol=0, atol=2e-6 * scale)
+
+
 class TestConvBackwardMatchesPerSample:
     @pytest.mark.parametrize("n,ci,co,r,stride,padding,h,w", CONVS)
-    def test_gradient_bytes(self, rng, n, ci, co, r, stride, padding, h, w):
+    def test_float64_oracle(
+            self, rng, n, ci, co, r, stride, padding, h, w):
         kernels = rng.standard_normal((co, ci, r, r)).astype(np.float32)
         layer = ConvLayer(kernels, rng.standard_normal(co), "relu", stride, padding)
         layer.apply_mask(0, [0, ci])
         x = signed_zeros(rng, rng.standard_normal((n, ci, h, w)).astype(np.float32), 0.2)
-        y, cache = layer.forward(x, with_cache=True)
-        d_out = signed_zeros(rng, rng.standard_normal(y.shape).astype(np.float32), 0.3)
+        y, cache = layer.forward(sample_last(x), with_cache=True)
+        d_out = rng.standard_normal(y.shape).astype(np.float32)
         dx, grads = layer.backward(cache, d_out)
-        dx_ref, grads_ref = ref_conv_backward(layer, cache, d_out)
-        same_bytes(dx, dx_ref)
-        assert dx.flags.c_contiguous
-        for name in ("kernels", "bias"):
-            same_bytes(grads[name], grads_ref[name])
+        y_ref, dx_ref, dk_ref, db_ref = oracle_conv(layer, x, sample_first(d_out))
+        assert dx.shape == (ci, h, w, n) and dx.flags.c_contiguous
+        close_to(sample_first(y), y_ref)
+        close_to(sample_first(dx), dx_ref)
+        close_to(grads["kernels"], dk_ref)
+        close_to(grads["bias"], db_ref)
+        # the masked kernel and bias get exactly zero gradient
+        assert not grads["kernels"][0, 0].any() and grads["bias"][0] == 0
 
     @pytest.mark.parametrize("n,ci,co,r,stride,padding,h,w", CONVS[:4])
     def test_col2im_bytes_in_im2col_layout(self, rng, n, ci, co, r, stride,
                                            padding, h, w):
-        x_shape = (n, ci, h, w)
-        cols = im2col(np.zeros(x_shape, np.float32), r, stride, padding)
+        cols = im2col(np.zeros((ci, h, w, n), np.float32), r, stride, padding)
         c = signed_zeros(rng, rng.standard_normal(cols.shape).astype(np.float32), 0.3)
-        same_bytes(col2im(c, x_shape, r, stride, padding),
-                   np.ascontiguousarray(ref_col2im(c, x_shape, r, stride, padding)))
+        # the reference takes (N, C*r*r, Ho*Wo) columns
+        c_ref = c.reshape(c.shape[0], -1, n).transpose(2, 0, 1)
+        same_bytes(sample_first(col2im(c, (ci, h, w, n), r, stride, padding)),
+                   ref_col2im(c_ref, (n, ci, h, w), r, stride, padding))
+
+    @pytest.mark.parametrize("n,ci,co,r,stride,padding,h,w", CONVS)
+    def test_im2col_col2im_adjoint(self, rng, n, ci, co, r, stride, padding,
+                                   h, w):
+        # <im2col(x), c> == <x, col2im(c)> in float64
+        x = rng.standard_normal((ci, h, w, n))
+        cols = im2col(x, r, stride, padding)
+        c = rng.standard_normal(cols.shape)
+        lhs = float(np.sum(cols * c))
+        rhs = float(np.sum(x * col2im(c, x.shape, r, stride, padding)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)

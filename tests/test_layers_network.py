@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError, Flatten,
-                          MaxPool2D, Network)
+                          MaxPool2D, Network, sample_first, sample_last)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -125,22 +125,22 @@ class TestMasking:
     def test_fully_masked_conv_filter_is_dead(self, rng):
         layer = random_conv(rng, 3, 4, 2)
         layer.apply_mask(2, np.arange(4))  # 3 channels + bias
-        x = rng.standard_normal((5, 3, 6, 6)).astype(np.float32)
+        x = rng.standard_normal((3, 6, 6, 5)).astype(np.float32)  # (C, H, W, N)
         out = layer.forward(x)
-        np.testing.assert_array_equal(out[:, 2], np.zeros((5, 5, 5), np.float32))
+        np.testing.assert_array_equal(out[2], np.zeros((5, 5, 5), np.float32))
         # other filters unaffected by the dead one
-        assert np.any(out[:, 0] != 0)
+        assert np.any(out[0] != 0)
 
 
 class TestPoolFlatten:
     def test_maxpool_hand_example(self):
-        x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
+        x = np.arange(16, dtype=np.float32).reshape(1, 4, 4, 1)  # (C, H, W, N)
         out = MaxPool2D((2, 2), (2, 2)).forward(x)
-        np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
+        np.testing.assert_array_equal(out[0, :, :, 0], [[5, 7], [13, 15]])
 
     def test_maxpool_window_too_large(self):
         with pytest.raises(DimensionError):
-            MaxPool2D((3, 3)).forward(np.zeros((1, 1, 2, 2), np.float32))
+            MaxPool2D((3, 3)).forward(np.zeros((1, 2, 2, 1), np.float32))
 
     def test_flatten_round_trip(self, rng):
         x = rng.standard_normal((3, 2, 4, 5)).astype(np.float32)
@@ -159,8 +159,18 @@ class TestNetworkForward:
         logits, trace = net.forward(x, capture=True)
         np.testing.assert_array_equal(plain, logits)
         assert len(trace.batches) == len(net.layers) + 1
-        np.testing.assert_array_equal(trace.batches[0], x)
+        # the first layer is a conv layer, so its input is (C, H, W, N)
+        np.testing.assert_array_equal(trace.batches[0], sample_last(x))
         np.testing.assert_array_equal(trace.logits, logits)
+
+    def test_spatial_exit_is_batch_first(self, rng):
+        conv = random_conv(rng, 2, 3, 3)
+        net = Network([conv], (2, 6, 6), 3, strict=False)
+        x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
+        out, trace = net.forward(x, capture=True)
+        assert out.shape == (4, 3, 4, 4) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, sample_first(conv.forward(sample_last(x))))
+        np.testing.assert_array_equal(trace.logits, out)
 
     def test_trace_entries_feed_next_layer(self, rng):
         net = small_mlp(rng, (6, 5, 4, 2))

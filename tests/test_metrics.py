@@ -277,7 +277,7 @@ class TestKeptConnectionScores:
 
     def test_rejects_non_prunable_and_bad_shape(self, rng):
         net = small_cnn(rng)
-        x = rng.standard_normal((2, 2, 6, 6)).astype(F32)
+        x = rng.standard_normal((2, 6, 6, 2)).astype(F32)  # (C, H, W, N)
         with pytest.raises(ValueError):
             kept_connection_scores(net, {1: None})  # pool layer
         wrong = score_layer(net.layers[0], x)
@@ -327,7 +327,7 @@ class TestHeatmapExport:
     def test_conv_rejected(self, rng, tmp_path):
         net = small_cnn(rng)
         conv = net.layers[0]
-        scores = score_layer(conv, rng.standard_normal((2, 2, 6, 6)).astype(F32))
+        scores = score_layer(conv, rng.standard_normal((2, 6, 6, 2)).astype(F32))
         with pytest.raises(CapabilityError):
             export_heatmaps(conv, scores, tmp_path / "s.csv", tmp_path / "m.csv")
 

@@ -6,7 +6,8 @@ import zlib
 import numpy as np
 import pytest
 
-from prune_relief import FormatError, load_model, save_model
+from prune_relief import (FormatError, build_network, init_params, load_model,
+                          save_model)
 from tests.conftest import small_cnn, small_mlp
 
 
@@ -53,6 +54,44 @@ class TestRoundTrip:
         loaded = load_model(tmp_path / "ckpt")
         x = rng.standard_normal((3, 2, 6, 6)).astype(np.float32)
         np.testing.assert_array_equal(net.forward(x), loaded.forward(x))
+
+    def test_lenet5_logits_match_batch_first_reference(self, rng, tmp_path):
+        # Flatten must hand the fc layers (c, h, w)-ordered features
+        # whatever layout the conv stack carries, or a checkpoint's fc
+        # weights would read the wrong inputs
+        net = build_network("lenet5", (1, 28, 28), 10)
+        init_params(net, 5)
+        net.layers[0].apply_mask(3, [0])
+        net.layers[2].apply_mask(np.arange(10)[:, None], [1, 4, 7])
+        net.layers[5].apply_mask(7, rng.choice(801, 300, replace=False))
+        save_model(net, tmp_path / "ckpt")
+        loaded = load_model(tmp_path / "ckpt")
+        x = rng.random((6, 1, 28, 28)).astype(np.float32)
+        logits = loaded.forward(x)
+        want = reference_logits(net, x)
+        np.testing.assert_allclose(logits, want, rtol=0,
+                                   atol=1e-5 * np.abs(want).max())
+        np.testing.assert_array_equal(logits.argmax(axis=1), want.argmax(axis=1))
+
+
+def reference_logits(net, x):
+    """A batch-first float64 forward of a stride-1, unpadded conv net with
+    2 x 2 pools, written without the package's layers."""
+    a = x.astype(np.float64)
+    for layer in net.layers:
+        if layer.kind == "conv":
+            r = layer.kernel_size
+            win = np.lib.stride_tricks.sliding_window_view(a, (r, r), axis=(2, 3))
+            a = np.einsum("nchwqt,fcqt->nfhw", win, layer.kernels.astype(np.float64))
+            a = layer.act.f(a + layer.bias[:, None, None])
+        elif layer.kind == "maxpool":
+            n, c, h, w = a.shape
+            a = a.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+        elif layer.kind == "flatten":
+            a = a.reshape(a.shape[0], -1)
+        else:
+            a = layer.act.f(a @ layer.weights.T.astype(np.float64) + layer.bias)
+    return a
 
 
 def _corrupt(path, mutate):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError,
-                          conv_output_hw, im2col)
+                          conv_output_hw, im2col, sample_first, sample_last)
 from prune_relief.tensor_ops import col2im
 
 
@@ -13,7 +13,7 @@ def conv_batch(x, kernels, bias, stride=(1, 1), padding=(0, 0)):
     layer with identity units, in the kernels' dtype."""
     k = np.asarray(kernels)
     layer = ConvLayer(k, bias, "identity", stride, padding, dtype=k.dtype)
-    return layer.forward(np.asarray(x, dtype=k.dtype))
+    return sample_first(layer.forward(sample_last(np.asarray(x, dtype=k.dtype))))
 
 
 def conv2d(x, kernels, bias, stride=(1, 1), padding=(0, 0)):
@@ -161,22 +161,23 @@ class TestConv2d:
 class TestIm2col:
     def test_round_trip_against_direct(self, rng):
         # lowering then contracting must equal the definition of conv
-        x = rng.standard_normal((2, 3, 5, 5))
+        x = rng.standard_normal((3, 5, 5, 2))  # (C, H, W, N)
         k = rng.standard_normal((4, 3, 2, 2))
         cols = im2col(x, 2, (1, 1), (0, 0))
-        got = np.matmul(k.reshape(4, -1), cols).reshape(2, 4, 4, 4)
-        want = np.empty((2, 4, 4, 4))
+        assert cols.shape == (3 * 2 * 2, 4 * 4 * 2)
+        got = np.matmul(k.reshape(4, -1), cols).reshape(4, 4, 4, 2)
+        want = np.empty((4, 4, 4, 2))
         for n in range(2):
             for f in range(4):
                 for i in range(4):
                     for j in range(4):
-                        want[n, f, i, j] = np.sum(
-                            x[n, :, i:i + 2, j:j + 2] * k[f])
+                        want[f, i, j, n] = np.sum(
+                            x[:, i:i + 2, j:j + 2, n] * k[f])
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_col2im_is_adjoint(self, rng):
         # <im2col(x), c> == <x, col2im(c)> for random c: defines the adjoint
-        x = rng.standard_normal((2, 2, 6, 6))
+        x = rng.standard_normal((2, 6, 6, 2))  # (C, H, W, N)
         cols = im2col(x, 3, (2, 2), (1, 1))
         c = rng.standard_normal(cols.shape)
         lhs = float(np.sum(cols * c))

@@ -142,7 +142,7 @@ class TestGradients:
 
 def full_backward(net, x, labels):
     """Every layer's gradients from a backward pass that runs to the input."""
-    a, caches = x, []
+    a, caches = net.first_layer_input(x), []
     for layer in net.layers:
         a, cache = layer.forward(a, with_cache=True)
         caches.append(cache)
@@ -174,7 +174,7 @@ class TestBackwardStopsAtFirstParameters:
     def test_first_layer_skips_input_gradient(self, rng):
         for layer, x in ((random_dense(rng, 5, 4), rng.standard_normal((3, 5))),
                          (random_conv(rng, 2, 3, 3),
-                          rng.standard_normal((3, 2, 6, 6)))):
+                          rng.standard_normal((2, 6, 6, 3)))):
             y, cache = layer.forward(x.astype(np.float32), with_cache=True)
             dx, grads = layer.backward(cache, np.ones_like(y),
                                        input_grad=False)
