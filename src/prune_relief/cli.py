@@ -24,8 +24,8 @@ from .layers import DenseLayer
 from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
 from .model_io import load_model, save_model
-from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, draw_pruning_set,
-                       iterate, read_history, select_best)
+from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, check_alpha,
+                       draw_pruning_set, iterate, read_history, select_best)
 from .svg import write_line_chart
 from .training import evaluate, init_params, train
 
@@ -196,8 +196,10 @@ def cmd_bounds(args) -> int:
             f"layer {layer_index} is not prunable; prunable layers are "
             f"{net.prunable_indices()}")
     kind = net.layers[layer_index].kind
-    alpha = args.alpha if args.alpha is not None else (
-        cfg.prune.alpha_fc if kind == "dense" else cfg.prune.alpha_conv)
+    if args.alpha is not None:
+        alpha = check_alpha("--alpha", args.alpha)
+    else:
+        alpha = cfg.prune.alpha_fc if kind == "dense" else cfg.prune.alpha_conv
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     report = bound_report(net, layer_index, alpha, batch)

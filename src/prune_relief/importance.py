@@ -18,7 +18,10 @@ Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
 keep matrix of the same shape with one prefix length, threshold and achieved
 mass per target, and the layer masks every dropped (target, contributor)
-pair in a single ``apply_mask`` call.
+pair in a single ``apply_mask`` call. Selection reads each row's scores
+sorted by value, with no ranking of indices: tied scores are equal, so the
+order they sort in changes neither the running mass nor the threshold, and
+every contributor tied at the threshold is kept.
 
 Dense layer, contributor i of target j:
 
@@ -175,32 +178,39 @@ def select_kept(scores, alpha: float) -> Selection:
     """Choose which contributors survive at threshold ``alpha``, row by row.
 
     Selection runs along the last axis, so one call covers a whole layer's
-    score matrix. In each row, contributors are ranked by descending score
-    (ties broken by ascending index) and the shortest prefix whose mass
-    reaches ``alpha`` sets the score threshold; everything scoring strictly
-    below it is pruned, so ties at the threshold are kept. ``alpha`` is
-    capped at the row's total mass, which makes alpha = 1.0 prune exactly the
-    zero-score contributors. A dead row (all scores zero) prunes everything.
+    score matrix. In each row, the shortest prefix of the scores sorted in
+    descending order whose mass reaches ``alpha`` sets the score threshold;
+    everything scoring strictly below it is pruned, so ties at the threshold
+    are kept. ``alpha`` is capped at the row's total mass, which makes
+    alpha = 1.0 prune exactly the zero-score contributors. A dead row (all
+    scores zero) prunes everything.
+
+    Only the sorted values are needed, never the ranking: tied scores are
+    equal whatever order they come in, so the running mass, the prefix
+    length and the threshold are the same for any ordering of ties.
     """
     s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
     if s.shape[-1] == 0:
         raise DimensionError("select_kept needs at least one score per row")
-    if np.any(s < 0):
+    if not np.all(s >= 0):  # also rejects NaN
         raise ValueError("scores must be non-negative")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     lead = s.shape[:-1]
     rows = s.reshape(-1, s.shape[-1])
-    # a stable sort of -s ranks by descending score, ties by ascending index
-    order = np.argsort(-rows, axis=1, kind="stable")
-    cum = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    # negating is exact, so sorting -rows in place gives the descending
+    # values in one float64 copy
+    desc = np.negative(rows)
+    desc.sort(axis=1)
+    np.negative(desc, out=desc)
+    cum = np.cumsum(desc, axis=1)
     total = cum[:, -1:]
     live = total[:, 0] > 0
     # cum never decreases, so the shortest prefix reaching min(alpha, total)
     # ends one past the entries still short of it
     p0 = np.count_nonzero(cum < np.minimum(alpha, total), axis=1) + 1
-    last = np.take_along_axis(order, p0[:, None] - 1, axis=1)
-    threshold = np.take_along_axis(rows, last, axis=1)[:, 0]  # 0 if dead
+    last = np.take_along_axis(desc, p0[:, None] - 1, axis=1)[:, 0]
+    threshold = np.where(live, last, 0.0)
     keep = (rows >= threshold[:, None]) & live[:, None]
     return Selection(
         keep=keep.reshape(s.shape),

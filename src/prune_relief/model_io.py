@@ -4,6 +4,8 @@ A checkpoint is a directory holding ``model.json`` (architecture plus a tensor
 manifest) and ``weights.bin`` (raw little-endian float32 parameter blobs in
 manifest order, followed by the masks as uint8 0/1). Every blob records its
 byte offset, length, and CRC32 so loads can reject torn or tampered files.
+A parameter tensor holding NaN or infinity is rejected too, even under a
+valid CRC: no command could give a meaningful result from it.
 Round-tripping a network through save/load is bit-exact.
 """
 
@@ -128,6 +130,8 @@ def _extract(blob: bytes, rec: dict, path: Path) -> np.ndarray:
         raise FormatError(f"tensor {name}: CRC32 mismatch, file is corrupt")
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if kind == _FLOAT:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"tensor {name}: holds non-finite values")
         return arr.astype(np.float32, copy=True)
     return arr.copy()
 

@@ -33,6 +33,13 @@ PURPOSE_RETRAIN = 3
 PURPOSE_REINIT = 4
 
 
+def check_alpha(name: str, alpha: float) -> float:
+    """``alpha`` itself, or ConfigError unless it lies in (0, 1]."""
+    if not 0 < alpha <= 1:  # NaN fails the comparison too
+        raise ConfigError(f"{name} must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 @dataclass
 class PruneConfig:
     alpha_conv: float = 0.9
@@ -46,9 +53,7 @@ class PruneConfig:
 
     def validate(self) -> "PruneConfig":
         for name in ("alpha_conv", "alpha_fc"):
-            a = getattr(self, name)
-            if not 0 < a <= 1:
-                raise ConfigError(f"{name} must lie in (0, 1], got {a}")
+            check_alpha(name, getattr(self, name))
         if self.n_pruning_samples < 1:
             raise ConfigError(f"n_pruning_samples must be >= 1, got "
                               f"{self.n_pruning_samples}")

@@ -17,6 +17,7 @@ from prune_relief.cli import main
 from prune_relief.pipeline import read_history
 from tests.conftest import count_forwards_and_scores
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
+from tests.test_model_io import set_f32
 
 
 def write_config(path, out=None, **overrides):
@@ -305,6 +306,32 @@ class TestFailureModes:
         blob.write_bytes(blob.read_bytes()[:7])
         assert main(["eval", "--config", str(cfg2)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,ckpt", [
+        ("eval", "best"), ("bounds", "model"), ("prune", "initial")])
+    def test_non_finite_weight_exit_3(self, run, tmp_path, capsys, command,
+                                      ckpt):
+        # a CRC-valid checkpoint whose weight is NaN; prune loads initial/
+        # to reinitialize from it
+        cfg2, out2 = copy_run(run, tmp_path)
+        set_f32(out2 / ckpt, "layers.1.weights", 0, np.nan)
+        argv = [command, "--config", str(cfg2)]
+        if command == "bounds":
+            argv += ["--layer", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "tensor layers.1.weights: holds non-finite values" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.2", "nan"])
+    def test_bounds_alpha_out_of_range_exit_2(self, run, tmp_path, capsys,
+                                              alpha):
+        cfg2, _ = copy_run(run, tmp_path)
+        argv = ["bounds", "--config", str(cfg2), "--layer", "1",
+                "--alpha", alpha]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--alpha must lie in (0, 1]" in err and "Traceback" not in err
 
     def test_corrupt_baseline_exit_3(self, run, tmp_path, capsys):
         cfg2, out2 = copy_run(run, tmp_path)

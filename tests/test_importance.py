@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError,
-                          EmptyPruningSetError, conv_importance, fc_importance,
-                          prune_pass, prune_single_layer, sample_last,
-                          select_kept)
+                          EmptyPruningSetError, Selection, conv_importance,
+                          fc_importance, prune_pass, prune_single_layer,
+                          sample_last, select_kept)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -211,6 +211,12 @@ class TestSelectKept:
         with pytest.raises(ValueError):
             select_kept([0.5, -0.1], 0.9)
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            select_kept([0.5, np.nan, 0.2], 0.9)
+        with pytest.raises(ValueError, match="non-negative"):
+            select_kept(np.full((2, 3), np.nan), 1.0)
+
     def test_matches_oracle_on_random_rows(self, rng):
         alphas = [0.5, 0.7, 0.9, 0.95, 0.99, 1.0]
         for _ in range(300):
@@ -264,6 +270,63 @@ class TestSelectKept:
             kept_sizes = [select_kept(row, a).kept.size
                           for a in (0.3, 0.6, 0.9, 1.0)]
             assert kept_sizes == sorted(kept_sizes)
+
+
+def argsort_select(scores, alpha):
+    """Reference selection by a stable argsort of the negated rows, ranking
+    ties by ascending index. ``select_kept`` reads only the sorted values and
+    must give the same fields byte for byte."""
+    s = np.atleast_1d(np.asarray(scores, dtype=np.float64))
+    lead = s.shape[:-1]
+    rows = s.reshape(-1, s.shape[-1])
+    order = np.argsort(-rows, axis=1, kind="stable")
+    cum = np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1)
+    total = cum[:, -1:]
+    live = total[:, 0] > 0
+    p0 = np.count_nonzero(cum < np.minimum(alpha, total), axis=1) + 1
+    last = np.take_along_axis(order, p0[:, None] - 1, axis=1)
+    threshold = np.take_along_axis(rows, last, axis=1)[:, 0]
+    keep = (rows >= threshold[:, None]) & live[:, None]
+    return Selection(
+        keep=keep.reshape(s.shape),
+        prefix_len=np.where(live, p0, 0).reshape(lead)[()],
+        threshold=threshold.reshape(lead)[()],
+        achieved_mass=np.where(keep, rows, 0.0).sum(axis=1).reshape(lead)[()])
+
+
+def selection_cases(rng):
+    """Score arrays of every kind selection meets, rows summing to one or
+    (mass below alpha) to less."""
+    def normalized(s, mass=1.0):
+        return mass * s / np.maximum(s.sum(axis=-1, keepdims=True), 1e-300)
+
+    cases = []
+    for _ in range(40):
+        t, m = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        mass = float(rng.choice([1.0, 0.92, 0.5]))
+        random = rng.random((t, m))
+        ties = rng.integers(0, 5, size=(t, m)).astype(np.float64)
+        zeros = random * (rng.random((t, m)) < 0.4)
+        dead = rng.integers(0, 3, size=(t, m)).astype(np.float64)
+        dead[rng.random(t) < 0.5] = 0.0
+        cases += [normalized(c, mass) for c in (random, ties, zeros, dead)]
+    cases += [normalized(rng.random(17)), normalized(rng.integers(0, 3, 12)),
+              np.zeros(5), np.array([1.0]), np.array([0.25] * 4)]
+    cube = normalized(rng.integers(0, 4, size=(2, 3, 9)).astype(np.float64))
+    cube[1, 2] = 0.0
+    return cases + [cube, normalized(rng.random((3, 4, 6)))]
+
+
+class TestSelectKeptMatchesArgsortSelection:
+    @pytest.mark.parametrize("alpha", [0.3, 0.9, 0.95, 1.0])
+    def test_fields_byte_identical(self, rng, alpha):
+        for s in selection_cases(rng):
+            got, want = select_kept(s, alpha), argsort_select(s, alpha)
+            for field in ("keep", "prefix_len", "threshold", "achieved_mass"):
+                a = np.asarray(getattr(got, field))
+                b = np.asarray(getattr(want, field))
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+                assert a.tobytes() == b.tobytes(), (field, s)
 
 
 class TestPrunePass:

@@ -103,6 +103,19 @@ def _corrupt(path, mutate):
     (path / "weights.bin").write_bytes(bytes(blob))
 
 
+def set_f32(path, tensor, flat_index, value):
+    """Overwrite one float32 of ``tensor`` in the checkpoint at ``path`` and
+    fix up the tensor's CRC32, so only a check of the values can catch it."""
+    def mutate(m, b):
+        rec = next(t for t in m["tensors"] if t["name"] == tensor)
+        pos = rec["offset"] + 4 * flat_index
+        b[pos:pos + 4] = np.float32(value).tobytes()
+        rec["crc32"] = zlib.crc32(
+            bytes(b[rec["offset"]:rec["offset"] + rec["nbytes"]]))
+        return m, b
+    _corrupt(path, mutate)
+
+
 class TestRejection:
     @pytest.fixture
     def ckpt(self, rng, tmp_path):
@@ -139,19 +152,19 @@ class TestRejection:
             load_model(ckpt)
 
     def test_masked_nonzero_weight_rejected(self, ckpt):
-        # write a nonzero f32 into a masked slot and fix up the CRC so only
-        # the value invariant can catch it
-        def mutate(m, b):
-            rec = next(t for t in m["tensors"]
-                       if t["name"] == "layers.0.weights")
-            cols = m["layers"][0]["in"]
-            pos = rec["offset"] + (0 * cols + 1) * 4  # weights[0, 1] is masked
-            b[pos:pos + 4] = np.float32(7.5).tobytes()
-            raw = bytes(b[rec["offset"]:rec["offset"] + rec["nbytes"]])
-            rec["crc32"] = zlib.crc32(raw)
-            return m, b
-        _corrupt(ckpt, mutate)
+        # a nonzero f32 in a masked slot under a valid CRC: only the value
+        # invariant can catch it
+        set_f32(ckpt, "layers.0.weights", 1, 7.5)  # weights[0, 1] is masked
         with pytest.raises(FormatError, match="masked weights"):
+            load_model(ckpt)
+
+    @pytest.mark.parametrize("tensor,value", [
+        ("layers.0.weights", np.nan), ("layers.0.bias", np.inf),
+        ("layers.1.weights", -np.inf)])
+    def test_non_finite_value_rejected(self, ckpt, tensor, value):
+        set_f32(ckpt, tensor, 0, value)
+        with pytest.raises(FormatError,
+                           match=f"tensor {tensor}: holds non-finite values"):
             load_model(ckpt)
 
     def test_wrong_format_name(self, ckpt):
