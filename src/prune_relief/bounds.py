@@ -20,6 +20,9 @@ pruning set and one scoring of the pruned layer give the masks, the signal
 totals S(l) that every bound takes, and the layer inputs the deviations are
 measured on. ``measure_deviation`` runs both layers of a pair through their
 own ``forward``, so the measured layer is the one the network evaluates.
+Conv pairs run one chunk of samples at a time, whose columns fit
+``tensor_ops.COLUMN_BUDGET``, so the measurement holds the same memory
+whatever the pruning-set size; dense pairs run the whole set in one product.
 
 All measurement and bound arithmetic here runs in float64: bounds compared
 against measurements at 1e-5 tolerances should not inherit float32
@@ -32,6 +35,7 @@ from .errors import CapabilityError, DimensionError, EmptyPruningSetError
 from .importance import _as_input_batch, _mask_copy, score_network
 from .layers import ConvLayer, DenseLayer
 from .network import Network
+from .tensor_ops import sample_chunks
 
 
 def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
@@ -65,7 +69,9 @@ def measure_deviation(before, after, inputs):
     ``forward`` on the same inputs in float64. ``inputs`` are in the layers'
     layout: (N, features) for dense, (C, H, W, N) maps for conv layers.
     Dense targets report the mean |delta z|, conv filters the mean Frobenius
-    norm of the difference over their output map.
+    norm of the difference over their output map. Conv pairs run one chunk
+    of samples at a time, whose columns fit ``COLUMN_BUDGET``, collect each
+    sample's norms and take one mean over them.
     """
     if type(before) is not type(after) \
             or not isinstance(before, (DenseLayer, ConvLayer)):
@@ -77,27 +83,42 @@ def measure_deviation(before, after, inputs):
             raise DimensionError(
                 f"layer pair differs in {name} shape: {pb[name].shape} vs "
                 f"{pa[name].shape}")
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs)
     conv = isinstance(before, ConvLayer)
     # rejects a wrongly shaped batch
-    before.output_shape(x.shape[:-1] if conv else x.shape[1:])
+    out_shape = before.output_shape(x.shape[:-1] if conv else x.shape[1:])
     if x.shape[-1 if conv else 0] == 0:
         raise EmptyPruningSetError("deviation measurement needs samples")
-    zb, yb = _pre_and_post(before, x)
-    za, ya = _pre_and_post(after, x)
-    return _mean_norm(zb, za), _mean_norm(yb, ya)
+    if not conv:
+        x = np.asarray(x, dtype=np.float64)
+        zb, yb = _pre_and_post(before, x)
+        za, ya = _pre_and_post(after, x)
+        return _mean_abs(zb, za), _mean_abs(yb, ya)
+    n = x.shape[-1]
+    co, ho, wo = out_shape
+    pre, post = np.empty((co, n)), np.empty((co, n))
+    column_bytes = before.in_channels * before.kernel_size ** 2 * 8
+    for s0, s1 in sample_chunks(n, ho * wo, column_bytes):
+        xc = x[..., s0:s1].astype(np.float64)
+        zb, yb = _pre_and_post(before, xc)
+        za, ya = _pre_and_post(after, xc)
+        pre[:, s0:s1] = _frobenius(zb, za)
+        post[:, s0:s1] = _frobenius(yb, ya)
+    return pre.mean(axis=1), post.mean(axis=1)
 
 
-def _mean_norm(a, b):
-    """Mean over samples of each target's |a - b| for (N, targets) arrays,
-    or of its Frobenius norm over the (H, W) axes of (targets, H, W, N) conv
-    maps. The difference is squared in place: at the bound commands' sizes
-    each conv map array is tens of MB."""
+def _mean_abs(a, b):
+    """Mean over samples of each target's |a - b| for (N, targets) arrays."""
     d = a - b
-    if d.ndim == 2:
-        return np.abs(d, out=d).mean(axis=0)
+    return np.abs(d, out=d).mean(axis=0)
+
+
+def _frobenius(a, b):
+    """Per-sample Frobenius norm of each target's a - b over the (H, W) axes
+    of (targets, H, W, n) conv maps: a (targets, n) array."""
+    d = a - b
     d *= d
-    return np.sqrt(d.sum(axis=(1, 2))).mean(axis=1)
+    return np.sqrt(d.sum(axis=(1, 2)))
 
 
 def network_output_bound(net: Network, layer_index: int, alpha: float,

@@ -38,7 +38,10 @@ own stride and padding):
 
 where (*) is the layer's convolution applied to the absolute input channel
 with the absolute kernel. Score accumulation runs in float64 regardless of
-the network dtype.
+the network dtype. The conv numerators take one input channel and one chunk
+of samples at a time, whose columns fit ``tensor_ops.COLUMN_BUDGET``: each
+sample's norms go into one (filters, samples) array and the mean over
+samples is taken once, so the scores are the bytes a whole-set pass gives.
 """
 
 from dataclasses import dataclass
@@ -48,7 +51,7 @@ import numpy as np
 from .errors import DimensionError, EmptyPruningSetError
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import conv_output_hw, im2col
+from .tensor_ops import conv_output_hw, im2col, sample_chunks
 
 
 @dataclass
@@ -159,16 +162,18 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     # equality-tight bounds are checked against
     khat = np.abs(layer.kernels).astype(np.float64)
     numer = np.empty((co, ci), dtype=np.float64)
-    # one float64 product per input channel, over that channel's columns
-    # only: the columns of every channel at once would take ci times the
-    # memory (51 MB for LeNet-5's second conv at 200 samples, 256 MB at
-    # 1000) and raise the peak memory of the bounds and prune commands
+    norms = np.empty((co, n), dtype=np.float64)
+    # one float64 product per input channel and chunk of samples, over that
+    # channel's columns only: the columns of every channel and sample at
+    # once would take 256 MB for LeNet-5's second conv at 1000 samples
+    chunks = sample_chunks(n, ho * wo, r * r * 8)
     for i in range(ci):
-        xi = np.abs(x[i : i + 1]).astype(np.float64)
-        cols = im2col(xi, r, layer.stride, layer.padding)
-        maps = np.matmul(khat[:, i].reshape(co, -1), cols)  # (Co, Ho*Wo*N)
-        np.square(maps, out=maps)
-        norms = np.sqrt(maps.reshape(co, ho * wo, n).sum(axis=1))  # (Co, N)
+        ki = khat[:, i].reshape(co, -1)
+        for s0, s1 in chunks:
+            xi = np.abs(x[i : i + 1, :, :, s0:s1]).astype(np.float64)
+            maps = np.matmul(ki, im2col(xi, r, layer.stride, layer.padding))
+            np.square(maps, out=maps)  # (Co, Ho*Wo*n)
+            norms[:, s0:s1] = np.sqrt(maps.reshape(co, ho * wo, -1).sum(axis=1))
         numer[:, i] = norms.mean(axis=1)
     bias_numer = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
     return _normalize(numer, bias_numer)

@@ -26,13 +26,20 @@ batch with :func:`sample_last` when its first layer is spatial, and a
 ``Flatten`` that follows a spatial layer turns (C, H, W, N) maps into
 (N, C*H*W) rows in (c, h, w) feature order, the order of the batch-first
 layout, so dense weights do not depend on the layout.
+
+Column memory: a conv forward with a cache lowers the whole batch, since
+``backward`` reads those columns. Without a cache it lowers one band of
+output rows at a time within ``tensor_ops.COLUMN_BUDGET`` and writes each
+band's activations into the output, so inference holds the same columns
+whatever the batch size, and gives the same bytes as the cached forward.
 """
 
 import numpy as np
 
 from .activations import get_activation
 from .errors import DimensionError
-from .tensor_ops import check_stride_padding, col2im, conv_output_hw, im2col
+from .tensor_ops import (check_stride_padding, col2im, conv_output_hw, im2col,
+                         pad_maps, row_bands)
 
 
 SPATIAL_KINDS = ("conv", "maxpool")
@@ -259,21 +266,39 @@ class ConvLayer(_MaskedLayer):
         return self.out_channels
 
     def forward(self, x, with_cache=False):
+        """Lower the whole batch when keeping a cache, whose columns the
+        weight gradient reads; without one, lower one band of output rows
+        at a time, each band's columns within ``COLUMN_BUDGET``, and write
+        each band's activations into the preallocated output."""
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer with {self.in_channels} input channels got "
                 f"(C, H, W, N) maps of shape {x.shape}"
             )
-        r = self.kernel_size
+        r, co, n = self.kernel_size, self.out_channels, x.shape[3]
         ho, wo = conv_output_hw(x.shape[1], x.shape[2], r, self.stride, self.padding)
-        cols = im2col(x, r, self.stride, self.padding)
+        bands = [(0, ho)] if with_cache else \
+            row_bands(ho, wo, n, self.in_channels * r * r * x.itemsize)
+        if len(bands) == 1:
+            cols = im2col(x, r, self.stride, self.padding)
+            z = self._pre_activation(cols).reshape(co, ho, wo, n)
+            y = self.act.f(z)
+            if with_cache:
+                return y, (x.shape, cols, z)
+            return y
+        xp = pad_maps(x, self.padding)
+        sh = self.stride[0]
+        y = np.empty((co, ho, wo, n), dtype=np.result_type(self.kernels, x))
+        for h0, h1 in bands:
+            cols = im2col(xp[:, h0 * sh : (h1 - 1) * sh + r], r, self.stride, 0)
+            z = self._pre_activation(cols)
+            y[:, h0:h1] = self.act.f(z).reshape(co, h1 - h0, wo, n)
+        return y
+
+    def _pre_activation(self, cols):
         z = np.matmul(self.kernels.reshape(self.out_channels, -1), cols)
         z += self.bias[:, None]
-        z = z.reshape(self.out_channels, ho, wo, x.shape[3])
-        y = self.act.f(z)
-        if with_cache:
-            return y, (x.shape, cols, z)
-        return y
+        return z
 
     def backward(self, cache, d_out, input_grad=True):
         x_shape, cols, z = cache

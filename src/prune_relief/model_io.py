@@ -99,6 +99,12 @@ def _read_manifest(path: Path) -> dict:
     if manifest.get("version") != FORMAT_VERSION:
         raise FormatError(f"{mpath} has version {manifest.get('version')!r}, "
                           f"expected {FORMAT_VERSION}")
+    for key in ("layers", "tensors"):
+        records = manifest.get(key)
+        if not isinstance(records, list) \
+                or not all(isinstance(r, dict) for r in records):
+            raise FormatError(f"{mpath}: {key!r} must be a list of JSON "
+                              f"objects")
     return manifest
 
 
@@ -143,14 +149,17 @@ def load_model(path) -> Network:
     if not bpath.is_file():
         raise FormatError(f"{bpath} does not exist")
     blob = bpath.read_bytes()
-    total = sum(int(t.get("nbytes", 0)) for t in manifest.get("tensors", []))
+    try:
+        total = sum(int(t.get("nbytes", 0)) for t in manifest["tensors"])
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"malformed tensor record in {path}: {e}") from e
     if total != len(blob):
         raise FormatError(f"{bpath} holds {len(blob)} bytes but the manifest "
                           f"declares {total}")
     tensors = {}
-    for rec in manifest.get("tensors", []):
+    for rec in manifest["tensors"]:
         arr = _extract(blob, rec, path)
-        tensors[rec["name"]] = arr
+        tensors[str(rec["name"])] = arr
 
     def take(name, expect_shape=None):
         if name not in tensors:
@@ -163,7 +172,7 @@ def load_model(path) -> Network:
 
     layers = []
     try:
-        for i, rec in enumerate(manifest.get("layers", [])):
+        for i, rec in enumerate(manifest["layers"]):
             kind = rec.get("kind")
             if kind == "dense":
                 o, n = int(rec["out"]), int(rec["in"])

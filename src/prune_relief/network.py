@@ -82,17 +82,20 @@ class Network:
         """Run the batch through every layer; optionally keep all activations.
 
         Returns logits, or ``(logits, ActivationTrace)`` when capturing. The
-        computed values are identical either way; capture only retains them.
+        computed values are identical either way; capture only retains them,
+        and without it each layer's input is freed once the next layer has
+        run.
         """
         x = self.first_layer_input(batch)
-        batches = [x]
+        batches = []
         for layer in self.layers:
+            if capture:
+                batches.append(x)
             x = layer.forward(x)
-            batches.append(x)
         if self.layers[-1].kind in SPATIAL_KINDS:
-            x = batches[-1] = sample_first(x)
+            x = sample_first(x)
         if capture:
-            return x, ActivationTrace(batches)
+            return x, ActivationTrace(batches + [x])
         return x
 
     def prunable_indices(self) -> list[int]:

@@ -121,7 +121,11 @@ def read_history(path) -> list[IterationReport]:
         if not line.strip():
             continue
         try:
-            reports.append(IterationReport.from_json_dict(json.loads(line)))
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got "
+                                 f"{type(record).__name__}")
+            reports.append(IterationReport.from_json_dict(record))
         except (ValueError, KeyError) as e:
             raise FormatError(f"{path}:{ln}: malformed history line: {e}") from e
     for i, r in enumerate(reports, 1):

@@ -7,7 +7,19 @@ zero padding: it lowers patches to (C*r*r, Ho*Wo*N) columns with
 :func:`im2col`, so the forward pass is one 2-D matrix product, the weight
 gradient reads the columns as a transposed operand, and :func:`col2im`, the
 adjoint, adds the input gradient's columns back into a (C, H, W, N) map.
+
+Only training keeps a whole batch's columns, which its weight gradient reads.
+Conv work that keeps no backward cache (inference, importance scoring,
+deviation measurement) lowers at most :data:`COLUMN_BUDGET` bytes of columns
+at a time: the inference forward one band of output rows at a time
+(:func:`row_bands`), scoring and measurement one chunk of samples at a time
+(:func:`sample_chunks`). Both give the same bytes as lowering everything at
+once: the parts span whole tiles of :data:`COLUMN_TILE` columns and, at
+LeNet-5's shapes, hundreds of columns or more, and the per-sample reductions
+run in the same order.
 """
+
+import math
 
 import numpy as np
 
@@ -43,6 +55,74 @@ def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
     return (h + 2 * ph - r) // sh + 1, (w + 2 * pw - r) // sw + 1
 
 
+COLUMN_BUDGET = 4 << 20
+"""Bytes of patch columns that conv work without a backward cache lowers at
+once. A band holds at least one output row and a chunk at least two samples
+(and one tile of columns), so a layer whose smallest part exceeds the budget
+goes over it."""
+
+COLUMN_TILE = 16
+"""Every band or chunk but the last spans a multiple of this many columns.
+With OpenBLAS on x86-64, a column keeps its bits in a narrower product when
+the columns before it span whole tiles of 16; the columns of a partial tile
+(8, 12 or an odd count past the last whole one) can come out otherwise.
+Aligned this way, the only partial tile is the last part's, and it holds the
+same columns as the whole product's."""
+
+
+def equal_parts(total: int, most: int, unit: int = 1) -> list[tuple[int, int]]:
+    """[start, stop) ranges that cover range(total) in order: as few as keep
+    each within ``most`` entries, and as equal as whole ``unit``s allow.
+
+    Every boundary is a multiple of ``unit`` and the remainder of ``total``
+    goes to the last part. A part holds at least one unit, even one larger
+    than ``most``. With ``unit`` 1 the sizes differ by at most one, so no
+    part shrinks to a small remainder.
+    """
+    whole = total // unit
+    k = max(min(-(-total // max(most, 1)), whole), 1)
+    bounds = [unit * (whole * i // k) for i in range(k)] + [total]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _unit(columns_per_step: int) -> int:
+    """Steps (rows or samples) per whole number of column tiles."""
+    return COLUMN_TILE // math.gcd(columns_per_step, COLUMN_TILE)
+
+
+def row_bands(ho: int, wo: int, n: int, column_bytes: int) -> list[tuple[int, int]]:
+    """Bands [h0, h1) of the output rows of ``n`` (ho, wo) maps whose
+    columns, ``column_bytes`` each, fit :data:`COLUMN_BUDGET`."""
+    return equal_parts(ho, COLUMN_BUDGET // max(wo * n * column_bytes, 1),
+                       _unit(wo * n))
+
+
+def sample_chunks(n: int, positions: int, column_bytes: int) -> list[tuple[int, int]]:
+    """Chunks [s0, s1) of ``n`` samples with ``positions`` output positions
+    each whose columns, ``column_bytes`` each, fit :data:`COLUMN_BUDGET`.
+
+    Each chunk holds at least two samples when n >= 2: NumPy sums a lone
+    sample's (targets, positions, 1) map pairwise along the positions, but a
+    run of samples one position at a time, so a one-sample chunk would change
+    the last bits of its per-sample norms. A limit of four per chunk or more
+    keeps every equal part at two or more.
+    """
+    most = max(COLUMN_BUDGET // (positions * column_bytes), 4)
+    return equal_parts(n, most, _unit(positions))
+
+
+def pad_maps(x: np.ndarray, padding) -> np.ndarray:
+    """(C, H, W, N) maps with ``padding`` rows and columns of zeros around
+    each map; ``x`` itself when there is no padding."""
+    ph, pw = _as_pair(padding, "padding")
+    if not (ph or pw):
+        return x
+    c, h, w, n = x.shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x
+    return xp
+
+
 def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
     """Lower sample-last (C, H, W, N) maps into patch columns (C*r*r, Ho*Wo*N).
 
@@ -51,17 +131,16 @@ def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
     reshaped with ``kernels.reshape(C_out, -1)``, so one product gives the
     (C_out, Ho, Wo, N) output. Each tap is copied as one strided slice, in
     runs of Wo*N elements when the column stride is 1.
+
+    The columns of output rows [h0, h1) alone are those of the input rows
+    [h0 * sh, (h1 - 1) * sh + r) of the padded maps, lowered with no padding.
     """
     if x.ndim != 4:
         raise DimensionError(f"im2col expects (C, H, W, N), got shape {x.shape}")
     c, h, w, n = x.shape
-    (sh, sw), (ph, pw) = check_stride_padding(stride, padding)
+    sh, sw = check_stride_padding(stride, padding)[0]
     ho, wo = conv_output_hw(h, w, r, stride, padding)
-    if ph or pw:
-        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
-        xp[:, ph : ph + h, pw : pw + w] = x
-    else:
-        xp = x
+    xp = pad_maps(x, padding)
     cols = np.empty((c, r, r, ho, wo, n), dtype=x.dtype)
     for q in range(r):
         for t in range(r):

@@ -347,6 +347,37 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "cannot parse" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "null"])
+    def test_non_object_history_line_exit_3(self, run, tmp_path, capsys,
+                                            line):
+        _, out2 = copy_run(run, tmp_path)
+        history = out2 / "history.jsonl"
+        first = history.read_text().splitlines()[0]
+        history.write_text(f"{first}\n{line}\n")
+        assert main(["report", "--run", str(out2)]) == 3
+        err = capsys.readouterr().err
+        assert f"{history}:2: malformed history line" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["tensors", "layers"])
+    def test_wrong_json_types_in_model_json_exit_3(self, run, tmp_path, capsys,
+                                                   key):
+        # the tensor blobs and their CRCs stay valid; only the manifest's
+        # JSON types are wrong
+        cfg2, out2 = copy_run(run, tmp_path)
+        mpath = out2 / "model" / "model.json"
+        manifest = json.loads(mpath.read_text())
+        if key == "tensors":
+            manifest["tensors"] = {"a": 1}
+        else:
+            manifest["layers"][0] = 7
+        mpath.write_text(json.dumps(manifest))
+        assert main(["eval", "--config", str(cfg2),
+                     "--checkpoint", str(out2 / "model")]) == 3
+        err = capsys.readouterr().err
+        assert f"'{key}' must be a list of JSON objects" in err
+        assert "Traceback" not in err
+
     def test_corrupt_model_json_exit_3(self, run, tmp_path, capsys):
         cfg2, out2 = copy_run(run, tmp_path)
         (out2 / "model" / "model.json").write_text("{oops")

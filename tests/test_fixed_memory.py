@@ -1,0 +1,206 @@
+"""Conv work that keeps no backward cache: same bytes, bounded memory.
+
+Inference lowers one band of output rows at a time, and conv scoring and
+conv deviation measurement one chunk of samples at a time, so their column
+memory stays within ``tensor_ops.COLUMN_BUDGET`` whatever the batch or
+pruning-set size. The references here are the whole-batch computations they
+replace: the forward with a cache, which still lowers the whole batch, and
+copies of the whole-set conv scoring and conv deviation measurement. Results
+are compared with ``.tobytes()``. The equality rests on BLAS giving each
+output column the same bits in a narrower product; OpenBLAS does for parts
+that span whole 16-column tiles and are hundreds of columns wide, while
+products a few dozen columns wide can differ in the last bits. Under the
+shipped budget the forward bands from N = 193 up on LeNet-5's layers and at
+N = 1000 on the strided one; a 256 KiB budget makes each layer band or chunk
+at more of the sizes.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from prune_relief import ConvLayer, build_network, init_params
+from prune_relief import tensor_ops
+from prune_relief.bounds import bound_report, measure_deviation
+from prune_relief.importance import _normalize, conv_importance
+from prune_relief.tensor_ops import conv_output_hw, equal_parts, im2col
+
+SIZES = [1, 7, 193, 200, 257, 1000]
+
+# (in_channels, out_channels, kernel, stride, padding, map side): LeNet-5's
+# two conv layers and a strided, padded conv
+CONVS = {
+    "lenet5_conv1": (1, 20, 5, 1, 0, 28),
+    "lenet5_conv2": (20, 50, 5, 1, 0, 12),
+    "stride2_pad1": (6, 16, 3, 2, 1, 14),
+}
+
+
+def make_conv(name, seed=0):
+    ci, co, r, stride, padding, _ = CONVS[name]
+    rng = np.random.default_rng(seed)
+    kernels = rng.standard_normal((co, ci, r, r)).astype(np.float32)
+    kernels *= np.float32(np.sqrt(2.0 / (ci * r * r)))
+    bias = (0.1 * rng.standard_normal(co)).astype(np.float32)
+    return ConvLayer(kernels, bias, "relu", stride, padding)
+
+
+def make_maps(name, n, seed=1):
+    ci, side = CONVS[name][0], CONVS[name][5]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((ci, side, side, n), dtype=np.float32)
+    return np.maximum(x, 0, out=x)  # post-ReLU, with exact zeros
+
+
+def masked_copy(layer):
+    """The layer with every third kernel and every fourth bias masked."""
+    after = layer.clone()
+    co, ci = after.kernel_mask.shape
+    t, c = np.nonzero(np.arange(co * ci).reshape(co, ci) % 3 == 0)
+    after.apply_mask(t, c)
+    after.apply_mask(np.arange(0, co, 4), ci)
+    return after
+
+
+def whole_set_conv_importance(layer, x):
+    """Conv scoring over the whole set at once, one product per channel."""
+    n = x.shape[3]
+    r = layer.kernel_size
+    co, ci = layer.out_channels, layer.in_channels
+    ho, wo = conv_output_hw(x.shape[1], x.shape[2], r, layer.stride,
+                            layer.padding)
+    khat = np.abs(layer.kernels).astype(np.float64)
+    numer = np.empty((co, ci), dtype=np.float64)
+    for i in range(ci):
+        xi = np.abs(x[i : i + 1]).astype(np.float64)
+        cols = im2col(xi, r, layer.stride, layer.padding)
+        maps = np.matmul(khat[:, i].reshape(co, -1), cols)
+        np.square(maps, out=maps)
+        norms = np.sqrt(maps.reshape(co, ho * wo, n).sum(axis=1))
+        numer[:, i] = norms.mean(axis=1)
+    bias_numer = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
+    return _normalize(numer, bias_numer)
+
+
+def whole_set_conv_deviation(before, after, x):
+    """Conv deviation measurement over the whole set at once."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def pre_and_post(layer):
+        y, cache = layer.astype(np.float64).forward(x, with_cache=True)
+        return cache[-1], y
+
+    def mean_norm(a, b):
+        d = a - b
+        d *= d
+        return np.sqrt(d.sum(axis=(1, 2))).mean(axis=1)
+
+    zb, yb = pre_and_post(before)
+    za, ya = pre_and_post(after)
+    return mean_norm(zb, za), mean_norm(yb, ya)
+
+
+@pytest.fixture(params=["shipped", "256KiB"])
+def budget(request, monkeypatch):
+    """The shipped column budget, and a smaller one under which every layer
+    bands or chunks at more of the sizes."""
+    if request.param == "256KiB":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
+
+
+class TestEqualParts:
+    @pytest.mark.parametrize("total,most,unit", [
+        (24, 5, 1), (10, 3, 1), (7, 7, 1), (8, 1, 1), (193, 36, 1),
+        (1000, 4, 1), (24, 9, 2), (193, 36, 16), (17, 4, 16), (200, 12, 16),
+        (3, 1, 8)])
+    def test_cover_in_order_on_unit_boundaries(self, total, most, unit):
+        parts = equal_parts(total, most, unit)
+        assert parts[0][0] == 0 and parts[-1][1] == total
+        assert all(a[1] == b[0] for a, b in zip(parts, parts[1:]))
+        assert all(a % unit == 0 for a, _ in parts)
+        units = [(b - a) // unit for a, b in parts]  # the remainder aside
+        assert min(units) >= (1 if total >= unit else 0)
+        assert max(units) - min(units) <= 1
+        if unit == 1:
+            assert len(parts) == -(-total // most)
+
+    @pytest.mark.parametrize("positions", [1, 49, 64])
+    def test_sample_chunks_hold_two_or_more(self, positions, monkeypatch):
+        # a budget of one sample's columns still gives two-sample chunks
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", positions * 8)
+        for n in range(2, 60):
+            chunks = tensor_ops.sample_chunks(n, positions, 8)
+            assert min(b - a for a, b in chunks) >= 2, n
+
+
+class TestSameBytes:
+    @pytest.mark.parametrize("name", list(CONVS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_inference_forward_matches_cached_forward(self, budget, name, n):
+        layer = make_conv(name)
+        x = make_maps(name, n)
+        cached, _ = layer.forward(x, with_cache=True)
+        blocked = layer.forward(x)
+        assert blocked.shape == cached.shape and blocked.dtype == cached.dtype
+        assert blocked.tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("name", list(CONVS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_streamed_conv_importance(self, budget, name, n):
+        layer = make_conv(name)
+        x = make_maps(name, n)
+        got = conv_importance(layer, x)
+        want = whole_set_conv_importance(layer, x)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.totals.tobytes() == want.totals.tobytes()
+
+    @pytest.mark.parametrize("name", list(CONVS))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_streamed_conv_deviation(self, budget, name, n):
+        before = make_conv(name)
+        after = masked_copy(before)
+        x = make_maps(name, n)
+        got = measure_deviation(before, after, x)
+        want = whole_set_conv_deviation(before, after, x)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("n", [7, 200])
+    def test_lenet5_logits_match_cached_forwards(self, budget, n):
+        net = init_params(build_network("lenet5", (1, 28, 28), 10), 3)
+        batch = np.random.default_rng(4).random((n, 1, 28, 28),
+                                                dtype=np.float32)
+        a = net.first_layer_input(batch)
+        for layer in net.layers:
+            a, _ = layer.forward(a, with_cache=True)
+        assert net.forward(batch).tobytes() == a.tobytes()
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """LeNet-5 at the paper's 1000 pruning samples. Lowering whole batches
+    took ~500 MB for the report and ~210 MB for the forward."""
+
+    @pytest.fixture(scope="class")
+    def lenet5(self):
+        net = init_params(build_network("lenet5", (1, 28, 28), 10), 5)
+        batch = np.random.default_rng(6).random((1000, 1, 28, 28),
+                                                dtype=np.float32)
+        return net, batch
+
+    def test_conv0_bound_report(self, lenet5):
+        net, batch = lenet5
+        assert traced_peak_mb(lambda: bound_report(net, 0, 0.9, batch)) < 160
+
+    def test_network_forward(self, lenet5):
+        net, batch = lenet5
+        assert traced_peak_mb(lambda: net.forward(batch)) < 130

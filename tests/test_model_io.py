@@ -167,6 +167,15 @@ class TestRejection:
                            match=f"tensor {tensor}: holds non-finite values"):
             load_model(ckpt)
 
+    @pytest.mark.parametrize("field,value", [("nbytes", "x"), ("name", ["a"])])
+    def test_wrong_json_type_in_tensor_record(self, ckpt, field, value):
+        def mutate(m, b):
+            m["tensors"][0][field] = value
+            return m, b
+        _corrupt(ckpt, mutate)
+        with pytest.raises(FormatError):
+            load_model(ckpt)
+
     def test_wrong_format_name(self, ckpt):
         def mutate(m, b):
             m["format"] = "something-else"
