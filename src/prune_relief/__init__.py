@@ -28,7 +28,7 @@ from .metrics import (CompressionReport, FlopsReport, compression_stats,
                       flops_dense, gini, kept_connection_scores, masked_flops,
                       score_stats)
 from .model_io import load_model, save_model
-from .network import ActivationTrace, Network
+from .network import Network
 from .optimizers import (LrSpan, Optimizer, OptimizerConfig, adam_step,
                          sgd_step)
 from .pipeline import (PURPOSE_INIT, PURPOSE_PRUNE_DRAW, PURPOSE_REINIT,

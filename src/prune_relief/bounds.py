@@ -15,11 +15,12 @@ evaluated innermost-first (|.| elementwise on the weight matrices, S(l) the
 pruned layer's signal-total vector, C_k over the pruned and intermediate
 layers). Pruning the last layer degenerates to (1 - alpha) * S(L).
 
-``bound_report`` does the pass-start work once: one captured forward of the
-pruning set and one scoring of the pruned layer give the masks, the signal
-totals S(l) that every bound takes, and the layer inputs the deviations are
-measured on. ``measure_deviation`` runs both layers of a pair through their
-own ``forward``, so the measured layer is the one the network evaluates.
+``bound_report`` does the pass-start work once: one forward of the pruning
+set keeps the pruned layer's input and the logits, and one scoring of that
+layer gives the masks and the signal totals S(l) that every bound takes. The
+deviations are measured on the same kept input. ``measure_deviation`` runs
+both layers of a pair through their own ``forward``, so the measured layer
+is the one the network evaluates.
 Conv pairs run one chunk of samples at a time, whose columns fit
 ``tensor_ops.COLUMN_BUDGET``, so the measurement holds the same memory
 whatever the pruning-set size; dense pairs run the whole set in one product.
@@ -32,7 +33,8 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import _as_input_batch, _mask_copy, score_network
+from .importance import (_as_input_batch, _mask_copy, _prunable_layers,
+                         score_layer)
 from .layers import ConvLayer, DenseLayer
 from .network import Network
 from .tensor_ops import sample_chunks
@@ -174,14 +176,12 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     capability limitation as a message.
     """
     batch = _as_input_batch(pruning_set)
-    trace, scores = score_network(net, batch, [layer_index])
-    # keep only what the rest reads, so the other layers' activations are
-    # freed before the deviation measurement allocates its own
-    inputs, logits = trace.inputs_to(layer_index), trace.logits
-    del trace
-    pruned_net, decisions = _mask_copy(net, layer_index, scores[layer_index],
-                                       alpha)
+    _prunable_layers(net, [layer_index])
+    logits, kept = net.forward(batch, keep=[layer_index])
+    inputs = kept[layer_index]
     before = net.layers[layer_index]
+    pruned_net, decisions = _mask_copy(net, layer_index,
+                                       score_layer(before, inputs), alpha)
     delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
                                          inputs)
     c = before.act.lipschitz

@@ -67,6 +67,25 @@ def _resolve_out(cfg, args) -> Path:
     return Path(out)
 
 
+def _lock_holder(lock: Path) -> str:
+    """Which process ``lock`` names and whether it is running, as a clause
+    of the locked-directory error."""
+    try:
+        pid = int(lock.read_text())
+    except (OSError, ValueError):
+        pid = 0
+    if pid <= 0:  # kill() would signal a process group for these
+        return f"{lock} is unreadable or holds no PID"
+    try:
+        os.kill(pid, 0)
+    except (ProcessLookupError, OverflowError):
+        return (f"{lock} names PID {pid}, which is not running; the lock is "
+                f"stale, remove it to continue")
+    except PermissionError:  # running, as another user
+        pass
+    return f"{lock} names PID {pid}, which is running"
+
+
 @contextlib.contextmanager
 def _run_lock(out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -74,9 +93,8 @@ def _run_lock(out_dir: Path):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ConfigError(
-            f"run directory {out_dir} is locked by another process; remove "
-            f"{lock} if that process is gone") from None
+        raise ConfigError(f"run directory {out_dir} is locked by another "
+                          f"process: {_lock_holder(lock)}") from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -240,8 +258,8 @@ def cmd_report(args) -> int:
     batch = draw_pruning_set(train_ds, cfg.prune.n_pruning_samples,
                              cfg.seed, 0)
 
-    _, base_scores = score_network(base_net, batch)
-    _, final_scores = score_network(final_net, batch)
+    base_scores = score_network(base_net, batch)
+    final_scores = score_network(final_net, batch)
     # both stat sides use the final masks: the surviving connections'
     # original scores against their re-scored values after the run
     comp = compression_stats(final_net, scores_before=base_scores,
@@ -312,7 +330,7 @@ def cmd_scores(args) -> int:
     net = load_model(_checkpoint(args, out_dir))
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
-    _, layer_scores = score_network(net, batch)
+    layer_scores = score_network(net, batch)
     score_dir = out_dir / "scores"
     score_dir.mkdir(parents=True, exist_ok=True)
     for li, scores in layer_scores.items():

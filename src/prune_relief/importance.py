@@ -9,10 +9,11 @@ contributors whose combined score mass reaches the threshold ``alpha`` and
 masks the rest.
 
 ``score_network`` is the one place that scores a network: it forwards the
-pruning set once with capture and scores the requested prunable layers (all
-of them by default) from that trace, so every layer sees the activations of
-the same pass-start network. Pruning passes, bound reports and the CLI's
-report and score exports all go through it.
+pruning set once, keeping only the inputs of the requested prunable layers
+(all of them by default), and scores each layer from its kept input, so
+every layer sees the activations of the same pass-start network. Pruning
+passes and the CLI's report and score exports go through it; a bound
+report's one forward keeps the logits and its layer's input.
 
 Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
@@ -232,22 +233,28 @@ def score_layer(layer, inputs) -> ImportanceScores:
     raise DimensionError(f"layer kind {layer.kind!r} has no importance scores")
 
 
-def score_network(net: Network, pruning_set, layer_indices=None):
-    """Forward the pruning set once, with capture, and score prunable layers.
-
-    Scores the layers in ``layer_indices`` (every prunable layer by default)
-    from the one captured trace. Returns ``(trace, scores)`` with ``scores``
-    mapping layer index to ImportanceScores in the order given.
-    """
+def _prunable_layers(net: Network, layer_indices=None) -> list[int]:
+    """``layer_indices`` (every prunable layer by default), or IndexError
+    when one of them is not prunable."""
     prunable = net.prunable_indices()
     if layer_indices is None:
-        layer_indices = prunable
+        return prunable
     for li in layer_indices:
         if li not in prunable:
             raise IndexError(f"layer {li} is not prunable")
-    _, trace = net.forward(_as_input_batch(pruning_set), capture=True)
-    return trace, {li: score_layer(net.layers[li], trace.inputs_to(li))
-                   for li in layer_indices}
+    return list(layer_indices)
+
+
+def score_network(net: Network, pruning_set, layer_indices=None) -> dict:
+    """Forward the pruning set once and score prunable layers.
+
+    Scores the layers in ``layer_indices`` (every prunable layer by default)
+    from one forward that keeps only their inputs. Returns a dict mapping
+    layer index to ImportanceScores in the order given.
+    """
+    layer_indices = _prunable_layers(net, layer_indices)
+    _, inputs = net.forward(_as_input_batch(pruning_set), keep=layer_indices)
+    return {li: score_layer(net.layers[li], inputs[li]) for li in layer_indices}
 
 
 def _mask_layer(layer, scores: ImportanceScores, alpha: float,
@@ -269,11 +276,11 @@ def prune_pass(net: Network, pruning_set, alpha_conv: float,
                alpha_fc: float) -> tuple[Network, list[LayerDecisions]]:
     """One full pruning pass over every prunable layer, in place.
 
-    Every layer is scored from one trace of the pass-start network before
+    Every layer is scored from one forward of the pass-start network before
     any is masked, so later layers see activations unaffected by the masks
     of earlier ones.
     """
-    _, scores = score_network(net, pruning_set)
+    scores = score_network(net, pruning_set)
     decisions = []
     for li, layer_scores in scores.items():
         layer = net.layers[li]
@@ -288,5 +295,5 @@ def prune_single_layer(net: Network, layer_index: int, alpha: float,
 
     Returns the pruned copy and the decisions; the original is untouched.
     """
-    _, scores = score_network(net, pruning_set, [layer_index])
+    scores = score_network(net, pruning_set, [layer_index])
     return _mask_copy(net, layer_index, scores[layer_index], alpha)

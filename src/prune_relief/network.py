@@ -1,10 +1,10 @@
-"""Feed-forward network container and forward evaluation with capture.
+"""Feed-forward network container and forward evaluation.
 
 A network is an ordered list of layers plus the per-sample input shape and
-class count. ``forward`` can capture the full activation trace: batch X(0),
-then each layer's post-activation output X(1)..X(L). The trace is what
-importance scoring and deviation measurement consume, so both always see
-activations from the same pass-start state of the network.
+class count. ``forward`` can keep the inputs of the layers a caller names:
+importance scoring and deviation measurement read them, so both always see
+activations from the same pass-start state of the network. Every other
+layer's input is freed once the next layer has run.
 
 Batches go in and come out as (N, ...) arrays. Inside, conv and pool layers
 carry sample-last (C, H, W, N) maps (see ``layers``): the batch is converted
@@ -13,28 +13,11 @@ the ``Flatten`` after the last spatial layer or, for a net that ends in a
 spatial layer, at its exit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
 from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, DenseLayer, Flatten,
                      sample_first, sample_last)
-
-
-@dataclass
-class ActivationTrace:
-    """batches[l] is the input to layer l, in that layer's layout;
-    batches[-1] is the network's (N, ...) output."""
-
-    batches: list
-
-    def inputs_to(self, layer_index: int) -> np.ndarray:
-        return self.batches[layer_index]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.batches[-1]
 
 
 class Network:
@@ -78,25 +61,29 @@ class Network:
         x = self._as_batch(batch)
         return sample_last(x) if self.layers[0].kind in SPATIAL_KINDS else x
 
-    def forward(self, batch, capture: bool = False):
-        """Run the batch through every layer; optionally keep all activations.
+    def forward(self, batch, keep=None):
+        """Run the batch through every layer.
 
-        Returns logits, or ``(logits, ActivationTrace)`` when capturing. The
-        computed values are identical either way; capture only retains them,
-        and without it each layer's input is freed once the next layer has
-        run.
+        Returns the (N, ...) logits. With ``keep`` naming layer indices,
+        returns ``(logits, inputs)`` where ``inputs`` maps each named index
+        to that layer's input, in the layer's layout. The computed values
+        are the same either way; every input not named is freed once the
+        next layer has run.
         """
+        wanted = set() if keep is None else set(keep)
+        bad = sorted(wanted - set(range(len(self.layers))))
+        if bad:
+            raise IndexError(f"no layers {bad} in a network of "
+                             f"{len(self.layers)} layers")
         x = self.first_layer_input(batch)
-        batches = []
-        for layer in self.layers:
-            if capture:
-                batches.append(x)
+        inputs = {}
+        for i, layer in enumerate(self.layers):
+            if i in wanted:
+                inputs[i] = x
             x = layer.forward(x)
         if self.layers[-1].kind in SPATIAL_KINDS:
             x = sample_first(x)
-        if capture:
-            return x, ActivationTrace(batches + [x])
-        return x
+        return x if keep is None else (x, inputs)
 
     def prunable_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in PRUNABLE_KINDS]

@@ -11,6 +11,7 @@ so a resumed run replays the exact byte stream of an uninterrupted one.
 """
 
 import json
+import math
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,15 +98,46 @@ class IterationReport:
 
     @staticmethod
     def from_json_dict(d: dict) -> "IterationReport":
+        """The report a history record holds; ValueError names the first
+        field of the wrong type."""
+        d = {"per_layer": [], "score_stats": {}, **d}
         return IterationReport(
-            iteration=d["iteration"],
-            pre_retrain_accuracy=d["pre_retrain_accuracy"],
-            post_retrain_accuracy=d["post_retrain_accuracy"],
-            remaining_fraction=d["remaining_fraction"],
-            compression_rate=d["compression_rate"],
-            flops_pruned_pct=d["flops_pruned_pct"],
-            per_layer=d.get("per_layer", []),
-            score_stats=d.get("score_stats", {}))
+            iteration=_field(d, "iteration", _is_int, "an integer"),
+            pre_retrain_accuracy=_field(d, "pre_retrain_accuracy", _is_finite,
+                                        "a finite number"),
+            post_retrain_accuracy=_field(d, "post_retrain_accuracy",
+                                         _is_finite, "a finite number"),
+            remaining_fraction=_field(d, "remaining_fraction", _is_finite,
+                                      "a finite number"),
+            compression_rate=_field(d, "compression_rate",
+                                    lambda v: v is None or _is_number(v),
+                                    "a number or null"),
+            flops_pruned_pct=_field(d, "flops_pruned_pct", _is_finite,
+                                    "a finite number"),
+            per_layer=_field(d, "per_layer", lambda v: isinstance(v, list),
+                             "a list"),
+            score_stats=_field(d, "score_stats", lambda v: isinstance(v, dict),
+                               "an object"))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_finite(v) -> bool:
+    # an int of any size is finite; math.isfinite overflows on a huge one
+    return _is_int(v) or isinstance(v, float) and math.isfinite(v)
+
+
+def _field(record: dict, key: str, check, expected: str):
+    value = record[key]
+    if not check(value):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return value
 
 
 def history_line(report: IterationReport) -> str:
@@ -235,6 +267,12 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         batch = _draw_pruning_batch(train_ds, pcfg.n_pruning_samples, seed,
                                     key)
         _, decisions = prune_pass(net, batch, pcfg.alpha_conv, pcfg.alpha_fc)
+        # only the kept scores' statistics outlive the pass, so the score
+        # matrices and keep masks are freed before evaluation and retraining
+        stats = score_stats(np.concatenate(
+            [d.scores.scores[d.selection.keep] for d in decisions])
+            if decisions else np.zeros(0))
+        del decisions
         pre_acc = evaluate(net, test_ds.images, test_ds.labels)
         if pcfg.retrain_mode == "reinit":
             if pcfg.reinit_draw == "original":
@@ -248,9 +286,6 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         post_acc = evaluate(net, test_ds.images, test_ds.labels)
         comp = compression_stats(net)
         fl = masked_flops(net)
-        kept = np.concatenate(
-            [d.scores.scores[d.selection.keep] for d in decisions]) \
-            if decisions else np.zeros(0)
         report = IterationReport(
             iteration=it,
             pre_retrain_accuracy=pre_acc,
@@ -259,7 +294,7 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
             compression_rate=comp.compression_rate,
             flops_pruned_pct=fl.pruned_pct,
             per_layer=comp.per_layer,
-            score_stats=score_stats(kept))
+            score_stats=stats)
         reports.append(report)
         if out_dir is not None:
             ckpt = _iteration_dir(out_dir, it)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
-                          importance, softmax_cross_entropy)
+                          bounds, importance, softmax_cross_entropy)
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -91,8 +91,9 @@ def count_forwards_and_scores(monkeypatch) -> dict:
         return wrapper
 
     monkeypatch.setattr(Network, "forward", counted("forward", Network.forward))
-    monkeypatch.setattr(importance, "score_layer",
-                        counted("score_layer", importance.score_layer))
+    scored = counted("score_layer", importance.score_layer)
+    monkeypatch.setattr(importance, "score_layer", scored)
+    monkeypatch.setattr(bounds, "score_layer", scored)
     return calls
 
 

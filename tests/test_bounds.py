@@ -239,9 +239,8 @@ class TestRandomSatisfaction:
 
 def _totals(net, layer_index, x):
     """S(l) of one prunable layer on a batch of network inputs."""
-    _, trace = net.forward(x, capture=True)
-    return score_layer(net.layers[layer_index],
-                       trace.inputs_to(layer_index)).totals
+    _, kept = net.forward(x, keep=[layer_index])
+    return score_layer(net.layers[layer_index], kept[layer_index]).totals
 
 
 class TestNetworkBoundErrors:
@@ -312,8 +311,8 @@ class TestBoundReport:
         (lambda rng: small_cnn(rng), (4, 2, 6, 6), 0, 1)])
     def test_pass_start_work_runs_once(self, rng, monkeypatch, build, x_shape,
                                        layer, forwards):
-        # one captured forward and one scoring of the pruned layer; an
-        # all-dense tail adds the pruned copy's forward for the logits
+        # one forward and one scoring of the pruned layer; an all-dense
+        # tail adds the pruned copy's forward for the logits
         net = build(rng)
         x = rng.standard_normal(x_shape).astype(F32)
         calls = count_forwards_and_scores(monkeypatch)

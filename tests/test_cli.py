@@ -7,7 +7,10 @@ files work on a copy of it.
 
 import ctypes
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -145,8 +148,8 @@ class TestReport:
         _, out2 = copy_run(run, tmp_path)
         calls = count_forwards_and_scores(monkeypatch)
         assert main(["report", "--run", str(out2)]) == 0
-        # the base and the final network: one captured forward and one
-        # scoring of each of their two dense layers; heatmaps reuse the base
+        # the base and the final network: one forward and one scoring of
+        # each of their two dense layers; heatmaps reuse the base
         assert calls == {"forward": 2, "score_layer": 4}
 
     def test_needs_history(self, tmp_path, capsys):
@@ -300,6 +303,35 @@ class TestFailureModes:
         # the stale lock stays put for the operator to inspect
         assert (out / ".lock").is_file()
 
+    @pytest.mark.parametrize("holder,verdict", [
+        ("reaped", "which is not running; the lock is stale"),
+        ("self", "which is running"),
+        ("", "is unreadable or holds no PID"),
+        ("not a pid", "is unreadable or holds no PID"),
+        ("0", "is unreadable or holds no PID"),
+        ("-1", "is unreadable or holds no PID")])
+    def test_lock_error_names_the_holder(self, tmp_path, capsys, holder,
+                                         verdict):
+        if holder == "reaped":
+            child = subprocess.Popen([sys.executable, "-c", "pass"])
+            child.wait()
+            holder = str(child.pid)
+        elif holder == "self":
+            holder = str(os.getpid())
+        out = tmp_path / "run"
+        out.mkdir()
+        lock = out / ".lock"
+        lock.write_text(holder)
+        cfg = write_config(tmp_path / "c.json", out=out)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"is locked by another process: {lock}" in err
+        assert verdict in err
+        if verdict.startswith("which"):
+            assert f"names PID {holder}, {verdict}" in err
+        assert "Traceback" not in err
+        assert lock.read_text() == holder
+
     def test_corrupt_weights_exit_3(self, run, tmp_path, capsys):
         cfg2, out2 = copy_run(run, tmp_path)
         blob = out2 / "best" / "weights.bin"
@@ -357,6 +389,25 @@ class TestFailureModes:
         assert main(["report", "--run", str(out2)]) == 3
         err = capsys.readouterr().err
         assert f"{history}:2: malformed history line" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["report", "prune"])
+    @pytest.mark.parametrize("key,value", [
+        ("post_retrain_accuracy", "high"), ("iteration", "2")])
+    def test_wrongly_typed_history_field_exit_3(self, run, tmp_path, capsys,
+                                                command, key, value):
+        # prune resumes from the history, so it reads it before any work
+        cfg2, out2 = copy_run(run, tmp_path)
+        history = out2 / "history.jsonl"
+        first, second = history.read_text().splitlines()
+        record = json.loads(second)
+        record[key] = value
+        history.write_text(f"{first}\n{json.dumps(record)}\n")
+        argv = (["report", "--run", str(out2)] if command == "report"
+                else ["prune", "--config", str(cfg2)])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{history}:2: malformed history line: {key} must be" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["tensors", "layers"])

@@ -353,12 +353,12 @@ class TestPrunePass:
 
     def test_scoring_uses_pass_start_activations(self, rng):
         # masking layer 0 heavily must not change what layer 1 is scored on:
-        # compare against scoring layer 1 on the unpruned trace explicitly
+        # compare against scoring layer 1 on the unpruned network's input to it
         net = small_mlp(rng, (8, 6, 3))
         x = rng.standard_normal((15, 8)).astype(np.float32)
-        _, trace = net.forward(x, capture=True)
+        _, kept = net.forward(x, keep=[1])
         from prune_relief import fc_importance as fci
-        expected = fci(net.layers[1], trace.inputs_to(1))
+        expected = fci(net.layers[1], kept[1])
         _, decisions = prune_pass(net, x, 0.6, 0.6)
         np.testing.assert_allclose(decisions[1].scores.scores, expected.scores,
                                    rtol=1e-12)

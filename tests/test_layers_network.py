@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError, Flatten,
-                          MaxPool2D, Network, sample_first, sample_last)
+                          MaxPool2D, Network, build_network, init_params,
+                          sample_first, sample_last)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -152,33 +153,58 @@ class TestPoolFlatten:
 
 
 class TestNetworkForward:
-    def test_capture_matches_plain_forward(self, rng):
-        net = small_cnn(rng)
+    @staticmethod
+    def layer_inputs(net, x):
+        """Each layer's input and the logits, from running the layers one
+        by one."""
+        inputs = [net.first_layer_input(x)]
+        for layer in net.layers:
+            inputs.append(layer.forward(inputs[-1]))
+        out = inputs.pop()
+        return inputs, sample_first(out) if out.ndim == 4 else out
+
+    @pytest.mark.parametrize("build,x_shape", [
+        (lambda rng: small_mlp(rng, (6, 5, 4, 2)), (3, 6)),
+        (lambda rng: small_cnn(rng), (4, 2, 6, 6)),
+        (lambda rng: init_params(build_network("lenet5", (1, 28, 28), 10), 2),
+         (7, 1, 28, 28))])
+    def test_kept_inputs_match_layer_by_layer_forward(self, rng, build,
+                                                      x_shape):
+        net = build(rng)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        want, want_logits = self.layer_inputs(net, x)
+        logits, kept = net.forward(x, keep=range(len(net.layers)))
+        assert logits.tobytes() == want_logits.tobytes()
+        assert net.forward(x).tobytes() == want_logits.tobytes()
+        for li, inputs in kept.items():
+            assert inputs.shape == want[li].shape
+            assert inputs.tobytes() == want[li].tobytes()
+
+    @pytest.mark.parametrize("keep", [[], [0], [2], [0, 3], [3, 1, 0]])
+    def test_keeps_exactly_the_named_layers(self, rng, keep):
+        net = small_cnn(rng)  # conv, pool, flatten, dense
         x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
-        plain = net.forward(x)
-        logits, trace = net.forward(x, capture=True)
-        np.testing.assert_array_equal(plain, logits)
-        assert len(trace.batches) == len(net.layers) + 1
-        # the first layer is a conv layer, so its input is (C, H, W, N)
-        np.testing.assert_array_equal(trace.batches[0], sample_last(x))
-        np.testing.assert_array_equal(trace.logits, logits)
+        _, kept = net.forward(x, keep=keep)
+        assert sorted(kept) == sorted(keep)
+        if 0 in keep:
+            # the first layer is a conv layer, so its input is (C, H, W, N)
+            np.testing.assert_array_equal(kept[0], sample_last(x))
+
+    @pytest.mark.parametrize("keep", [[4], [-1], [0, 9]])
+    def test_keep_outside_the_network(self, rng, keep):
+        net = small_cnn(rng)
+        with pytest.raises(IndexError):
+            net.forward(rng.standard_normal((4, 2, 6, 6)).astype(np.float32),
+                        keep=keep)
 
     def test_spatial_exit_is_batch_first(self, rng):
         conv = random_conv(rng, 2, 3, 3)
         net = Network([conv], (2, 6, 6), 3, strict=False)
         x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
-        out, trace = net.forward(x, capture=True)
+        out, kept = net.forward(x, keep=[0])
         assert out.shape == (4, 3, 4, 4) and out.flags.c_contiguous
         np.testing.assert_array_equal(out, sample_first(conv.forward(sample_last(x))))
-        np.testing.assert_array_equal(trace.logits, out)
-
-    def test_trace_entries_feed_next_layer(self, rng):
-        net = small_mlp(rng, (6, 5, 4, 2))
-        x = rng.standard_normal((3, 6)).astype(np.float32)
-        _, trace = net.forward(x, capture=True)
-        for li, layer in enumerate(net.layers):
-            np.testing.assert_array_equal(layer.forward(trace.inputs_to(li)),
-                                          trace.batches[li + 1])
+        np.testing.assert_array_equal(kept[0], sample_last(x))
 
     def test_list_of_samples_accepted(self, rng):
         net = small_mlp(rng, (4, 3))

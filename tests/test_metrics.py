@@ -255,10 +255,10 @@ class TestKeptConnectionScores:
         net = small_mlp(rng, (6, 5, 3))
         x = rng.standard_normal((8, 6)).astype(F32)
         pruned, _ = prune_single_layer(net, 0, 0.8, x)
-        _, trace_b = net.forward(x, capture=True)
-        _, trace_a = pruned.forward(x, capture=True)
-        before = {0: score_layer(net.layers[0], trace_b.inputs_to(0))}
-        after = {0: score_layer(pruned.layers[0], trace_a.inputs_to(0))}
+        _, kept_b = net.forward(x, keep=[0])
+        _, kept_a = pruned.forward(x, keep=[0])
+        before = {0: score_layer(net.layers[0], kept_b[0])}
+        after = {0: score_layer(pruned.layers[0], kept_a[0])}
         comp = compression_stats(pruned, scores_before=before,
                                  scores_after=after)
         layer = pruned.layers[0]

@@ -1,6 +1,7 @@
 """Iterative prune/retrain loop: reports, history files, resume, reinit."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ class TestHistory:
         path.write_text('{"iteration": 1\n')
         with pytest.raises(FormatError, match="malformed"):
             read_history(path)
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("iteration", "1", "an integer"),
+        ("iteration", 1.0, "an integer"),
+        ("iteration", True, "an integer"),
+        ("post_retrain_accuracy", "high", "a finite number"),
+        ("pre_retrain_accuracy", None, "a finite number"),
+        ("pre_retrain_accuracy", False, "a finite number"),
+        ("remaining_fraction", float("nan"), "a finite number"),
+        ("flops_pruned_pct", float("inf"), "a finite number"),
+        ("compression_rate", "2", "a number or null"),
+        ("per_layer", {}, "a list"),
+        ("score_stats", [], "an object")])
+    def test_wrongly_typed_field(self, tmp_path, key, value, expected):
+        record = json.loads(history_line(self.report(1)))
+        record[key] = value
+        path = tmp_path / "history.jsonl"
+        path.write_text(history_line(self.report(1)) + json.dumps(record)
+                        + "\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:2: malformed history line: {key} must be "
+                f"{expected}, got ")):
+            read_history(path)
+
+    def test_integer_numbers_accepted(self):
+        record = json.loads(history_line(self.report(1)))
+        record.update(post_retrain_accuracy=1, compression_rate=3)
+        back = IterationReport.from_json_dict(record)
+        assert (back.post_retrain_accuracy, back.compression_rate) == (1, 3)
 
     def test_sequence_gap(self, tmp_path):
         path = tmp_path / "history.jsonl"
