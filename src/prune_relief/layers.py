@@ -34,6 +34,8 @@ band's activations into the output, so inference holds the same columns
 whatever the batch size, and gives the same bytes as the cached forward.
 """
 
+import copy
+
 import numpy as np
 
 from .activations import get_activation
@@ -87,11 +89,39 @@ def _check_mask(mask, shape, name):
 
 
 class _MaskedLayer:
-    """The mask writer shared by dense and conv layers.
+    """The mask writer and the copies shared by dense and conv layers.
 
     Subclasses list the weight tensor before the bias in both ``params`` and
-    ``stored_masks``, and define ``fan_in`` and ``fan_out``.
+    ``stored_masks``, keyed by their attribute names, and define ``fan_in``
+    and ``fan_out``. The weight tensor's leading axes are (targets,
+    contributors), as are the weight mask's. A copy takes the layer's
+    settings and new tensors; whatever it holds of a valid layer is valid,
+    so it skips the constructor's checks.
     """
+
+    def clone(self):
+        return self.astype(self.bias.dtype)
+
+    def astype(self, dtype):
+        """A copy with the parameters in ``dtype``; the masks keep theirs."""
+        out = copy.copy(self)
+        for name, a in self.params().items():
+            setattr(out, name, a.astype(dtype))
+        for name, a in self.stored_masks().items():
+            setattr(out, name, a.copy())
+        return out
+
+    def take(self, rows, cols):
+        """A copy holding only the targets ``rows`` and, of each, only the
+        contributors ``cols`` (index arrays; the bias goes with its row)."""
+        out = copy.copy(self)
+        for tensors in (self.params(), self.stored_masks()):
+            (w, weights), (b, bias) = tensors.items()
+            # C-contiguous, as every tensor the layers and the optimizer
+            # work on; [rows][:, cols] is not, and np.ix_ is slower
+            setattr(out, w, weights[rows].take(cols, axis=1))
+            setattr(out, b, bias[rows])
+        return out
 
     def apply_mask(self, targets, contributors) -> None:
         """Mask the (target, contributor) pairs of broadcastable index arrays.
@@ -186,14 +216,6 @@ class DenseLayer(_MaskedLayer):
 
     def stored_masks(self) -> dict[str, np.ndarray]:
         return {"weight_mask": self.weight_mask, "bias_mask": self.bias_mask}
-
-    def clone(self) -> "DenseLayer":
-        return DenseLayer(self.weights, self.bias, self.activation,
-                          self.weight_mask, self.bias_mask, dtype=self.weights.dtype)
-
-    def astype(self, dtype) -> "DenseLayer":
-        return DenseLayer(self.weights, self.bias, self.activation,
-                          self.weight_mask, self.bias_mask, dtype=dtype)
 
     def output_shape(self, in_shape):
         n = int(np.prod(in_shape))
@@ -323,15 +345,6 @@ class ConvLayer(_MaskedLayer):
     def stored_masks(self) -> dict[str, np.ndarray]:
         return {"kernel_mask": self.kernel_mask, "bias_mask": self.bias_mask}
 
-    def clone(self) -> "ConvLayer":
-        return ConvLayer(self.kernels, self.bias, self.activation, self.stride,
-                         self.padding, self.kernel_mask, self.bias_mask,
-                         dtype=self.kernels.dtype)
-
-    def astype(self, dtype) -> "ConvLayer":
-        return ConvLayer(self.kernels, self.bias, self.activation, self.stride,
-                         self.padding, self.kernel_mask, self.bias_mask, dtype=dtype)
-
     def output_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:
             raise DimensionError(
@@ -385,21 +398,29 @@ class MaxPool2D(_ParameterFree):
             raise DimensionError(f"maxpool expects (C, H, W, N), got {x.shape}")
         _, ho, wo = self.output_shape(x.shape[:3])
         # a running max over the taps: the strict ">" keeps the first of
-        # tied maxima, the one an argmax over the window picks, and arg
-        # records its tap
+        # tied maxima, the one an argmax over the window picks; with a
+        # cache, arg records its tap for the backward pass
         taps = self._taps(ho, wo)
         _, rows, cols = next(taps)
         y = x[:, rows, cols].copy()
         y_bits = _bits(y)
-        wh, ww = self.window
-        arg = np.zeros(y.shape, dtype=np.min_scalar_type(wh * ww - 1))
+        hit = np.empty(y.shape, dtype=bool)
+        diff = np.empty_like(y_bits)
+        if with_cache:
+            wh, ww = self.window
+            arg = np.zeros(y.shape, dtype=np.min_scalar_type(wh * ww - 1))
         for k, rows, cols in taps:
             s = x[:, rows, cols]
-            hit = s > y
-            # y = where(hit, s, y) on the bit patterns; taps come in rising
-            # order, so the max of arg and k * hit is where(hit, k, arg)
-            y_bits ^= (_bits(s) ^ y_bits) & _ones_where(hit, y_bits.dtype)
-            np.maximum(arg, hit * arg.dtype.type(k), out=arg)
+            np.greater(s, y, out=hit)
+            # y = where(hit, s, y) on the bit patterns, without a branch:
+            # the bits that differ, kept only where hit, flip y to s
+            np.bitwise_xor(_bits(s), y_bits, out=diff)
+            diff *= hit
+            y_bits ^= diff
+            if with_cache:
+                # taps come in rising order, so the max of arg and k * hit
+                # is where(hit, k, arg)
+                np.maximum(arg, hit * arg.dtype.type(k), out=arg)
         if with_cache:
             return y, (x.shape, arg)
         return y

@@ -175,6 +175,10 @@ def compression_stats(net: Network, scores_before: dict | None = None,
                       scores_after: dict | None = None) -> CompressionReport:
     """Parameter counts and surviving fractions, total and per layer.
 
+    Each layer's entry also counts its targets by ``Network.liveness``:
+    dead-end, input-less (a target can be both) and live, the ones the live
+    subnetwork keeps.
+
     When score maps are given (layer index -> ImportanceScores), the report
     also carries distribution statistics of the scores at the surviving
     contributor slots, under ``score_stats["before"]`` and ``["after"]``.
@@ -184,6 +188,7 @@ def compression_stats(net: Network, scores_before: dict | None = None,
     per_layer = []
     total = 0
     unmasked = 0
+    liveness = net.liveness()
     for i, layer in enumerate(net.layers):
         params = layer.params()
         if not params:
@@ -192,9 +197,13 @@ def compression_stats(net: Network, scores_before: dict | None = None,
         lt = sum(p.size for p in params.values())
         lu = int(sum(np.broadcast_to(masks[name], params[name].shape).sum()
                      for name in params))
+        live = liveness[i]
         per_layer.append({"layer": i, "kind": layer.kind, "total": int(lt),
                           "unmasked": lu,
-                          "remaining_pct": 100.0 * lu / lt})
+                          "remaining_pct": 100.0 * lu / lt,
+                          "dead_end_targets": int(live.dead_end.sum()),
+                          "inputless_targets": int(live.inputless.sum()),
+                          "live_targets": int(live.live.sum())})
         total += lt
         unmasked += lu
     stats = None

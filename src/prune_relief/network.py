@@ -11,13 +11,33 @@ carry sample-last (C, H, W, N) maps (see ``layers``): the batch is converted
 once on entry when the first layer is spatial, and once on the way out, at
 the ``Flatten`` after the last spatial layer or, for a net that ends in a
 spatial layer, at its exit.
+
+Training and evaluation run on the network's live subnetwork
+(:class:`Subnetwork`): a compact copy without the units and conv channels
+that masks have cut off, which computes the same function.
 """
+
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, DenseLayer, Flatten,
                      sample_first, sample_last)
+
+
+@dataclass
+class Liveness:
+    """Which targets of one prunable layer the live subnetwork drops: one
+    bool per target in each field."""
+
+    dead_end: np.ndarray
+    inputless: np.ndarray
+
+    @property
+    def live(self) -> np.ndarray:
+        return ~(self.dead_end | self.inputless)
 
 
 class Network:
@@ -88,6 +108,37 @@ class Network:
     def prunable_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in PRUNABLE_KINDS]
 
+    def liveness(self) -> dict[int, Liveness]:
+        """Dead-end and input-less targets of every prunable layer.
+
+        A prunable layer's targets feed the next prunable layer through any
+        pools and a Flatten, which keep channels apart: a conv channel
+        becomes one block of the next dense layer's inputs. A target is
+        dead-end when no unmasked weight of the next prunable layer reads
+        it. It is input-less when its incoming weights and its bias are all
+        masked and its activation maps 0 to 0, so it outputs exactly 0;
+        with any other activation (sigmoid) it outputs a constant and
+        stays. The last prunable layer's targets are the logits and stay.
+        """
+        prunable = self.prunable_indices()
+        out = {}
+        for a, b in zip(prunable, prunable[1:] + [None]):
+            layer = self.layers[a]
+            none = np.zeros(layer.fan_out, dtype=bool)
+            if b is None:
+                out[a] = Liveness(dead_end=none, inputless=none)
+                continue
+            wm, bm = layer.stored_masks().values()
+            if layer.act.f(np.zeros(1, dtype=layer.bias.dtype))[0] == 0:
+                inputless = ~((wm != 0).any(axis=1) | (bm != 0))
+            else:
+                inputless = none
+            reads = next(iter(self.layers[b].stored_masks().values())) != 0
+            reads = reads.reshape(reads.shape[0], layer.fan_out, -1)
+            out[a] = Liveness(dead_end=~reads.any(axis=(0, 2)),
+                              inputless=inputless)
+        return out
+
     def layer_input_shapes(self) -> list[tuple]:
         """Per-sample input shape seen by each layer, propagated from the top."""
         shapes = []
@@ -117,3 +168,92 @@ class Network:
         return Network([l.astype(dtype) for l in self.layers], self.input_shape,
                        self.classes, strict=False)
 
+
+class Subnetwork:
+    """The live part of a network: a compact copy that computes the same
+    function, and the way back into the network.
+
+    Each prunable layer of the copy keeps the rows of its live targets (at
+    least one, so no tensor is empty) and the columns that the previous
+    prunable layer's kept targets feed: those inputs, those conv input
+    channels, or their feature blocks behind a Flatten. The first prunable
+    layer keeps all its inputs and the last all its targets. A dropped
+    target outputs exactly 0 (input-less) or nothing reads it (dead-end),
+    so the copy gives the network's logits, and the network's gradients for
+    the entries it holds, up to the order of the sums. A layer that drops
+    nothing is shared with the network, not copied, so a network with
+    nothing to drop is trained in place, as it is.
+    """
+
+    def __init__(self, net: Network):
+        self.full = net
+        # prunable layer index -> (kept rows, kept columns) as bool masks
+        self.keep = {}
+        liveness = net.liveness()
+        layers = []
+        prev = None  # kept targets of the previous prunable layer
+        for i, layer in enumerate(net.layers):
+            if i not in liveness:
+                layers.append(layer)
+                continue
+            keep_rows = liveness[i].live
+            if not keep_rows.any():
+                keep_rows[0] = True
+            if prev is None:
+                keep_cols = np.ones(layer.fan_in, dtype=bool)
+            else:  # each previous target feeds a block of inputs
+                keep_cols = np.repeat(prev, layer.fan_in // prev.size)
+            prev = keep_rows
+            self.keep[i] = keep_rows, keep_cols
+            if keep_rows.all() and keep_cols.all():
+                layers.append(layer)  # drops nothing: shared, not copied
+            else:
+                layers.append(layer.take(np.flatnonzero(keep_rows),
+                                         np.flatnonzero(keep_cols)))
+        self.net = Network(layers, net.input_shape, net.classes, strict=False)
+
+    def _copied(self):
+        """(network layer, its copy, kept rows, kept columns) of every layer
+        the copy does not share."""
+        for i, (keep_rows, keep_cols) in self.keep.items():
+            layer, part = self.full.layers[i], self.net.layers[i]
+            if part is not layer:
+                yield layer, part, keep_rows, keep_cols
+
+    @functools.cached_property
+    def _left_out(self) -> list:
+        """(network tensor, flat indices) of the unmasked entries the copy
+        leaves out: the incoming weights and biases of dead-end targets and
+        the outgoing weights of input-less ones."""
+        out = []
+        for layer, _, keep_rows, keep_cols in self._copied():
+            for p, mask, kept in zip(layer.params().values(),
+                                     layer.param_masks().values(),
+                                     (keep_rows[:, None] & keep_cols,
+                                      keep_rows)):
+                left_out = (mask != 0) & ~kept.reshape(mask.shape)
+                out.append(
+                    (p, np.flatnonzero(np.broadcast_to(left_out, p.shape))))
+        return out
+
+    @functools.cached_property
+    def outside(self) -> np.ndarray:
+        """The entries the copy leaves out, packed into one vector on first
+        use. Their data gradient is exactly 0; :meth:`scatter` writes them
+        back."""
+        parts = [p.reshape(-1)[idx] for p, idx in self._left_out]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+    def scatter(self) -> None:
+        """Write the copied layers' parameters, and ``outside`` if it was
+        packed, into the network."""
+        if "outside" in vars(self):
+            start = 0
+            for p, idx in self._left_out:
+                p.reshape(-1)[idx] = self.outside[start:start + idx.size]
+                start += idx.size
+        for layer, part, keep_rows, keep_cols in self._copied():
+            for p, q, kept in zip(layer.params().values(),
+                                  part.params().values(),
+                                  (np.ix_(keep_rows, keep_cols), keep_rows)):
+                p[kept] = q

@@ -140,45 +140,55 @@ def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
 
 
 class Optimizer:
-    """Applies per-tensor step updates across all parameterized layers."""
+    """Applies per-tensor step updates across all parameterized layers.
 
-    def __init__(self, net, cfg: OptimizerConfig):
+    ``decay_only``, if given, is a 1-D vector of parameter entries whose
+    data gradient is exactly 0 for the optimizer's life (the entries a
+    ``Subnetwork`` leaves out). Each step gives it the update those entries
+    get from a zero gradient: weight decay alone, through the same step
+    function with its own moments, so it holds the bytes the entries would
+    hold in their tensors.
+    """
+
+    def __init__(self, net, cfg: OptimizerConfig, decay_only=None):
         cfg.validate()
         self.cfg = cfg
         self.step_count = 0
-        self.slots = []
-        for layer in net.layers:
-            slot = {}
-            for name, p in layer.params().items():
-                if cfg.kind == "sgd":
-                    slot[name] = {"velocity": np.zeros_like(p),
-                                  "scratch": [np.empty_like(p)]}
-                else:
-                    slot[name] = {"m": np.zeros_like(p), "v": np.zeros_like(p),
-                                  "scratch": [np.empty_like(p), np.empty_like(p)]}
-            self.slots.append(slot)
+        self.slots = [{name: self._state(p) for name, p in layer.params().items()}
+                      for layer in net.layers]
+        self.decay_only = decay_only
+        if decay_only is not None:
+            self.decay_state = self._state(decay_only)
+
+    def _state(self, p) -> dict:
+        if self.cfg.kind == "sgd":
+            return {"velocity": np.zeros_like(p), "scratch": [np.empty_like(p)]}
+        return {"m": np.zeros_like(p), "v": np.zeros_like(p),
+                "scratch": [np.empty_like(p), np.empty_like(p)]}
+
+    def _step(self, p, grad, mask, state, lr: float) -> None:
+        cfg = self.cfg
+        if cfg.kind == "sgd":
+            sgd_step(p, grad, state["velocity"], lr,
+                     weight_decay=cfg.weight_decay, momentum=cfg.momentum,
+                     mask=mask, scratch=state["scratch"])
+        else:
+            adam_step(p, grad, state["m"], state["v"], self.step_count, lr,
+                      weight_decay=cfg.weight_decay, beta1=cfg.beta1,
+                      beta2=cfg.beta2, eps=cfg.eps, mask=mask,
+                      scratch=state["scratch"])
 
     def apply(self, net, grads, lr: float) -> None:
         """grads: per-layer dict of gradient arrays aligned with params()."""
         self.step_count += 1
-        cfg = self.cfg
         for layer, slot, g in zip(net.layers, self.slots, grads):
             if not g:
                 continue
             masks = layer.param_masks()
             for name, p in layer.params().items():
-                state = slot[name]
-                if cfg.kind == "sgd":
-                    sgd_step(p, g[name], state["velocity"], lr,
-                             weight_decay=cfg.weight_decay,
-                             momentum=cfg.momentum, mask=masks[name],
-                             scratch=state["scratch"])
-                else:
-                    adam_step(p, g[name], state["m"], state["v"],
-                              self.step_count, lr,
-                              weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                              beta2=cfg.beta2, eps=cfg.eps, mask=masks[name],
-                              scratch=state["scratch"])
+                self._step(p, g[name], masks[name], slot[name], lr)
+        if self.decay_only is not None and self.decay_only.size:
+            self._step(self.decay_only, 0.0, None, self.decay_state, lr)
 
 
 def summarize(cfg: OptimizerConfig, step_count: int) -> dict:

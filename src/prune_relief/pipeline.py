@@ -218,6 +218,30 @@ def draw_pruning_set(train: Dataset, n: int, seed, key: int):
 _draw_pruning_batch = draw_pruning_set
 
 
+# what a history line's per_layer entry records of a checkpoint's layer
+_RECORDED = ("layer", "kind", "total", "unmasked")
+
+
+def _check_resumed(net: Network, last: IterationReport, ckpt: Path,
+                   history_path: Path) -> None:
+    """FormatError naming the first layer whose kind, size or unmasked count
+    in ``net``, the checkpoint resumed from, differs from the last history
+    line's record."""
+    have = [{k: e[k] for k in _RECORDED}
+            for e in compression_stats(net).per_layer]
+    recorded = [{k: e.get(k) for k in _RECORDED} if isinstance(e, dict) else e
+                for e in last.per_layer]
+    for i in range(max(len(have), len(recorded))):
+        got, want = (x[i] if i < len(x) else None for x in (have, recorded))
+        if got != want:
+            where = got if got is not None else want
+            layer = where.get("layer") if isinstance(where, dict) else i
+            raise FormatError(
+                f"checkpoint {ckpt} does not match the last line of "
+                f"{history_path} at layer {layer}: the checkpoint has "
+                f"{got}, the history records {want}")
+
+
 def _iteration_dir(out_dir: Path, iteration: int) -> Path:
     return out_dir / "iterations" / f"iter_{iteration:02d}"
 
@@ -258,6 +282,7 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
             if resumed.num_params() != net.num_params():
                 raise ConfigError(f"checkpoint {last_ckpt} does not match the "
                                   f"configured network")
+            _check_resumed(resumed, reports[-1], last_ckpt, history_path)
             net.layers = resumed.layers
             if log is not None:
                 log(f"resuming after iteration {len(reports)}")

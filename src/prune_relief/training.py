@@ -5,12 +5,16 @@ in layer order from a single seeded generator, so the same seed always
 produces the same bytes and surviving weights can later be restored to their
 original drawn values. Training shuffles with its own seeded generator and
 raises on the first non-finite epoch loss.
+
+Training and evaluation run on the network's live subnetwork
+(``network.Subnetwork``), a compact copy without the units and conv
+channels that the masks cut off; ``train`` writes the result back.
 """
 
 import numpy as np
 
 from .errors import DimensionError, TrainingError
-from .network import Network
+from .network import Network, Subnetwork
 from .optimizers import Optimizer, OptimizerConfig
 
 
@@ -82,11 +86,13 @@ def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
 
 def evaluate(net: Network, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256) -> float:
-    """Top-1 accuracy in [0, 1]."""
+    """Top-1 accuracy in [0, 1], from the logits of the network's live
+    subnetwork."""
+    live = Subnetwork(net).net
     n = images.shape[0]
     correct = 0
     for start in range(0, n, batch_size):
-        logits = net.forward(images[start:start + batch_size])
+        logits = live.forward(images[start:start + batch_size])
         correct += int(np.sum(logits.argmax(axis=1) == labels[start:start + batch_size]))
     return correct / n
 
@@ -97,29 +103,41 @@ def train(net: Network, images: np.ndarray, labels: np.ndarray,
 
     ``seed`` feeds the shuffle generator only; parameter init is the caller's
     business. ``log``, if given, is called with a dict per epoch.
+
+    The steps run on the live subnetwork. The masks are fixed for the whole
+    call, so the entries it leaves out keep a zero data gradient throughout
+    and take the optimizer's decay-only update; both parts are written back
+    into ``net`` when training ends.
     """
     cfg.validate()
     n = images.shape[0]
     if n == 0:
         raise TrainingError("cannot train on an empty dataset")
-    opt = Optimizer(net, cfg)
+    live = Subnetwork(net)
+    opt = Optimizer(live.net, cfg, decay_only=live.outside)
     rng = np.random.default_rng(seed)
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr_at(epoch)
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            loss, grads, ok = forward_backward(net, images[idx], labels[idx])
-            opt.apply(net, grads, lr)
-            loss_sum += loss * idx.size
-            correct += ok
-        epoch_loss = loss_sum / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingError(
-                f"training diverged at epoch {epoch}: loss {epoch_loss}")
-        if log is not None:
-            log({"epoch": epoch, "lr": lr, "loss": epoch_loss,
-                 "train_accuracy": correct / n})
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cfg.lr_at(epoch)
+            perm = rng.permutation(n)
+            loss_sum = 0.0
+            correct = 0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                loss, grads, ok = forward_backward(live.net, images[idx],
+                                                   labels[idx])
+                opt.apply(live.net, grads, lr)
+                loss_sum += loss * idx.size
+                correct += ok
+            epoch_loss = loss_sum / n
+            if not np.isfinite(epoch_loss):
+                raise TrainingError(
+                    f"training diverged at epoch {epoch}: loss {epoch_loss}")
+            if log is not None:
+                log({"epoch": epoch, "lr": lr, "loss": epoch_loss,
+                     "train_accuracy": correct / n})
+    finally:
+        # also when training raises: the network then holds the values
+        # trained so far in every layer, the copied ones as the shared ones
+        live.scatter()
     return net

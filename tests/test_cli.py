@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from prune_relief.cli import main
+from prune_relief.model_io import load_model, save_model
 from prune_relief.pipeline import read_history
 from tests.conftest import count_forwards_and_scores
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
@@ -409,6 +410,26 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert f"{history}:2: malformed history line: {key} must be" in err
         assert "Traceback" not in err
+
+    def test_resumed_checkpoint_unlike_history_exit_3(self, run, tmp_path,
+                                                       capsys):
+        # the last checkpoint masks one weight more than its history line
+        # records; resuming to a third iteration reads both
+        _, out2 = copy_run(run, tmp_path)
+        ckpt = out2 / "iterations" / "iter_02"
+        net = load_model(ckpt)
+        j, i = np.argwhere(net.layers[1].weight_mask != 0)[0]
+        net.layers[1].apply_mask(j, [i])
+        save_model(net, ckpt)
+        cfg3 = write_config(tmp_path / "config3.json", out=out2, prune={
+            "alpha_fc": 0.9, "n_pruning_samples": 64, "iterations": 3,
+            "drop_tolerance": 50.0})
+        assert main(["prune", "--config", str(cfg3)]) == 3
+        err = capsys.readouterr().err
+        assert f"does not match the last line of {out2 / 'history.jsonl'} " \
+            f"at layer 1" in err
+        assert "Traceback" not in err
+        assert not (out2 / "iterations" / "iter_03").exists()
 
     @pytest.mark.parametrize("key", ["tensors", "layers"])
     def test_wrong_json_types_in_model_json_exit_3(self, run, tmp_path, capsys,

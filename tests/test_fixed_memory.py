@@ -212,3 +212,15 @@ class TestMemoryBounds:
     def test_network_forward(self, lenet5):
         net, batch = lenet5
         assert traced_peak_mb(lambda: net.forward(batch)) < 130
+
+
+def test_max_pool_inference_keeps_no_argmax():
+    """Without a cache the pool builds only its output, one mask of hits
+    and one bit buffer: 2.25 outputs. Recording the argmax and allocating
+    each tap's temporaries took 3.5."""
+    from prune_relief import MaxPool2D
+    x = np.maximum(np.random.default_rng(7).standard_normal(
+        (20, 24, 24, 200), dtype=np.float32), 0)
+    pool = MaxPool2D((2, 2))
+    out_mb = x.nbytes / 4 / 1e6
+    assert traced_peak_mb(lambda: pool.forward(x)) < 2.5 * out_mb

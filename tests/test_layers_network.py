@@ -40,6 +40,40 @@ class TestDenseForward:
         assert out.dtype == np.float32
 
 
+class TestCopies:
+    @pytest.mark.parametrize("build", [lambda r: random_dense(r, 5, 4),
+                                       lambda r: random_conv(r, 3, 4, 3)],
+                             ids=["dense", "conv"])
+    def test_astype_keeps_the_mask_dtype(self, rng, build):
+        layer = build(rng)
+        layer.apply_mask(1, [0, 2])
+        wide = layer.astype(np.float64)
+        for p, q in zip(wide.params().values(), layer.params().values()):
+            assert p.dtype == np.float64
+            np.testing.assert_array_equal(p, q)
+        for m, n in zip(wide.stored_masks().values(),
+                        layer.stored_masks().values()):
+            assert m.dtype == np.float32 and m.tobytes() == n.tobytes()
+            assert not np.shares_memory(m, n)
+        back = wide.astype(np.float32)
+        assert [p.tobytes() for p in back.params().values()] == \
+            [p.tobytes() for p in layer.params().values()]
+
+    def test_take_keeps_the_block(self, rng):
+        layer = random_conv(rng, 3, 4, 3)
+        layer.apply_mask(2, [1, 3])
+        part = layer.take(np.array([0, 2]), np.array([1, 2]))
+        np.testing.assert_array_equal(part.kernels,
+                                      layer.kernels[[0, 2]][:, [1, 2]])
+        np.testing.assert_array_equal(part.bias, layer.bias[[0, 2]])
+        np.testing.assert_array_equal(part.kernel_mask, [[1, 1], [0, 1]])
+        np.testing.assert_array_equal(part.bias_mask, [1, 0])
+        for a in (*part.params().values(), *part.stored_masks().values()):
+            assert a.flags["C_CONTIGUOUS"]
+        assert (part.stride, part.padding, part.activation) == \
+            (layer.stride, layer.padding, layer.activation)
+
+
 class TestMasking:
     def test_all_masked_zero_bias_gives_zero_logits(self, rng):
         net = small_mlp(rng, (5, 4, 3))

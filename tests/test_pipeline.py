@@ -9,8 +9,8 @@ import pytest
 from prune_relief import (PURPOSE_REINIT, ConfigError, DenseLayer, Flatten,
                           FormatError, IterationReport, LrSpan, Network,
                           OptimizerConfig, PruneConfig, evaluate, history_line,
-                          init_params, iterate, read_history, select_best,
-                          synth_dataset)
+                          init_params, iterate, load_model, read_history,
+                          save_model, select_best, synth_dataset)
 
 F32 = np.float32
 
@@ -326,6 +326,62 @@ class TestRunDirectory:
             (stopped / "history.jsonl").read_bytes()
         assert (whole / "iterations" / "iter_04" / "weights.bin").read_bytes() \
             == (stopped / "iterations" / "iter_04" / "weights.bin").read_bytes()
+
+    def test_history_counts_dead_targets(self, tmp_path):
+        out = tmp_path / "run"
+        net, reports, _ = self.run(out, iterations=2)
+        live = net.liveness()
+        for entry in read_history(out / "history.jsonl")[-1].per_layer:
+            layer = live[entry["layer"]]
+            assert entry["dead_end_targets"] == int(layer.dead_end.sum())
+            assert entry["inputless_targets"] == int(layer.inputless.sum())
+            assert entry["live_targets"] == int(layer.live.sum())
+        assert reports[-1].per_layer[-1]["dead_end_targets"] == 0
+
+    def test_resume_reads_lines_without_dead_target_counts(self, tmp_path):
+        """History lines written before the dead-target counts still load
+        and resume to the same checkpoint."""
+        whole, old = tmp_path / "whole", tmp_path / "old"
+        self.run(whole, iterations=3)
+        self.run(old, iterations=2)
+        history = old / "history.jsonl"
+        lines = []
+        for line in history.read_text().splitlines():
+            record = json.loads(line)
+            for entry in record["per_layer"]:
+                for key in ("dead_end_targets", "inputless_targets",
+                            "live_targets"):
+                    del entry[key]
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        history.write_text("".join(lines))
+        assert len(read_history(history)) == 2
+        self.run(old, iterations=3)
+        assert (whole / "iterations" / "iter_03" / "weights.bin").read_bytes() \
+            == (old / "iterations" / "iter_03" / "weights.bin").read_bytes()
+
+    @pytest.mark.parametrize("tamper", ["checkpoint", "history"])
+    def test_resume_rejects_checkpoint_unlike_history(self, tmp_path, tamper):
+        out = tmp_path / "run"
+        self.run(out, iterations=2)
+        if tamper == "checkpoint":
+            # one more masked weight than the history records
+            ckpt = out / "iterations" / "iter_02"
+            net = load_model(ckpt)
+            layer = net.layers[2]
+            j, i = np.argwhere(layer.weight_mask != 0)[0]
+            layer.apply_mask(j, [i])
+            save_model(net, ckpt)
+        else:
+            # the history records another layer size
+            history = out / "history.jsonl"
+            first, second = history.read_text().splitlines()
+            record = json.loads(second)
+            record["per_layer"][1]["total"] += 1
+            history.write_text(f"{first}\n{json.dumps(record)}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"does not match the last line of {out / 'history.jsonl'} "
+                f"at layer 2")):
+            self.run(out, iterations=3)
 
     def test_completed_run_reruns_as_noop(self, tmp_path):
         out = tmp_path / "run"
