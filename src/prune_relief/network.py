@@ -152,6 +152,7 @@ class Network:
         return int(sum(p.size for l in self.layers for p in l.params().values()))
 
     def num_unmasked(self) -> int:
+        # perfbench/checks.py calls this to check every benchmark checkpoint
         total = 0
         for layer in self.layers:
             masks = layer.param_masks()

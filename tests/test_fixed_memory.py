@@ -20,7 +20,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prune_relief import ConvLayer, build_network, init_params
+from prune_relief import (ConvLayer, ImportanceScores, build_network,
+                          export_importance_csv, init_params)
 from prune_relief import tensor_ops
 from prune_relief.bounds import bound_report, measure_deviation
 from prune_relief.importance import (_normalize, conv_importance,
@@ -224,3 +225,25 @@ def test_max_pool_inference_keeps_no_argmax():
     pool = MaxPool2D((2, 2))
     out_mb = x.nbytes / 4 / 1e6
     assert traced_peak_mb(lambda: pool.forward(x)) < 2.5 * out_mb
+
+
+def test_csv_export_holds_one_block(tmp_path):
+    """The score CSVs are encoded a block of whole rows at a time, about
+    ``grid_csv.BLOCK`` values, so writing LeNet-5 fc-1's 801-column grid
+    peaks near 1.1 MB at 500 rows and at 2000 rows alike. Encoding a whole
+    grid at once would hold its 32-byte slots alone, 51 MB at 2000 rows;
+    the slack covers Python's own small objects."""
+    rng = np.random.default_rng(8)
+    path = tmp_path / "scores.csv"
+
+    def scores(rows):
+        grid = rng.random((rows, 801))
+        grid[:, rng.random(801) < 0.14] = 0  # always-dead inputs
+        return ImportanceScores(scores=grid, totals=np.ones(rows))
+
+    export_importance_csv(scores(1), path)  # imports the encoder
+    small, big = scores(500), scores(2000)
+    peak_small = traced_peak_mb(lambda: export_importance_csv(small, path))
+    peak_big = traced_peak_mb(lambda: export_importance_csv(big, path))
+    assert peak_big <= peak_small + 0.064
+    assert peak_big < 2.0

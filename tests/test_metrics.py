@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from prune_relief import (CapabilityError, ConvLayer, DenseLayer, Flatten,
                           ImportanceScores, MaxPool2D, Network,
@@ -12,6 +14,7 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer, Flatten,
                           flops_conv, flops_dense, gini,
                           kept_connection_scores, masked_flops,
                           prune_single_layer, score_layer, score_stats)
+from prune_relief import grid_csv
 from tests.conftest import small_cnn, small_mlp
 
 F32 = np.float32
@@ -349,29 +352,149 @@ class TestHeatmapExport:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_match_csv_module_writer(self, tmp_path, dtype):
-        def old_writer(path, header, grid):
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                for row in grid:
-                    writer.writerow(["%.9g" % v for v in row])
-
         # tiny and subnormal, huge, exactly 9 and more significant digits,
         # integral, and zero
         fi = np.finfo(dtype)
         values = [fi.smallest_subnormal, fi.tiny, 1e-30, fi.max, 3.4e38, 1e30,
                   0.123456789, 123456789.0, 1.23456789e-5, 0.1234567891234,
                   2 / 3, 0.0, 1.0, 2.0, 7.0, 1234567890.0, 16777217.0, 1e9]
-        grid = np.array(values * 2, dtype).reshape(4, 9)
-        layer = DenseLayer(grid[:, :-1], grid[:, -1], "relu", dtype=dtype)
-        scores = ImportanceScores(scores=grid, totals=np.ones(4))
-        names = [f"in_{i}" for i in range(8)]
-        sp, mp, ip = (tmp_path / f"{n}.csv" for n in "smi")
-        export_heatmaps(layer, scores, sp, mp)
-        export_importance_csv(scores, ip)
-        for path, header, expect in (
-                (sp, [f"score_{n}" for n in names], grid[:, :-1]),
-                (mp, [f"abs_weight_{n}" for n in names], grid[:, :-1]),
-                (ip, names + ["bias"], grid)):
-            old_writer(tmp_path / "old.csv", header, expect)
-            assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert_exports_match_writer(
+            tmp_path, np.array(values * 2, dtype).reshape(4, 9))
+
+
+def csv_module_writer(path, header, grid):
+    """The reference: each value at "%.9g" in Python, rows written by the
+    csv module (comma-separated, CRLF-terminated)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in grid:
+            writer.writerow(["%.9g" % v for v in row])
+
+
+def assert_exports_match_writer(tmp_path, grid):
+    """``export_importance_csv`` of ``grid``, and ``export_heatmaps`` of a
+    dense layer holding all but its last column, write the reference's
+    bytes."""
+    rows, cols = grid.shape
+    names = [f"in_{i}" for i in range(cols - 1)]
+    scores = ImportanceScores(scores=grid, totals=np.ones(rows))
+    expected = tmp_path / "expected.csv"
+    written = [(tmp_path / "importance.csv", names + ["bias"], grid)]
+    export_importance_csv(scores, written[0][0])
+    if rows and cols > 1:
+        layer = DenseLayer(grid[:, :-1], grid[:, -1], "relu", dtype=grid.dtype)
+        written += [(tmp_path / "scores.csv", [f"score_{n}" for n in names],
+                     grid[:, :-1]),
+                    (tmp_path / "magnitudes.csv",
+                     [f"abs_weight_{n}" for n in names], np.abs(grid[:, :-1]))]
+        export_heatmaps(layer, scores, written[1][0], written[2][0])
+    for path, header, values in written:
+        csv_module_writer(expected, header, values)
+        assert path.read_bytes() == expected.read_bytes(), path.name
+
+
+# Values in whole rows the CSV encoder takes at a time; the grids below span
+# several of its blocks and one value, or one row, more.
+BLOCK = grid_csv.BLOCK
+MULTI_BLOCK_SHAPES = [(2 * BLOCK + 1, 1), (3, BLOCK + 1),
+                      (2 * (BLOCK // 801) + 1, 801)]
+
+
+SMALL_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(2, 40)),
+    st.tuples(st.integers(2, 40), st.just(1)),
+    st.tuples(st.integers(0, 12), st.integers(1, 12)))
+
+
+@st.composite
+def float_grids(draw, shapes):
+    """Grids of float32 or float64 values over the whole range: ±0,
+    subnormals, the extremes, ±inf and NaN, the strategy's own floats, raw
+    bit patterns, and score- and weight-like values, with exact zero
+    columns."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    fi = np.finfo(dtype)
+    shape = draw(shapes)
+    drawn = draw(st.lists(st.floats(width=fi.bits), min_size=1, max_size=12))
+    edge = [0.0, -0.0, np.inf, -np.inf, np.nan, fi.smallest_subnormal,
+            -fi.tiny, fi.max, *drawn]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = shape[0] * shape[1]
+    uint = np.dtype(f"uint{fi.bits}")
+    bits = rng.integers(0, np.iinfo(uint).max, n, dtype=uint, endpoint=True)
+    pools = [bits.view(dtype),
+             rng.random(n).astype(dtype),
+             rng.standard_normal(n).astype(dtype),
+             (10.0 ** rng.uniform(-16, 32, n)).astype(dtype),
+             np.array(edge, dtype)[rng.integers(0, len(edge), n)]]
+    grid = np.choose(rng.integers(0, len(pools), n), pools).reshape(shape)
+    grid[:, rng.random(shape[1]) < 0.15] = 0  # always-dead inputs
+    return grid
+
+
+class TestCsvBytes:
+    """The score and magnitude CSVs hold exactly the bytes of formatting
+    every value with "%.9g" in Python."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=float_grids(SMALL_SHAPES))
+    def test_grids_match_writer(self, tmp_path, grid):
+        assert_exports_match_writer(tmp_path, grid)
+
+    @settings(max_examples=6, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(grid=float_grids(st.sampled_from(MULTI_BLOCK_SHAPES)))
+    def test_multi_block_grids_match_writer(self, tmp_path, grid):
+        assert_exports_match_writer(tmp_path, grid)
+
+    def check(self, tmp_path, values, dtype=np.float64):
+        values = np.asarray(values, np.float64)
+        for v in (values, -values):
+            assert_exports_match_writer(tmp_path,
+                                        v.astype(dtype).reshape(-1, 1))
+            assert_exports_match_writer(tmp_path,
+                                        v.astype(dtype).reshape(1, -1))
+
+    def test_nine_digit_ties(self, tmp_path):
+        # (q + 1/2) * 10**k: exact halfway cases for k in 0..9, which round
+        # to even, and the nearest floats to them for k < 0
+        q = np.random.default_rng(3).integers(10 ** 8, 10 ** 9, 64)
+        q[:2] = [10 ** 8, 10 ** 9 - 1]
+        self.check(tmp_path, np.outer(10.0 ** np.arange(-30, 31), q + 0.5))
+
+    def test_carries(self, tmp_path):
+        # rounding up to 10**9 carries into the exponent, and can move a
+        # value from fixed to scientific notation or back
+        tie = 999999999.5 * 10.0 ** np.arange(-30, 31)
+        self.check(tmp_path, [tie, np.nextafter(tie, 0),
+                              np.nextafter(tie, np.inf), tie * 0.9999999999,
+                              999999999.4 * 10.0 ** np.arange(-30, 31)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_powers_of_ten_and_neighbours(self, tmp_path, dtype):
+        tens = np.array([10.0 ** k for k in range(-45, 39)]).astype(dtype)
+        self.check(tmp_path, np.concatenate(
+            [tens, np.nextafter(tens, dtype(0)),
+             np.nextafter(tens, dtype(np.inf))]), dtype)
+
+    def test_notation_boundaries(self, tmp_path):
+        # fixed notation for exponents -4..8, scientific outside; the vector
+        # path's exponent range ends at -14 and 30; three-digit exponents
+        self.check(tmp_path, [
+            1.23456789e-5, 9.99999999e-5, 9.999999995e-5, 9.9999999949e-5,
+            1e-4, 1.00000001e-4, 0.000123456789,
+            99999999.9, 99999999.95, 123456789.0, 999999999.0, 999999999.5,
+            1e9, 1234567890.0, 12345678.5, 1.5, 10.25, 100.0, 120.0, 1200.5,
+            9.99999999e-15, 9.999999995e-15, 1e-14, 1.23456789e-14, 1e-15,
+            9.99999999e30, 9.9999999995e30, 1e31, 1.23456789e30,
+            1e100, 1.23456789e-100, 1e-300, 5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 0.0, np.inf, np.nan])
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        assert_exports_match_writer(tmp_path, np.zeros((0, 5), np.float32))
+        scores = ImportanceScores(scores=np.zeros((0, 3)), totals=np.ones(0))
+        export_importance_csv(scores, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == b"in_0,in_1,bias\r\n"
