@@ -4,10 +4,12 @@
 
 Writes LeNet-5 fc-1-shaped (500 x 801) and LeNet-300-100-shaped (300 x 785)
 float64 score grids with ``metrics.export_importance_csv``, and the same
-grids with ``np.savetxt(fmt="%.9g")``, which the export used before, in this
-one process. It asserts the two files are byte-identical, and writes the
-median seconds of each, with the host, NumPy and its BLAS, to the JSON file
-(by default ``bench/BENCH_csv_export.json``).
+grids two other ways, in this one process: with ``np.savetxt(fmt="%.9g")``,
+which the export used before, and with one ``%`` over each row's Python
+floats (``row.tolist()``), the simplest byte-exact writer. It asserts the
+three files are byte-identical, and writes the median seconds of each, with
+the host, NumPy and its BLAS, to the JSON file (by default
+``bench/BENCH_csv_export.json``).
 The grids look like the pipeline's: rows of scores summing to 1, every
 seventh row dead (all zero), and ~14% of the columns zero, as LeNet-5 fc-1's
 always-dead inputs are.
@@ -51,6 +53,18 @@ def savetxt_csv(scores, path):
                newline="\r\n", header=header, comments="")
 
 
+def tolist_csv(scores, path, rows=16):
+    grid = scores.scores
+    m = grid.shape[1] - 1
+    header = ",".join([f"in_{i}" for i in range(m)] + ["bias"])
+    fmt = ",".join(["%.9g"] * grid.shape[1]) + "\r\n"
+    with open(path, "wb") as fh:
+        fh.write((header + "\r\n").encode())
+        for r in range(0, grid.shape[0], rows):
+            fh.write("".join([fmt % tuple(row) for row in
+                              grid[r:r + rows].tolist()]).encode())
+
+
 def host():
     cpu = platform.processor() or "unknown"
     try:
@@ -68,6 +82,10 @@ def host():
             "blas": blas}
 
 
+WRITERS = {"export_importance_csv": export_importance_csv,
+           "savetxt": savetxt_csv, "tolist": tolist_csv}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--repeats", type=int, default=15)
@@ -78,37 +96,41 @@ def main(argv=None) -> int:
 
     result = {"host": host(), "repeats": args.repeats, "grids": {}}
     with tempfile.TemporaryDirectory() as tmp:
-        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        paths = {k: Path(tmp) / f"{k}.csv" for k in WRITERS}
         t0 = time.perf_counter()
-        export_importance_csv(score_grid(1, 2, 0), new)
+        export_importance_csv(score_grid(1, 2, 0), paths["savetxt"])
         result["first_call_s"] = time.perf_counter() - t0
         for seed, (name, (rows, cols)) in enumerate(GRIDS.items()):
             scores = score_grid(rows, cols, seed)
-            times = {"export_importance_csv": [], "savetxt": []}
+            times = {k: [] for k in WRITERS}
             for _ in range(args.repeats):
-                for key, write, path in (
-                        ("export_importance_csv", export_importance_csv, new),
-                        ("savetxt", savetxt_csv, old)):
+                for key, write in WRITERS.items():
                     t0 = time.perf_counter()
-                    write(scores, path)
+                    write(scores, paths[key])
                     times[key].append(time.perf_counter() - t0)
-                if new.read_bytes() != old.read_bytes():
-                    raise SystemExit(f"{name}: the export's bytes differ "
-                                     f"from np.savetxt's")
+                new = paths["export_importance_csv"].read_bytes()
+                for key in ("savetxt", "tolist"):
+                    if paths[key].read_bytes() != new:
+                        raise SystemExit(f"{name}: the export's bytes differ "
+                                         f"from {key}'s")
             med = {k: statistics.median(v) for k, v in times.items()}
             result["grids"][name] = {
                 "shape": [rows, cols], "values": rows * cols,
-                "bytes": new.stat().st_size, "bytes_identical": True,
+                "bytes": len(new), "bytes_identical": True,
                 "median_s": med,
                 "ns_per_value": {k: 1e9 * v / (rows * cols)
                                  for k, v in med.items()},
-                "speedup": med["savetxt"] / med["export_importance_csv"]}
+                "speedup": med["savetxt"] / med["export_importance_csv"],
+                "speedup_vs_tolist": (med["tolist"]
+                                      / med["export_importance_csv"])}
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     for name, g in result["grids"].items():
         med = g["median_s"]
         print(f"{name} {g['shape']}: export "
               f"{med['export_importance_csv']:.4f} s, savetxt "
-              f"{med['savetxt']:.4f} s, x{g['speedup']:.2f}, bytes identical")
+              f"{med['savetxt']:.4f} s (x{g['speedup']:.2f}), tolist "
+              f"{med['tolist']:.4f} s (x{g['speedup_vs_tolist']:.2f}), "
+              f"bytes identical")
     print(f"wrote {args.out}")
     return 0
 

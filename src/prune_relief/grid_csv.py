@@ -2,7 +2,8 @@
 
 ``write_grid`` writes the bytes ``np.savetxt(path, grid, fmt="%.9g",
 delimiter=",", newline="\\r\\n", header=",".join(names), comments="")``
-writes; ``metrics._write_grid`` gives the argument for the digits.
+writes. The comment above the ``ok`` mask in ``_encode`` gives the argument
+for the digits and names the values formatted with ``"%.9g" % v`` instead.
 
 Each value's text is laid out in a 32-byte slot of four 8-byte words:
 
@@ -104,6 +105,22 @@ def _encode(block, ends):
     k = (30 - e).astype(np.intp)
     y = b * UP.take(k, mode="clip") / DOWN.take(k, mode="clip")
     q = np.rint(y)
+    # Python's "%.9g" rounds the exact binary value a = |x| correctly: to the
+    # integer nearest Y = a * 10**(8 - E), ties to even, where E is the
+    # decimal exponent that puts Y in [10**8, 10**9), with a carry into E at
+    # 10**9. The encoder takes e = floor(log10(a)). For |8 - e| <= 22,
+    # 10**|8 - e| is an exact float64, so the one product or quotient y is
+    # Y = a * 10**(8 - e) correctly rounded. Rounding is monotone, and 10**8,
+    # 10**9 and every half-integer between are float64 values, so y and Y lie
+    # on the same side of each of them unless y equals one. Hence where
+    # 10**8 < y < 10**9 and y is not a half-integer, e is E and rint(y) is
+    # Python's digits. Where y == 10**8, either Y >= 10**8 and the same
+    # holds, or Y lies within half an ulp below 10**8: then E is e - 1 and
+    # 10 * Y rounds to 10**9 and carries, which prints the same "1" and
+    # zeros at exponent e as rint(y) does. Where log10 is off by one, y falls
+    # outside [10**8, 10**9). Zeros print as "0" or "-0" from the templates.
+    # The rest is formatted with "%.9g" % v, one value at a time: infinities,
+    # NaN, e outside [E_MIN, E_MAX), y outside [10**8, 10**9), and halfway y.
     ok = ((e >= E_MIN) & (e < E_MAX) & (y >= 1e8) & (y < 1e9)
           & (np.abs(y - q) != 0.5) & ~zero)
     carry = q == 1e9

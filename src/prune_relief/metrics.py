@@ -220,26 +220,8 @@ def compression_stats(net: Network, scores_before: dict | None = None,
 
 def _write_grid(path, names, grid) -> None:
     """One CSV header line of ``names``, then ``grid``'s rows at 9
-    significant digits, CRLF-terminated: the bytes ``np.savetxt(path, grid,
-    fmt="%.9g", delimiter=",", newline="\\r\\n", header=",".join(names),
-    comments="")`` writes.
-
-    ``grid_csv`` encodes whole blocks of values with array operations.
-    Python's "%.9g" rounds the exact binary value ``a = |x|`` correctly: to
-    the integer nearest ``Y = a * 10**(8 - e)``, ties to even, where ``e``
-    is the decimal exponent that puts ``Y`` in [10**8, 10**9), with a carry
-    into ``e`` at 10**9. The encoder takes ``e = floor(log10(a))``. For
-    ``|8 - e| <= 22``, ``10**|8 - e|`` is an exact float64, so the one
-    product or quotient ``y`` is ``Y`` correctly rounded. Rounding is
-    monotone, and 10**8, 10**9 and every half-integer between are float64
-    values, so ``y`` and ``Y`` lie on the same side of each of them unless
-    ``y`` equals one. Hence where 10**8 <= ``y`` < 10**9 and ``y`` is not a
-    half-integer, ``e`` is the right exponent and ``rint(y)`` gives
-    Python's digits; where log10 is off by one, ``y`` falls outside the
-    range. Zeros print as "0" or "-0". The rest is formatted with
-    ``"%.9g" % v``, one value at a time: infinities, NaN, ``e`` outside
-    [-14, 30], ``y`` outside [10**8, 10**9), and halfway ``y``.
-    """
+    significant digits, CRLF-terminated, as ``np.savetxt(fmt="%.9g")``
+    writes them; ``grid_csv`` states why the bytes are the same."""
     # imported here, so that only the commands that write CSVs compile it
     from .grid_csv import write_grid
     write_grid(path, names, grid)
