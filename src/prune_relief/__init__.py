@@ -19,8 +19,7 @@ from .errors import (CapabilityError, ConfigError, DimensionError,
                      TrainingError)
 from .importance import (ImportanceScores, LayerDecisions, Selection,
                          conv_importance, fc_importance, prune_pass,
-                         prune_single_layer, score_layer, score_network,
-                         select_kept)
+                         score_layer, score_network, select_kept)
 from .layers import (ConvLayer, DenseLayer, Flatten, MaxPool2D, sample_first,
                      sample_last)
 from .metrics import (CompressionReport, FlopsReport, compression_stats,

@@ -33,7 +33,7 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import (_as_input_batch, _mask_copy, _prunable_layers,
+from .importance import (_as_input_batch, _mask_layer, _prunable_layers,
                          score_layer)
 from .layers import ConvLayer, DenseLayer
 from .network import Network
@@ -180,8 +180,9 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     logits, kept = net.forward(batch, keep=[layer_index])
     inputs = kept[layer_index]
     before = net.layers[layer_index]
-    pruned_net, decisions = _mask_copy(net, layer_index,
-                                       score_layer(before, inputs), alpha)
+    pruned_net = net.clone()
+    decisions = _mask_layer(pruned_net.layers[layer_index],
+                            score_layer(before, inputs), alpha, layer_index)
     delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
                                          inputs)
     c = before.act.lipschitz

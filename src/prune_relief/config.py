@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .activations import ACTIVATIONS
 from .datasets import Dataset, load_idx, normalize_pair, synth_dataset
 from .errors import ConfigError
 from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
@@ -134,12 +135,16 @@ def parse_config(data: dict) -> RunConfig:
     seed = _get(data, "seed", int, default=0)
     if seed < 0:
         raise ConfigError(f"config field 'seed' must be >= 0, got {seed}")
+    activation = _get(data, "activation", str, default="relu")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"config field 'activation' must be one of "
+                          f"{sorted(ACTIVATIONS)}, got {activation!r}")
     train = _parse_optimizer(data, "train")
     retrain = _parse_optimizer(data, "retrain") \
         if _get(data, "retrain", dict, default=None) is not None else train
     return RunConfig(
         model=_get(data, "model", str),
-        activation=_get(data, "activation", str, default="relu"),
+        activation=activation,
         dataset=dataset,
         train=train,
         retrain=retrain,
@@ -206,6 +211,12 @@ def _zeros_dense(n_in: int, n_out: int, activation: str) -> DenseLayer:
                       np.zeros(n_out, np.float32), activation)
 
 
+def _check_size(model: str, part: str, size: int) -> None:
+    if size < 1:
+        raise ConfigError(f"model {model!r}: part {part!r} has size {size}; "
+                          f"sizes must be >= 1")
+
+
 def _flat_dim(shape) -> int:
     return int(np.prod(shape))
 
@@ -237,6 +248,8 @@ def build_network(model: str, input_shape, classes: int,
         if len(dims) < 2:
             raise ConfigError(f"model {model!r} needs at least input and "
                               f"output sizes")
+        for d in dims:
+            _check_size(model, str(d), d)
         if dims[0] != _flat_dim(input_shape):
             raise ConfigError(
                 f"model {model!r} expects {dims[0]} input values, dataset "
@@ -264,6 +277,7 @@ def build_network(model: str, input_shape, classes: int,
                     if flat:
                         raise ConfigError(f"model {model!r}: conv after fc")
                     c_out, k = int(m.group(1)), int(m.group(2))
+                    _check_size(model, part, min(c_out, k))
                     s = int(m.group(3) or 1)
                     p = int(m.group(4) or 0)
                     layers.append(ConvLayer(
@@ -275,6 +289,7 @@ def build_network(model: str, input_shape, classes: int,
                     if flat:
                         raise ConfigError(f"model {model!r}: pool after fc")
                     w = int(m.group(1))
+                    _check_size(model, part, w)
                     s = int(m.group(2) or w)
                     layers.append(MaxPool2D((w, w), (s, s)))
                     cur = layers[-1].output_shape(cur)
@@ -283,8 +298,9 @@ def build_network(model: str, input_shape, classes: int,
                         layers.append(Flatten())
                         cur = layers[-1].output_shape(cur)
                         flat = True
-                    layers.append(_zeros_dense(cur[0], int(m.group(1)),
-                                               activation))
+                    units = int(m.group(1))
+                    _check_size(model, part, units)
+                    layers.append(_zeros_dense(cur[0], units, activation))
                     cur = layers[-1].output_shape(cur)
                 else:
                     raise ConfigError(f"model {model!r}: cannot parse part "

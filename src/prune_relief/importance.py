@@ -74,9 +74,6 @@ class ImportanceScores:
     def num_contributors(self) -> int:
         return self.scores.shape[1]
 
-    def dead_targets(self) -> np.ndarray:
-        return self.totals == 0
-
 
 @dataclass
 class Selection:
@@ -264,14 +261,6 @@ def _mask_layer(layer, scores: ImportanceScores, alpha: float,
     return LayerDecisions(layer_index, layer.kind, alpha, scores, selection)
 
 
-def _mask_copy(net: Network, layer_index: int, scores: ImportanceScores,
-              alpha: float) -> tuple[Network, LayerDecisions]:
-    """Mask one layer of a copy of ``net`` from scores already taken."""
-    pruned = net.clone()
-    return pruned, _mask_layer(pruned.layers[layer_index], scores, alpha,
-                               layer_index)
-
-
 def prune_pass(net: Network, pruning_set, alpha_conv: float,
                alpha_fc: float) -> tuple[Network, list[LayerDecisions]]:
     """One full pruning pass over every prunable layer, in place.
@@ -287,13 +276,3 @@ def prune_pass(net: Network, pruning_set, alpha_conv: float,
         alpha = alpha_fc if layer.kind == "dense" else alpha_conv
         decisions.append(_mask_layer(layer, layer_scores, alpha, li))
     return net, decisions
-
-
-def prune_single_layer(net: Network, layer_index: int, alpha: float,
-                       pruning_set) -> tuple[Network, LayerDecisions]:
-    """Score and mask one prunable layer on a copy of the network.
-
-    Returns the pruned copy and the decisions; the original is untouched.
-    """
-    scores = score_network(net, pruning_set, [layer_index])
-    return _mask_copy(net, layer_index, scores[layer_index], alpha)

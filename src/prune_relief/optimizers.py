@@ -1,13 +1,14 @@
-"""SGD with momentum and Adam, both mask-aware, updating in place.
+"""SGD with momentum and Adam over a flat list of tensors, in place.
 
 Weight decay is classic L2 added to the gradient before any moment update
-(not decoupled). The mask is multiplied into that effective gradient once
-per step, so a masked entry's gradient is exactly 0 (or -0.0). Masked
-parameters are exactly 0 (layers enforce it) and an ``Optimizer``'s moments
-start at 0, so a masked entry's update is 0 and the parameter and its
-moments stay exactly 0 bit-for-bit no matter how many steps run; there is
-nothing left to mask. This needs the masks fixed for the optimizer's life:
-the pipeline masks between ``train`` calls, and each builds a new one.
+(not decoupled). The optimizer knows nothing of pruning: a layer's
+``backward`` is the one place that zeroes the gradient of a pruned entry,
+so the optimizer sees exactly 0 (or -0.0) there. A pruned parameter is
+exactly 0 as well (layers enforce it) and an ``Optimizer``'s moments start
+at 0, so the entry's effective gradient and update are ±0, and the
+parameter and its moments stay ±0 no matter how many steps run. This needs
+the pruning fixed for the optimizer's life: the pipeline prunes between
+``train`` calls, and each builds a new one.
 
 Each step is fused: it runs in place on the parameter and its state,
 writing its temporaries into two scratch buffers shaped like the parameter,
@@ -86,10 +87,10 @@ def _scratch(param, scratch, count):
 
 
 def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
-             mask=None, scratch=None):
+             scratch=None):
     """One SGD/momentum update, in place on ``param`` and ``velocity``.
 
-    g = (grad + weight_decay * param) * mask;
+    g = grad + weight_decay * param;
     velocity = momentum * velocity + g; param -= lr * velocity.
     ``scratch`` is a one-buffer sequence shaped like ``param``; without it
     the step allocates its own.
@@ -97,8 +98,6 @@ def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
     (g,) = _scratch(param, scratch, 1)
     np.multiply(param, weight_decay, out=g)
     np.add(grad, g, out=g)
-    if mask is not None:
-        g *= mask
     velocity *= momentum
     velocity += g
     np.multiply(velocity, lr, out=g)
@@ -107,10 +106,10 @@ def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
 
 
 def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
-              beta1=0.9, beta2=0.999, eps=1e-8, mask=None, scratch=None):
+              beta1=0.9, beta2=0.999, eps=1e-8, scratch=None):
     """One Adam update (bias-corrected), in place on ``param``, ``m``, ``v``.
 
-    g = (grad + weight_decay * param) * mask;
+    g = grad + weight_decay * param;
     m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
     param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps).
     ``scratch`` is a two-buffer sequence shaped like ``param``; without it
@@ -119,8 +118,6 @@ def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
     g, tmp = _scratch(param, scratch, 2)
     np.multiply(param, weight_decay, out=g)
     np.add(grad, g, out=g)
-    if mask is not None:
-        g *= mask
     m *= beta1
     np.multiply(g, 1 - beta1, out=tmp)
     m += tmp
@@ -140,55 +137,41 @@ def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
 
 
 class Optimizer:
-    """Applies per-tensor step updates across all parameterized layers.
+    """Steps a flat list of tensors, each with its own moments.
 
-    ``decay_only``, if given, is a 1-D vector of parameter entries whose
-    data gradient is exactly 0 for the optimizer's life (the entries a
-    ``Subnetwork`` leaves out). Each step gives it the update those entries
-    get from a zero gradient: weight decay alone, through the same step
-    function with its own moments, so it holds the bytes the entries would
-    hold in their tensors.
+    ``apply`` takes one gradient per tensor, in the same order: an array
+    shaped like the tensor, or a scalar such as 0.0 for entries that see no
+    data and take weight decay alone.
     """
 
-    def __init__(self, net, cfg: OptimizerConfig, decay_only=None):
+    def __init__(self, params, cfg: OptimizerConfig):
         cfg.validate()
         self.cfg = cfg
         self.step_count = 0
-        self.slots = [{name: self._state(p) for name, p in layer.params().items()}
-                      for layer in net.layers]
-        self.decay_only = decay_only
-        if decay_only is not None:
-            self.decay_state = self._state(decay_only)
-
-    def _state(self, p) -> dict:
-        if self.cfg.kind == "sgd":
-            return {"velocity": np.zeros_like(p), "scratch": [np.empty_like(p)]}
-        return {"m": np.zeros_like(p), "v": np.zeros_like(p),
-                "scratch": [np.empty_like(p), np.empty_like(p)]}
-
-    def _step(self, p, grad, mask, state, lr: float) -> None:
-        cfg = self.cfg
+        self.params = list(params)
         if cfg.kind == "sgd":
-            sgd_step(p, grad, state["velocity"], lr,
-                     weight_decay=cfg.weight_decay, momentum=cfg.momentum,
-                     mask=mask, scratch=state["scratch"])
+            self.states = [{"velocity": np.zeros_like(p),
+                            "scratch": [np.empty_like(p)]}
+                           for p in self.params]
         else:
-            adam_step(p, grad, state["m"], state["v"], self.step_count, lr,
-                      weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                      beta2=cfg.beta2, eps=cfg.eps, mask=mask,
-                      scratch=state["scratch"])
+            self.states = [{"m": np.zeros_like(p), "v": np.zeros_like(p),
+                            "scratch": [np.empty_like(p), np.empty_like(p)]}
+                           for p in self.params]
 
-    def apply(self, net, grads, lr: float) -> None:
-        """grads: per-layer dict of gradient arrays aligned with params()."""
+    def apply(self, grads, lr: float) -> None:
         self.step_count += 1
-        for layer, slot, g in zip(net.layers, self.slots, grads):
-            if not g:
-                continue
-            masks = layer.param_masks()
-            for name, p in layer.params().items():
-                self._step(p, g[name], masks[name], slot[name], lr)
-        if self.decay_only is not None and self.decay_only.size:
-            self._step(self.decay_only, 0.0, None, self.decay_state, lr)
+        cfg = self.cfg
+        for p, grad, state in zip(self.params, grads, self.states,
+                                  strict=True):
+            if cfg.kind == "sgd":
+                sgd_step(p, grad, state["velocity"], lr,
+                         weight_decay=cfg.weight_decay, momentum=cfg.momentum,
+                         scratch=state["scratch"])
+            else:
+                adam_step(p, grad, state["m"], state["v"], self.step_count,
+                          lr, weight_decay=cfg.weight_decay, beta1=cfg.beta1,
+                          beta2=cfg.beta2, eps=cfg.eps,
+                          scratch=state["scratch"])
 
 
 def summarize(cfg: OptimizerConfig, step_count: int) -> dict:

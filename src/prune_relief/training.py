@@ -14,6 +14,7 @@ channels that the masks cut off; ``train`` writes the result back.
 import numpy as np
 
 from .errors import DimensionError, TrainingError
+from .layers import PRUNABLE_KINDS
 from .network import Network, Subnetwork
 from .optimizers import Optimizer, OptimizerConfig
 
@@ -22,22 +23,15 @@ def init_params(net: Network, seed) -> Network:
     """He-normal init of every prunable layer, in place; masks reset to one."""
     rng = np.random.default_rng(seed)
     for layer in net.layers:
-        if layer.kind == "dense":
-            fan_in = layer.fan_in
-            std = np.sqrt(2.0 / fan_in)
-            w = rng.standard_normal(layer.weights.shape, dtype=np.float32)
-            layer.weights[...] = w * np.float32(std)
-            layer.bias[...] = 0
-            layer.weight_mask[...] = 1
-            layer.bias_mask[...] = 1
-        elif layer.kind == "conv":
-            fan_in = layer.in_channels * layer.kernel_size ** 2
-            std = np.sqrt(2.0 / fan_in)
-            k = rng.standard_normal(layer.kernels.shape, dtype=np.float32)
-            layer.kernels[...] = k * np.float32(std)
-            layer.bias[...] = 0
-            layer.kernel_mask[...] = 1
-            layer.bias_mask[...] = 1
+        if layer.kind in PRUNABLE_KINDS:
+            weights, bias = layer.params().values()
+            # fan-in: the inputs one target reads, over every kernel tap
+            std = np.sqrt(2.0 / weights[0].size)
+            w = rng.standard_normal(weights.shape, dtype=np.float32)
+            weights[...] = w * np.float32(std)
+            bias[...] = 0
+            for mask in layer.stored_masks().values():
+                mask[...] = 1
     return net
 
 
@@ -105,16 +99,19 @@ def train(net: Network, images: np.ndarray, labels: np.ndarray,
     business. ``log``, if given, is called with a dict per epoch.
 
     The steps run on the live subnetwork. The masks are fixed for the whole
-    call, so the entries it leaves out keep a zero data gradient throughout
-    and take the optimizer's decay-only update; both parts are written back
-    into ``net`` when training ends.
+    call, so the entries it leaves out keep a zero data gradient throughout:
+    the optimizer steps their packed vector as one more tensor, with the
+    gradient 0.0, so they take weight decay alone. Both parts are written
+    back into ``net`` when training ends.
     """
     cfg.validate()
     n = images.shape[0]
     if n == 0:
         raise TrainingError("cannot train on an empty dataset")
     live = Subnetwork(net)
-    opt = Optimizer(live.net, cfg, decay_only=live.outside)
+    params = [p for layer in live.net.layers for p in layer.params().values()]
+    outside = [live.outside] if live.outside.size else []
+    opt = Optimizer(params + outside, cfg)
     rng = np.random.default_rng(seed)
     try:
         for epoch in range(1, cfg.epochs + 1):
@@ -126,7 +123,9 @@ def train(net: Network, images: np.ndarray, labels: np.ndarray,
                 idx = perm[start:start + cfg.batch_size]
                 loss, grads, ok = forward_backward(live.net, images[idx],
                                                    labels[idx])
-                opt.apply(live.net, grads, lr)
+                opt.apply([g for layer_grads in grads
+                           for g in layer_grads.values()]
+                          + [0.0] * len(outside), lr)
                 loss_sum += loss * idx.size
                 correct += ok
             epoch_loss = loss_sum / n

@@ -8,8 +8,9 @@ forward loss only.
 import numpy as np
 import pytest
 
-from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
-                          bounds, importance, softmax_cross_entropy)
+from prune_relief import (ConvLayer, DenseLayer, Flatten, LayerDecisions,
+                          MaxPool2D, Network, bounds, importance,
+                          score_network, select_kept, softmax_cross_entropy)
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -50,6 +51,66 @@ def small_cnn(rng, activation="relu", dtype=np.float32, in_shape=(2, 6, 6),
     flat = int(np.prod(cur))
     layers.append(random_dense(rng, flat, classes, "identity", dtype))
     return Network(layers, in_shape, classes)
+
+
+def next_prunable(net, a):
+    return next(i for i in net.prunable_indices() if i > a)
+
+
+def cut_units(rng, net, share=0.3):
+    """Mask a random third of every prunable layer's contributors, then cut
+    whole hidden targets: some lose every outgoing weight (dead-end), some
+    every incoming weight and the bias (input-less), a few both."""
+    for li in net.prunable_indices():
+        layer = net.layers[li]
+        drop = rng.random((layer.fan_out, layer.fan_in + 1)) < share
+        layer.apply_mask(*np.nonzero(drop))
+    for a in net.prunable_indices()[:-1]:
+        layer, nxt = net.layers[a], net.layers[next_prunable(net, a)]
+        per = nxt.fan_in // layer.fan_out
+        order = rng.permutation(layer.fan_out)
+        k = max(layer.fan_out // 4, 1)
+        for u in order[:k]:  # dead-end
+            nxt.apply_mask(np.arange(nxt.fan_out)[:, None],
+                           np.arange(u * per, (u + 1) * per)[None, :])
+        for u in order[k - 1:2 * k]:  # input-less; order[k - 1] is both
+            layer.apply_mask(u, np.arange(layer.fan_in + 1))
+    return net
+
+
+def assert_every_unmasked_entry_moved(net, before):
+    """Masked entries stayed 0; every unmasked one moved, the copy's by data
+    and decay, the left-out ones by decay alone."""
+    for i in net.prunable_indices():
+        for p, q, mask in zip(net.layers[i].params().values(),
+                              before.layers[i].params().values(),
+                              net.layers[i].param_masks().values()):
+            unmasked = np.broadcast_to(mask, p.shape) != 0
+            assert not p[~unmasked].any()
+            assert (p[unmasked] != q[unmasked]).all()
+
+
+def tensors(net) -> list:
+    """Every parameter tensor of ``net`` in layer order: what an
+    ``Optimizer`` steps."""
+    return [p for layer in net.layers for p in layer.params().values()]
+
+
+def flat_grads(grads) -> list:
+    """Per-layer gradient dicts as one list aligned with :func:`tensors`."""
+    return [g for layer_grads in grads for g in layer_grads.values()]
+
+
+def prune_one_layer(net, layer_index, alpha, pruning_set):
+    """Score and mask one prunable layer on a copy of ``net``, which is left
+    untouched. Returns the pruned copy and the layer's decisions."""
+    scores = score_network(net, pruning_set, [layer_index])[layer_index]
+    selection = select_kept(scores.scores, alpha)
+    pruned = net.clone()
+    layer = pruned.layers[layer_index]
+    layer.apply_mask(*np.nonzero(~selection.keep))
+    return pruned, LayerDecisions(layer_index, layer.kind, alpha, scores,
+                                  selection)
 
 
 def loss_of(net, x, labels) -> float:

@@ -19,13 +19,13 @@ import pytest
 from prune_relief import (LrSpan, Network, OptimizerConfig, conv_importance,
                           fc_importance, flops_conv, flops_dense,
                           forward_backward, measure_deviation,
-                          network_output_bound, prune_single_layer,
-                          sample_last, select_kept, train)
+                          network_output_bound, sample_last, select_kept,
+                          train)
 from prune_relief.cli import main
 from prune_relief.pipeline import read_history
 
-from conftest import (numeric_gradients, random_conv, random_dense, small_cnn,
-                      small_mlp)
+from conftest import (numeric_gradients, prune_one_layer, random_conv,
+                      random_dense, small_cnn, small_mlp)
 from test_datasets import idx_images_bytes, idx_labels_bytes
 
 ALL_ACTIVATIONS = ("relu", "elu", "sigmoid", "tanh", "identity")
@@ -80,7 +80,7 @@ def test_01_score_rows_sum_to_one(capsys):
             x = rng.standard_normal((int(rng.integers(1, 5)), c_in, h, w))
             scores = conv_importance(layer, sample_last(x.astype(np.float32)))
         sums = scores.scores.sum(axis=1)
-        dead = scores.dead_targets()
+        dead = scores.totals == 0
         if (~dead).any():
             worst = max(worst, float(np.abs(sums[~dead] - 1.0).max()))
         assert np.all(sums[dead] == 0.0)
@@ -154,7 +154,7 @@ def test_02_select_kept_matches_oracle(capsys):
 
 
 def _bound_margins(net, layer_index, alpha, batch):
-    pruned, decisions = prune_single_layer(net, layer_index, alpha, batch)
+    pruned, decisions = prune_one_layer(net, layer_index, alpha, batch)
     delta, big_delta = measure_deviation(net.layers[layer_index],
                                          pruned.layers[layer_index],
                                          net.first_layer_input(batch))
@@ -251,7 +251,7 @@ def test_05_network_output_bound(capsys):
         logits_before = net.forward(batch)
         for layer_index in net.prunable_indices():
             for alpha in (0.8, 0.95):
-                pruned, decisions = prune_single_layer(net, layer_index, alpha,
+                pruned, decisions = prune_one_layer(net, layer_index, alpha,
                                                        batch)
                 bound = network_output_bound(net, layer_index, alpha,
                                              decisions.scores.totals)

@@ -7,9 +7,9 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           DimensionError, EmptyPruningSetError, Flatten,
                           Network, bound_report, fc_neuron_bound,
                           measure_deviation, network_output_bound,
-                          prune_single_layer, sample_last, score_layer)
-from tests.conftest import (count_forwards_and_scores, random_dense, small_cnn,
-                            small_mlp)
+                          sample_last, score_layer)
+from tests.conftest import (count_forwards_and_scores, prune_one_layer,
+                            random_dense, small_cnn, small_mlp)
 
 F32 = np.float32
 
@@ -57,7 +57,7 @@ class TestHandEqualities:
                            "identity")
         net = Network([layer], (1,), 1)
         x = np.array([[1.0]], F32)
-        pruned, decisions = prune_single_layer(net, 0, 0.75, x)
+        pruned, decisions = prune_one_layer(net, 0, 0.75, x)
         sel = decisions.selection
         assert sel.keep.tolist() == [[True, False]]
         assert sel.achieved_mass[0] == 0.75
@@ -76,7 +76,7 @@ class TestHandEqualities:
                        DenseLayer(np.eye(1, dtype=F32), np.zeros(1, F32),
                                   "identity")], (2, 1, 1), 1)
         x = np.ones((1, 2, 1, 1), F32)
-        pruned, decisions = prune_single_layer(net, 0, 0.75, x)
+        pruned, decisions = prune_one_layer(net, 0, 0.75, x)
         sel = decisions.selection
         assert sel.keep.tolist() == [[True, False, False]]
         assert sel.achieved_mass[0] == 0.75
@@ -98,7 +98,7 @@ class TestHandEqualities:
         logits = net.forward(x)
         bound = network_output_bound(net, 0, 0.75, [2.0])
         np.testing.assert_array_equal(bound, [1.0])
-        pruned, _ = prune_single_layer(net, 0, 0.75, x)
+        pruned, _ = prune_one_layer(net, 0, 0.75, x)
         measured = np.abs(logits.astype(np.float64)
                           - pruned.forward(x).astype(np.float64)).mean(0)
         assert measured[0] == 1.0
@@ -180,7 +180,7 @@ class TestRandomSatisfaction:
             dims = (n_in, n_out, 3)
             net = small_mlp(rng, dims, activation=act)
             x = rng.standard_normal((int(rng.integers(1, 20)), n_in)).astype(F32)
-            pruned, decisions = prune_single_layer(net, 0, alpha, x)
+            pruned, decisions = prune_one_layer(net, 0, alpha, x)
             delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
             s = decisions.scores.totals
@@ -204,7 +204,7 @@ class TestRandomSatisfaction:
                             c_mid=c_mid, k=k, pool=hw >= 2 * k)
             x = rng.standard_normal(
                 (int(rng.integers(1, 6)), c_in, hw, hw)).astype(F32)
-            pruned, decisions = prune_single_layer(net, 0, alpha, x)
+            pruned, decisions = prune_one_layer(net, 0, alpha, x)
             delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0],
                 sample_last(x.astype(np.float64)))
@@ -226,7 +226,7 @@ class TestRandomSatisfaction:
             alpha = (0.8, 0.95)[case % 2]
             li = case % 3  # prunable layers 0, 1, 2
             x = rng.standard_normal((int(rng.integers(2, 16)), dims[0]))
-            pruned, decisions = prune_single_layer(net, li, alpha, x)
+            pruned, decisions = prune_one_layer(net, li, alpha, x)
             s = decisions.scores.totals
             bound = network_output_bound(net, li, alpha, s)
             measured = np.abs(net.forward(x) - pruned.forward(x)).mean(0)

@@ -284,6 +284,25 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "'train.epochs' is missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,activation,named", [
+        ("mlp:16-0-3", "relu", "part '0'"),
+        ("cnn:conv0k1,fc3", "relu", "part 'conv0k1'"),
+        ("cnn:conv2k0,fc3", "relu", "part 'conv2k0'"),
+        ("cnn:conv2k1,fc0,fc3", "relu", "part 'fc0'"),
+        ("mlp:16-8-3", "swish", "'activation'"),
+        ("lenet300100", "swish", "'activation'"),
+        ("cnn:conv2k1,fc3", "swish", "'activation'"),
+        ("lenet5", "swish", "'activation'")])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, model, activation,
+                                    named):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                           model=model, activation=activation)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_no_out_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["train", "--config", str(cfg)]) == 2

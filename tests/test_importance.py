@@ -10,9 +10,10 @@ import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError,
                           EmptyPruningSetError, Selection, conv_importance,
-                          fc_importance, prune_pass, prune_single_layer,
-                          sample_last, select_kept)
-from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
+                          fc_importance, prune_pass, sample_last,
+                          score_network, select_kept)
+from tests.conftest import (prune_one_layer, random_conv, random_dense,
+                            small_cnn, small_mlp)
 
 
 class TestFcImportance:
@@ -34,7 +35,7 @@ class TestFcImportance:
         layer = DenseLayer([[0.0, 0.0]], [0.0], "relu")
         sc = fc_importance(layer, np.ones((3, 2), np.float32))
         np.testing.assert_array_equal(sc.scores, [[0.0, 0.0, 0.0]])
-        assert sc.dead_targets()[0]
+        assert sc.totals[0] == 0
 
     def test_rows_sum_to_one(self, rng):
         layer = random_dense(rng, 17, 9)
@@ -49,7 +50,7 @@ class TestFcImportance:
         x = rng.standard_normal((12, 8)).astype(np.float32)
         a = fc_importance(layer, x)
         b = fc_importance(layer, 3.0 * x)
-        keep = ~a.dead_targets()
+        keep = a.totals != 0
         # the bias numerator does not scale, so compare connection columns
         # after renormalizing without the bias
         ca = a.scores[keep, :-1] / a.scores[keep, :-1].sum(1, keepdims=True)
@@ -378,7 +379,7 @@ class TestPrunePass:
             with pytest.raises(EmptyPruningSetError):
                 prune_pass(net, empty, 0.9, 0.9)
             with pytest.raises(EmptyPruningSetError):
-                prune_single_layer(net, 1, 0.9, empty)
+                score_network(net, empty, [1])
 
     def test_repeated_pass_is_monotone(self, rng):
         net = small_mlp(rng, (12, 9, 4))
@@ -397,7 +398,7 @@ class TestPruneSingleLayer:
     def test_only_requested_layer_changes(self, rng):
         net = small_mlp(rng, (8, 6, 4))
         x = rng.standard_normal((10, 8)).astype(np.float32)
-        pruned, dec = prune_single_layer(net, 1, 0.6, x)
+        pruned, dec = prune_one_layer(net, 1, 0.6, x)
         assert dec.layer_index == 1
         np.testing.assert_array_equal(pruned.layers[0].weight_mask,
                                       net.layers[0].weight_mask)
@@ -408,5 +409,5 @@ class TestPruneSingleLayer:
     def test_non_prunable_layer_rejected(self, rng):
         net = small_cnn(rng)
         with pytest.raises(IndexError):
-            prune_single_layer(net, 1, 0.9,
-                               rng.standard_normal((4, 2, 6, 6)).astype(np.float32))
+            score_network(net, rng.standard_normal((4, 2, 6, 6)).astype(
+                np.float32), [1])

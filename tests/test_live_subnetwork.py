@@ -14,36 +14,12 @@ from prune_relief import (LrSpan, Optimizer, OptimizerConfig, build_network,
                           compression_stats, evaluate, forward_backward,
                           init_params, train)
 from prune_relief.network import Subnetwork
-from tests.conftest import small_cnn, small_mlp
+from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
+                            flat_grads, small_cnn, small_mlp, tensors)
 
 # float64 gradients that differ only in the order of their sums; relative
 # to the largest entry of each tensor
 GRAD_TOL = 1e4 * np.finfo(np.float64).eps
-
-
-def next_prunable(net, a):
-    return next(i for i in net.prunable_indices() if i > a)
-
-
-def cut_units(rng, net, share=0.3):
-    """Mask a random third of every prunable layer's contributors, then cut
-    whole hidden targets: some lose every outgoing weight (dead-end), some
-    every incoming weight and the bias (input-less), a few both."""
-    for li in net.prunable_indices():
-        layer = net.layers[li]
-        drop = rng.random((layer.fan_out, layer.fan_in + 1)) < share
-        layer.apply_mask(*np.nonzero(drop))
-    for a in net.prunable_indices()[:-1]:
-        layer, nxt = net.layers[a], net.layers[next_prunable(net, a)]
-        per = nxt.fan_in // layer.fan_out
-        order = rng.permutation(layer.fan_out)
-        k = max(layer.fan_out // 4, 1)
-        for u in order[:k]:  # dead-end
-            nxt.apply_mask(np.arange(nxt.fan_out)[:, None],
-                           np.arange(u * per, (u + 1) * per)[None, :])
-        for u in order[k - 1:2 * k]:  # input-less; order[k - 1] is both
-            layer.apply_mask(u, np.arange(layer.fan_in + 1))
-    return net
 
 
 def lenet5(rng, dtype=np.float32):
@@ -98,18 +74,6 @@ def left_out(sub):
 def kept(sub, i):
     """The rows and columns of layer ``i`` that ``sub`` keeps, as lists."""
     return tuple(np.flatnonzero(m).tolist() for m in sub.keep[i])
-
-
-def assert_every_unmasked_entry_moved(net, before):
-    """Masked entries stayed 0; every unmasked one moved, the copy's by data
-    and decay, the left-out ones by decay alone."""
-    for i in net.prunable_indices():
-        for p, q, mask in zip(net.layers[i].params().values(),
-                              before.layers[i].params().values(),
-                              net.layers[i].param_masks().values()):
-            unmasked = np.broadcast_to(mask, p.shape) != 0
-            assert not p[~unmasked].any()
-            assert (p[unmasked] != q[unmasked]).all()
 
 
 class TestLiveness:
@@ -209,15 +173,16 @@ class TestTraining:
         sub = Subnetwork(net)
         cfg = OptimizerConfig(kind=kind, weight_decay=5e-4,
                               lr_schedule=[LrSpan(1, 1, 1e-2)])
-        full_opt = Optimizer(ref, cfg)
-        opt = Optimizer(sub.net, cfg, decay_only=sub.outside)
+        full_opt = Optimizer(tensors(ref), cfg)
+        # the left-out entries: one more tensor, with a zero gradient
+        opt = Optimizer(tensors(sub.net) + [sub.outside], cfg)
         for _ in range(30):
             x, labels = batch(rng, net, 8)
             x = x.astype(np.float32)
             _, grads, _ = forward_backward(ref, x, labels)
-            full_opt.apply(ref, grads, 1e-2)
+            full_opt.apply(flat_grads(grads), 1e-2)
             _, grads, _ = forward_backward(sub.net, x, labels)
-            opt.apply(sub.net, grads, 1e-2)
+            opt.apply(flat_grads(grads) + [0.0], 1e-2)
         sub.scatter()
         entries = left_out(sub)
         assert sum(int(out.sum()) for *_, out in entries) == sub.outside.size > 0
@@ -247,14 +212,14 @@ class TestTraining:
                               weight_decay=5e-4,
                               lr_schedule=[LrSpan(1, 2, 1e-2)])
         train(net, x, labels, cfg, seed=3)
-        opt = Optimizer(ref, cfg)
+        opt = Optimizer(tensors(ref), cfg)
         shuffle = np.random.default_rng(3)
         for epoch in (1, 2):
             perm = shuffle.permutation(24)
             for start in range(0, 24, 8):
                 idx = perm[start:start + 8]
                 _, grads, _ = forward_backward(ref, x[idx], labels[idx])
-                opt.apply(ref, grads, cfg.lr_at(epoch))
+                opt.apply(flat_grads(grads), cfg.lr_at(epoch))
         assert [p.tobytes() for l in net.layers for p in l.params().values()] \
             == [p.tobytes() for l in ref.layers for p in l.params().values()]
 

@@ -13,9 +13,9 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer, Flatten,
                           export_heatmaps, export_importance_csv, fc_importance,
                           flops_conv, flops_dense, gini,
                           kept_connection_scores, masked_flops,
-                          prune_single_layer, score_layer, score_stats)
+                          score_layer, score_stats)
 from prune_relief import grid_csv
-from tests.conftest import small_cnn, small_mlp
+from tests.conftest import prune_one_layer, small_cnn, small_mlp
 
 F32 = np.float32
 
@@ -257,7 +257,7 @@ class TestKeptConnectionScores:
     def test_counts_follow_masks(self, rng):
         net = small_mlp(rng, (6, 5, 3))
         x = rng.standard_normal((8, 6)).astype(F32)
-        pruned, _ = prune_single_layer(net, 0, 0.8, x)
+        pruned, _ = prune_one_layer(net, 0, 0.8, x)
         _, kept_b = net.forward(x, keep=[0])
         _, kept_a = pruned.forward(x, keep=[0])
         before = {0: score_layer(net.layers[0], kept_b[0])}

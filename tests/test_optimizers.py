@@ -6,7 +6,7 @@ import pytest
 from prune_relief import (ConfigError, LrSpan, Optimizer, OptimizerConfig,
                           adam_step, sgd_step)
 from prune_relief.optimizers import summarize
-from tests.conftest import small_cnn, small_mlp
+from tests.conftest import small_cnn, small_mlp, tensors
 
 
 def arr(*vals):
@@ -38,13 +38,13 @@ class TestSgdStep:
         sgd_step(w, arr(0.0), v, lr=0.5)
         assert w[0] == 3.0
 
-    def test_mask_freezes_entry(self):
+    def test_masked_gradient_freezes_entry(self):
+        # a masked entry: value 0 and the ±0 gradient backward gives it
         w = arr(0.0, 2.0)
         v = arr(0.0, 0.0)
-        mask = arr(0.0, 1.0)
         for _ in range(10):
-            sgd_step(w, arr(1.0, 1.0), v, lr=0.1, momentum=0.9,
-                     weight_decay=1e-3, mask=mask)
+            sgd_step(w, arr(-0.0, 1.0), v, lr=0.1, momentum=0.9,
+                     weight_decay=1e-3)
         assert w[0] == 0.0
         assert v[0] == 0.0
         assert w[1] != 2.0
@@ -76,13 +76,12 @@ class TestAdamStep:
         adam_step(w, arr(0.0), m, v, step=1, lr=1e-3, weight_decay=0.1)
         assert w[0] == pytest.approx(0.999, rel=1e-5)
 
-    def test_mask_freezes_entry_and_moments(self):
+    def test_masked_gradient_freezes_entry_and_moments(self):
         w = arr(0.0, 1.0)
         m, v = arr(0.0, 0.0), arr(0.0, 0.0)
-        mask = arr(0.0, 1.0)
         for step in range(1, 50):
-            adam_step(w, arr(1.0, 1.0), m, v, step=step, lr=1e-2,
-                      weight_decay=1e-3, mask=mask)
+            adam_step(w, arr(-0.0, 1.0), m, v, step=step, lr=1e-2,
+                      weight_decay=1e-3)
         assert w[0] == 0.0 and m[0] == 0.0 and v[0] == 0.0
         assert w[1] != 1.0
 
@@ -126,6 +125,20 @@ class TestSchedule:
             cfg.validate()
 
 
+def backward_like_grads(rng, net, signed_zeros=False):
+    """Random gradients for every tensor of ``net``, masked as a layer's
+    ``backward`` masks them, so each masked entry gets ±0."""
+    out = []
+    for layer in net.layers:
+        for p, mask in zip(layer.params().values(),
+                           layer.param_masks().values()):
+            g = rng.standard_normal(p.shape)
+            if signed_zeros:
+                g[rng.random(p.shape) < 0.1] = -0.0
+            out.append(g.astype(np.float32) * mask)
+    return out
+
+
 class TestOptimizerOverNetwork:
     def test_masked_params_stay_zero_for_both_kinds(self, rng):
         for kind in ("sgd", "adam"):
@@ -139,12 +152,9 @@ class TestOptimizerOverNetwork:
                     layer.apply_mask(j, drop)
             cfg = OptimizerConfig(kind=kind, epochs=1, weight_decay=1e-4,
                                   lr_schedule=[LrSpan(1, 1, 1e-2)])
-            opt = Optimizer(net, cfg)
+            opt = Optimizer(tensors(net), cfg)
             for _ in range(200):
-                grads = [{name: rng.standard_normal(p.shape).astype(np.float32)
-                          for name, p in l.params().items()}
-                         for l in net.layers]
-                opt.apply(net, grads, lr=1e-2)
+                opt.apply(backward_like_grads(rng, net), lr=1e-2)
             for li in net.prunable_indices():
                 layer = net.layers[li]
                 assert np.all(layer.weights[layer.weight_mask == 0] == 0.0)
@@ -154,11 +164,10 @@ class TestOptimizerOverNetwork:
         net = small_mlp(rng, (4, 3))
         cfg = OptimizerConfig(kind="sgd", epochs=1,
                               lr_schedule=[LrSpan(1, 1, 1e-2)])
-        opt = Optimizer(net, cfg)
-        grads = [{name: np.zeros_like(p) for name, p in l.params().items()}
-                 for l in net.layers]
-        opt.apply(net, grads, 1e-2)
-        opt.apply(net, grads, 1e-2)
+        opt = Optimizer(tensors(net), cfg)
+        grads = [np.zeros_like(p) for p in tensors(net)]
+        opt.apply(grads, 1e-2)
+        opt.apply(grads, 1e-2)
         assert opt.step_count == 2
         assert summarize(opt.cfg, opt.step_count)["step_count"] == 2
 
@@ -214,7 +223,7 @@ def pruned_net(rng, build):
 
 
 def param_bytes(net):
-    return [p.tobytes() for layer in net.layers for p in layer.params().values()]
+    return [p.tobytes() for p in tensors(net)]
 
 
 class TestFusedStepsMatchReference:
@@ -228,34 +237,27 @@ class TestFusedStepsMatchReference:
         ref = net.clone()
         cfg = OptimizerConfig(kind=kind, epochs=1, weight_decay=5e-4,
                               lr_schedule=[LrSpan(1, 1, 1e-2)])
-        opt = Optimizer(net, cfg)
-        state = [{name: [np.zeros_like(p), np.zeros_like(p)]
-                  for name, p in layer.params().items()} for layer in ref.layers]
+        opt = Optimizer(tensors(net), cfg)
+        masks = [m for layer in ref.layers for m in layer.param_masks().values()]
+        state = [[np.zeros_like(p), np.zeros_like(p)] for p in tensors(ref)]
         for step in range(1, 31):
-            # unmasked gradients with signed zeros: masking is the step's job
-            grads = [{name: np.where(rng.random(p.shape) < 0.1, -0.0,
-                                     rng.standard_normal(p.shape)).astype(np.float32)
-                      for name, p in layer.params().items()} for layer in net.layers]
-            opt.apply(net, grads, lr=1e-2)
-            for layer, g, st in zip(ref.layers, grads, state):
-                masks = layer.param_masks()
-                for name, p in layer.params().items():
-                    a, b = st[name]
-                    if kind == "sgd":
-                        ref_sgd_step(p, g[name], a, 1e-2, 5e-4, cfg.momentum,
-                                     mask=masks[name])
-                    else:
-                        ref_adam_step(p, g[name], a, b, step, 1e-2, 5e-4,
-                                      cfg.beta1, cfg.beta2, cfg.eps,
-                                      mask=masks[name])
-            assert param_bytes(net) == param_bytes(ref), step
-        for slot, st in zip(opt.slots, state):
-            for name, (a, b) in st.items():
+            # masked as backward masks them, signed zeros included: the
+            # unmasking optimizer must give the masking reference's bytes
+            grads = backward_like_grads(rng, net, signed_zeros=True)
+            opt.apply(grads, lr=1e-2)
+            for p, g, mask, (a, b) in zip(tensors(ref), grads, masks, state):
                 if kind == "sgd":
-                    assert slot[name]["velocity"].tobytes() == a.tobytes()
+                    ref_sgd_step(p, g, a, 1e-2, 5e-4, cfg.momentum, mask=mask)
                 else:
-                    assert slot[name]["m"].tobytes() == a.tobytes()
-                    assert slot[name]["v"].tobytes() == b.tobytes()
+                    ref_adam_step(p, g, a, b, step, 1e-2, 5e-4, cfg.beta1,
+                                  cfg.beta2, cfg.eps, mask=mask)
+            assert param_bytes(net) == param_bytes(ref), step
+        for got, (a, b) in zip(opt.states, state, strict=True):
+            if kind == "sgd":
+                assert got["velocity"].tobytes() == a.tobytes()
+            else:
+                assert got["m"].tobytes() == a.tobytes()
+                assert got["v"].tobytes() == b.tobytes()
 
     def test_steps_without_scratch_match_with_scratch(self, rng):
         p1 = rng.standard_normal(20).astype(np.float32)

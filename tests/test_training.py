@@ -10,7 +10,9 @@ from prune_relief import (ConvLayer, DenseLayer, Flatten, LrSpan, MaxPool2D,
                           forward_backward, init_params, softmax_cross_entropy,
                           synth_dataset, train)
 from prune_relief.config import build_network
-from tests.conftest import (numeric_gradients, random_conv, random_dense,
+from prune_relief.network import Subnetwork
+from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
+                            numeric_gradients, random_conv, random_dense,
                             small_cnn, small_mlp)
 
 
@@ -138,6 +140,17 @@ class TestGradients:
         _, grads, _ = forward_backward(net, x, rng.integers(0, 3, size=4))
         assert np.all(grads[0]["weights"][2, [0, 3]] == 0.0)
         assert grads[0]["bias"][2] == 0.0
+        # a conv layer: one masked kernel (filter 1, input channel 0) and
+        # the bias of filter 2
+        net = small_cnn(rng, dtype=np.float64)
+        conv = net.layers[0]
+        conv.apply_mask(1, [0])
+        conv.apply_mask(2, [conv.fan_in])
+        x = rng.standard_normal((4, 2, 6, 6))
+        _, grads, _ = forward_backward(net, x, rng.integers(0, 3, size=4))
+        dk, db = grads[0]["kernels"], grads[0]["bias"]
+        assert not dk[1, 0].any() and dk[1, 1].all() and dk[2].all()
+        assert db[2] == 0.0 and db[[0, 1]].all()
 
 
 def full_backward(net, x, labels):
@@ -223,22 +236,24 @@ class TestTrainLoop:
             warnings.simplefilter("ignore", RuntimeWarning)
             train(net, ds.images.reshape(64, 6), ds.labels, cfg, seed=0)
 
-    def test_masks_respected_through_training(self, rng):
-        ds = synth_dataset(7, 128, 2, dim=10)
-        net = small_mlp(rng, (10, 12, 2))
-        init_params(net, 2)
-        for li in net.prunable_indices():
-            layer = net.layers[li]
-            for j in range(layer.fan_out):
-                layer.apply_mask(j, rng.choice(layer.fan_in + 1, 3,
-                                               replace=False))
-        cfg = OptimizerConfig(kind="adam", epochs=4, batch_size=16,
-                              lr_schedule=[LrSpan(1, 4, 1e-2)])
-        train(net, ds.images.reshape(128, 10), ds.labels, cfg, seed=3)
-        for li in net.prunable_indices():
-            layer = net.layers[li]
-            assert np.all(layer.weights[layer.weight_mask == 0] == 0.0)
-            assert np.all(layer.bias[layer.bias_mask == 0] == 0.0)
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_masks_respected_through_training(self, rng, kind, model):
+        """Masked entries stay 0 under weight decay, in the live subnetwork
+        and in the dead units it leaves out; the other entries move."""
+        if model == "mlp":
+            net = small_mlp(rng, (10, 12, 9, 3))
+        else:
+            net = small_cnn(rng, in_shape=(2, 8, 8), c_mid=6)
+        cut_units(rng, net)
+        assert Subnetwork(net).outside.size
+        before = net.clone()
+        x = rng.standard_normal((64, *net.input_shape)).astype(np.float32)
+        cfg = OptimizerConfig(kind=kind, epochs=3, batch_size=16,
+                              weight_decay=5e-4,
+                              lr_schedule=[LrSpan(1, 3, 1e-2)])
+        train(net, x, rng.integers(0, 3, size=64), cfg, seed=3)
+        assert_every_unmasked_entry_moved(net, before)
 
     def test_epoch_log_callback(self, rng):
         ds = synth_dataset(8, 64, 2, dim=6)
