@@ -33,8 +33,7 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import (_as_input_batch, _mask_layer, _prunable_layers,
-                         score_layer)
+from .importance import _as_input_batch, _mask_layer, score_layer
 from .layers import ConvLayer, DenseLayer
 from .network import Network
 from .tensor_ops import sample_chunks
@@ -176,7 +175,8 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     capability limitation as a message.
     """
     batch = _as_input_batch(pruning_set)
-    _prunable_layers(net, [layer_index])
+    if layer_index not in net.prunable_indices():
+        raise IndexError(f"layer {layer_index} is not prunable")
     logits, kept = net.forward(batch, keep=[layer_index])
     inputs = kept[layer_index]
     before = net.layers[layer_index]
@@ -190,21 +190,20 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     keep = decisions.selection.keep
     kappa = decisions.selection.achieved_mass
     kept = keep.sum(axis=1)
-    targets = []
-    for j in range(s.size):
-        bound = c * s[j] * max(1.0 - kappa[j], 0.0)
-        targets.append({
-            "target": j,
-            "signal_total": float(s[j]),
-            "kept_mass": float(kappa[j]),
-            "kept": int(kept[j]),
-            "pruned": int(keep.shape[1] - kept[j]),
-            "lipschitz": c,
-            "pre_activation_deviation": float(delta[j]),
-            "pre_activation_bound": float(s[j] * max(1.0 - kappa[j], 0.0)),
-            "post_activation_deviation": float(big_delta[j]),
-            "post_activation_bound": float(bound),
-        })
+    slack = np.maximum(1.0 - kappa, 0.0)
+    columns = {
+        "signal_total": s,
+        "kept_mass": kappa,
+        "kept": kept,
+        "pruned": keep.shape[1] - kept,
+        "pre_activation_deviation": delta,
+        "pre_activation_bound": s * slack,
+        "post_activation_deviation": big_delta,
+        "post_activation_bound": c * s * slack,
+    }
+    rows = zip(*(v.tolist() for v in columns.values()))
+    targets = [{"target": j, "lipschitz": c, **dict(zip(columns, row))}
+               for j, row in enumerate(rows)]
     report = {
         "layer": layer_index,
         "kind": before.kind,
@@ -222,7 +221,7 @@ def bound_report(net: Network, layer_index: int, alpha: float,
         logits_after = pruned_net.forward(batch).astype(np.float64)
         measured = np.abs(logits_before - logits_after).mean(axis=0)
         report["network"] = {
-            "logit_bounds": [float(b) for b in bound_vec],
-            "measured_mean_abs_change": [float(m) for m in measured],
+            "logit_bounds": bound_vec.tolist(),
+            "measured_mean_abs_change": measured.tolist(),
         }
     return report

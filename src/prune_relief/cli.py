@@ -25,7 +25,8 @@ from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
 from .model_io import load_model, save_model
 from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, check_alpha,
-                       draw_pruning_set, iterate, read_history, select_best)
+                       draw_pruning_set, iterate, iteration_dir, read_history,
+                       select_best)
 from .svg import write_line_chart
 from .training import evaluate, init_params, train
 
@@ -191,8 +192,8 @@ def cmd_prune(args) -> int:
     with _run_lock(out_dir):
         _copy_config(args, out_dir)
         _, reports, best = iterate(
-            net, train_ds, test_ds, cfg.prune, cfg.retrain, cfg.seed,
-            initial_net=initial, baseline_accuracy=baseline, out_dir=out_dir,
+            net, train_ds, test_ds, cfg.prune, cfg.retrain, cfg.seed, out_dir,
+            initial_net=initial, baseline_accuracy=baseline,
             log=lambda msg: print(f"[prune] {msg}"))
     for r in reports:
         print(f"[prune] iter {r.iteration:2d}: "
@@ -253,8 +254,7 @@ def cmd_report(args) -> int:
         if baseline_acc is not None else None
 
     base_net = load_model(run_dir / "model")
-    final_net = load_model(run_dir / "iterations" /
-                           f"iter_{history[-1].iteration:02d}")
+    final_net = load_model(iteration_dir(run_dir, history[-1].iteration))
     batch = draw_pruning_set(train_ds, cfg.prune.n_pruning_samples,
                              cfg.seed, 0)
 

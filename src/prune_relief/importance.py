@@ -9,11 +9,11 @@ contributors whose combined score mass reaches the threshold ``alpha`` and
 masks the rest.
 
 ``score_network`` is the one place that scores a network: it forwards the
-pruning set once, keeping only the inputs of the requested prunable layers
-(all of them by default), and scores each layer from its kept input, so
-every layer sees the activations of the same pass-start network. Pruning
-passes and the CLI's report and score exports go through it; a bound
-report's one forward keeps the logits and its layer's input.
+pruning set once, keeping only the inputs of the prunable layers, and scores
+each layer from its kept input, so every layer sees the activations of the
+same pass-start network. Pruning passes and the CLI's report and score
+exports go through it; a bound report's one forward keeps the logits and its
+layer's input.
 
 Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
@@ -89,16 +89,6 @@ class Selection:
     threshold: np.ndarray
     achieved_mass: np.ndarray
 
-    @property
-    def kept(self) -> np.ndarray:
-        """Indices of the surviving contributors of a single row."""
-        return np.flatnonzero(self.keep)
-
-    @property
-    def pruned(self) -> np.ndarray:
-        """Indices of the masked contributors of a single row."""
-        return np.flatnonzero(~self.keep)
-
 
 @dataclass
 class LayerDecisions:
@@ -110,10 +100,8 @@ class LayerDecisions:
 
 
 def _as_input_batch(inputs, sample_axis=0) -> np.ndarray:
-    """The pruning set as one array; a list of samples is stacked along
+    """The pruning set as an array with at least one sample along
     ``sample_axis``."""
-    if isinstance(inputs, (list, tuple)) and len(inputs) > 0:
-        inputs = np.stack(inputs, axis=sample_axis)
     x = np.asarray(inputs)
     if x.shape[sample_axis] == 0:
         raise EmptyPruningSetError("the pruning set needs at least one sample")
@@ -230,28 +218,15 @@ def score_layer(layer, inputs) -> ImportanceScores:
     raise DimensionError(f"layer kind {layer.kind!r} has no importance scores")
 
 
-def _prunable_layers(net: Network, layer_indices=None) -> list[int]:
-    """``layer_indices`` (every prunable layer by default), or IndexError
-    when one of them is not prunable."""
-    prunable = net.prunable_indices()
-    if layer_indices is None:
-        return prunable
-    for li in layer_indices:
-        if li not in prunable:
-            raise IndexError(f"layer {li} is not prunable")
-    return list(layer_indices)
+def score_network(net: Network, pruning_set) -> dict:
+    """Forward the pruning set once and score every prunable layer.
 
-
-def score_network(net: Network, pruning_set, layer_indices=None) -> dict:
-    """Forward the pruning set once and score prunable layers.
-
-    Scores the layers in ``layer_indices`` (every prunable layer by default)
-    from one forward that keeps only their inputs. Returns a dict mapping
-    layer index to ImportanceScores in the order given.
+    The forward keeps only the prunable layers' inputs. Returns a dict
+    mapping layer index to ImportanceScores, in layer order.
     """
-    layer_indices = _prunable_layers(net, layer_indices)
-    _, inputs = net.forward(_as_input_batch(pruning_set), keep=layer_indices)
-    return {li: score_layer(net.layers[li], inputs[li]) for li in layer_indices}
+    prunable = net.prunable_indices()
+    _, inputs = net.forward(_as_input_batch(pruning_set), keep=prunable)
+    return {li: score_layer(net.layers[li], inputs[li]) for li in prunable}
 
 
 def _mask_layer(layer, scores: ImportanceScores, alpha: float,

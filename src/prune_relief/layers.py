@@ -368,9 +368,6 @@ class _ParameterFree:
     def stored_masks(self):
         return {}
 
-    def astype(self, dtype):
-        return self.clone()
-
 
 class MaxPool2D(_ParameterFree):
     """Max pooling of (C, H, W, N) maps over non-overlapping or strided

@@ -124,14 +124,10 @@ def kept_connection_scores(net: Network, scores_map: dict) -> np.ndarray:
     for li in sorted(scores_map):
         layer = net.layers[li]
         scores = scores_map[li]
-        if isinstance(layer, DenseLayer):
-            grid_mask = np.concatenate(
-                [layer.weight_mask, layer.bias_mask[:, None]], axis=1)
-        elif isinstance(layer, ConvLayer):
-            grid_mask = np.concatenate(
-                [layer.kernel_mask, layer.bias_mask[:, None]], axis=1)
-        else:
+        if not layer.stored_masks():
             raise ValueError(f"layer {li} ({layer.kind}) has no scores")
+        weight_mask, bias_mask = layer.stored_masks().values()
+        grid_mask = np.concatenate([weight_mask, bias_mask[:, None]], axis=1)
         if scores.scores.shape != grid_mask.shape:
             raise ValueError(
                 f"layer {li} scores {scores.scores.shape} do not match its "

@@ -5,8 +5,11 @@ manifest) and ``weights.bin`` (raw little-endian float32 parameter blobs in
 manifest order, followed by the masks as uint8 0/1). Every blob records its
 byte offset, length, and CRC32 so loads can reject torn or tampered files.
 A parameter tensor holding NaN or infinity is rejected too, even under a
-valid CRC: no command could give a meaningful result from it.
-Round-tripping a network through save/load is bit-exact.
+valid CRC: no command could give a meaningful result from it. So is a
+layer record no layer can take (a stride or window below 1, a negative
+padding) and a layer stack that does not chain from ``input_shape``: every
+malformed checkpoint raises ``FormatError``. Round-tripping a network
+through save/load is bit-exact.
 """
 
 import json
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
 from .network import Network
 
@@ -199,14 +202,16 @@ def load_model(path) -> Network:
                 raise FormatError(f"layer {i}: unknown kind {kind!r}")
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed layer record in {path}: {e}") from e
-    except ValueError as e:
-        # mask/value invariant violations surface as ValueError from layers
+    except (ValueError, DimensionError) as e:
+        # mask/value invariant violations surface as ValueError from layers,
+        # a bad stride, padding or pool window as DimensionError
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
     if tensors:
         raise FormatError(f"manifest declares tensors not owned by any layer: "
                           f"{sorted(tensors)}")
     try:
-        return Network(layers, manifest["input_shape"], manifest["classes"],
-                       strict=False)
-    except (KeyError, TypeError, ValueError) as e:
+        net = Network(layers, manifest["input_shape"], manifest["classes"])
+        net.layer_input_shapes()  # the layers must chain from input_shape
+    except (KeyError, TypeError, ValueError, DimensionError) as e:
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
+    return net

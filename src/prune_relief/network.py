@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, DenseLayer, Flatten,
-                     sample_first, sample_last)
+from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, Flatten, sample_first,
+                     sample_last)
 
 
 @dataclass
@@ -41,44 +41,24 @@ class Liveness:
 
 
 class Network:
-    def __init__(self, layers, input_shape, classes: int, strict: bool = True):
+    def __init__(self, layers, input_shape, classes: int):
         if not layers:
             raise ValueError("a network needs at least one layer")
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
         self.classes = int(classes)
-        if strict:
-            last = self.layers[-1]
-            if not isinstance(last, DenseLayer) or last.activation != "identity":
-                raise ValueError(
-                    "the last layer must be a dense layer with identity "
-                    "activation so the network emits raw logits"
-                )
-            if last.fan_out != self.classes:
-                raise ValueError(
-                    f"last layer emits {last.fan_out} logits but the network "
-                    f"declares {self.classes} classes"
-                )
         for prev, layer in zip(self.layers, self.layers[1:]):
             if isinstance(layer, Flatten):
                 layer.sample_last = prev.kind in SPATIAL_KINDS
 
-    def _as_batch(self, batch) -> np.ndarray:
-        if isinstance(batch, (list, tuple)):
-            if len(batch) == 0:
-                raise DimensionError("empty batch")
-            batch = np.stack(batch)
+    def first_layer_input(self, batch) -> np.ndarray:
+        """An (N, ...) batch in the first layer's layout."""
         x = np.asarray(batch)
         if x.shape[1:] != self.input_shape:
             raise DimensionError(
                 f"batch samples have shape {x.shape[1:]}, network expects "
                 f"{self.input_shape}"
             )
-        return x
-
-    def first_layer_input(self, batch) -> np.ndarray:
-        """An (N, ...) batch in the first layer's layout."""
-        x = self._as_batch(batch)
         return sample_last(x) if self.layers[0].kind in SPATIAL_KINDS else x
 
     def forward(self, batch, keep=None):
@@ -163,11 +143,7 @@ class Network:
 
     def clone(self) -> "Network":
         return Network([l.clone() for l in self.layers], self.input_shape,
-                       self.classes, strict=False)
-
-    def astype(self, dtype) -> "Network":
-        return Network([l.astype(dtype) for l in self.layers], self.input_shape,
-                       self.classes, strict=False)
+                       self.classes)
 
 
 class Subnetwork:
@@ -211,7 +187,7 @@ class Subnetwork:
             else:
                 layers.append(layer.take(np.flatnonzero(keep_rows),
                                          np.flatnonzero(keep_cols)))
-        self.net = Network(layers, net.input_shape, net.classes, strict=False)
+        self.net = Network(layers, net.input_shape, net.classes)
 
     def _copied(self):
         """(network layer, its copy, kept rows, kept columns) of every layer

@@ -80,22 +80,15 @@ class OptimizerConfig:
         raise ConfigError(f"epoch {epoch} outside the lr schedule")
 
 
-def _scratch(param, scratch, count):
-    if scratch is None:
-        return [np.empty_like(param) for _ in range(count)]
-    return scratch
-
-
-def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
-             scratch=None):
+def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0, *,
+             scratch):
     """One SGD/momentum update, in place on ``param`` and ``velocity``.
 
     g = grad + weight_decay * param;
     velocity = momentum * velocity + g; param -= lr * velocity.
-    ``scratch`` is a one-buffer sequence shaped like ``param``; without it
-    the step allocates its own.
+    ``scratch`` is a one-buffer sequence shaped like ``param``.
     """
-    (g,) = _scratch(param, scratch, 1)
+    (g,) = scratch
     np.multiply(param, weight_decay, out=g)
     np.add(grad, g, out=g)
     velocity *= momentum
@@ -106,16 +99,15 @@ def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
 
 
 def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
-              beta1=0.9, beta2=0.999, eps=1e-8, scratch=None):
+              beta1=0.9, beta2=0.999, eps=1e-8, *, scratch):
     """One Adam update (bias-corrected), in place on ``param``, ``m``, ``v``.
 
     g = grad + weight_decay * param;
     m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
     param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps).
-    ``scratch`` is a two-buffer sequence shaped like ``param``; without it
-    the step allocates its own.
+    ``scratch`` is a two-buffer sequence shaped like ``param``.
     """
-    g, tmp = _scratch(param, scratch, 2)
+    g, tmp = scratch
     np.multiply(param, weight_decay, out=g)
     np.add(grad, g, out=g)
     m *= beta1

@@ -242,19 +242,19 @@ def _check_resumed(net: Network, last: IterationReport, ckpt: Path,
                 f"{got}, the history records {want}")
 
 
-def _iteration_dir(out_dir: Path, iteration: int) -> Path:
-    return out_dir / "iterations" / f"iter_{iteration:02d}"
+def iteration_dir(run_dir: Path, iteration: int) -> Path:
+    """The checkpoint directory of one iteration of a run."""
+    return run_dir / "iterations" / f"iter_{iteration:02d}"
 
 
 def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
             pcfg: PruneConfig, retrain_cfg: OptimizerConfig, seed: int,
-            initial_net: Network | None = None,
-            baseline_accuracy: float | None = None,
-            out_dir=None, log=None):
+            out_dir, initial_net: Network | None = None,
+            baseline_accuracy: float | None = None, log=None):
     """Run the prune/retrain loop; returns (net, reports, best_iteration).
 
-    ``net`` is mutated in place across iterations. With ``out_dir`` set, the
-    loop appends to ``history.jsonl``, checkpoints every iteration, and
+    ``net`` is mutated in place across iterations. The loop appends to
+    ``out_dir``'s ``history.jsonl``, checkpoints every iteration, and
     resumes after the last completed iteration found on disk.
     """
     pcfg.validate()
@@ -265,27 +265,24 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
                           "the initial network")
     if baseline_accuracy is None:
         baseline_accuracy = evaluate(net, test_ds.images, test_ds.labels)
-    reports: list[IterationReport] = []
-    history_path = None
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        history_path = out_dir / "history.jsonl"
-        reports = read_history(history_path)
-        if len(reports) > pcfg.iterations:
-            raise ConfigError(
-                f"{history_path} already holds {len(reports)} iterations, "
-                f"config asks for {pcfg.iterations}")
-        if reports:
-            last_ckpt = _iteration_dir(out_dir, len(reports))
-            resumed = load_model(last_ckpt)
-            if resumed.num_params() != net.num_params():
-                raise ConfigError(f"checkpoint {last_ckpt} does not match the "
-                                  f"configured network")
-            _check_resumed(resumed, reports[-1], last_ckpt, history_path)
-            net.layers = resumed.layers
-            if log is not None:
-                log(f"resuming after iteration {len(reports)}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    history_path = out_dir / "history.jsonl"
+    reports = read_history(history_path)
+    if len(reports) > pcfg.iterations:
+        raise ConfigError(
+            f"{history_path} already holds {len(reports)} iterations, "
+            f"config asks for {pcfg.iterations}")
+    if reports:
+        last_ckpt = iteration_dir(out_dir, len(reports))
+        resumed = load_model(last_ckpt)
+        if resumed.num_params() != net.num_params():
+            raise ConfigError(f"checkpoint {last_ckpt} does not match the "
+                              f"configured network")
+        _check_resumed(resumed, reports[-1], last_ckpt, history_path)
+        net.layers = resumed.layers
+        if log is not None:
+            log(f"resuming after iteration {len(reports)}")
 
     for it in range(len(reports) + 1, pcfg.iterations + 1):
         key = it if pcfg.pruning_set_policy == "resample" else 0
@@ -321,32 +318,30 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
             per_layer=comp.per_layer,
             score_stats=stats)
         reports.append(report)
-        if out_dir is not None:
-            ckpt = _iteration_dir(out_dir, it)
-            save_model(net, ckpt)
-            steps = (retrain_cfg.epochs
-                     * int(np.ceil(train_ds.n / retrain_cfg.batch_size)))
-            (ckpt / "optimizer.json").write_text(
-                json.dumps(summarize(retrain_cfg, steps), indent=2,
-                           sort_keys=True) + "\n")
-            with open(history_path, "a") as fh:
-                fh.write(history_line(report))
+        ckpt = iteration_dir(out_dir, it)
+        save_model(net, ckpt)
+        steps = (retrain_cfg.epochs
+                 * int(np.ceil(train_ds.n / retrain_cfg.batch_size)))
+        (ckpt / "optimizer.json").write_text(
+            json.dumps(summarize(retrain_cfg, steps), indent=2,
+                       sort_keys=True) + "\n")
+        with open(history_path, "a") as fh:
+            fh.write(history_line(report))
         if log is not None:
             log(f"iteration {it}: pre {pre_acc:.4f} post {post_acc:.4f} "
                 f"remaining {100 * report.remaining_fraction:.2f}%")
 
     best = select_best(reports, baseline_accuracy, pcfg.drop_tolerance)
-    if out_dir is not None:
-        (out_dir / "best.json").write_text(json.dumps(
-            {"baseline_accuracy": baseline_accuracy,
-             "drop_tolerance_pp": pcfg.drop_tolerance,
-             "best_iteration": best}, indent=2, sort_keys=True) + "\n")
-        best_dir = out_dir / "best"
-        if best_dir.exists():
-            shutil.rmtree(best_dir)
-        if best is not None:
-            src = _iteration_dir(out_dir, best)
-            best_dir.mkdir(parents=True)
-            for name in ("model.json", "weights.bin"):
-                shutil.copyfile(src / name, best_dir / name)
+    (out_dir / "best.json").write_text(json.dumps(
+        {"baseline_accuracy": baseline_accuracy,
+         "drop_tolerance_pp": pcfg.drop_tolerance,
+         "best_iteration": best}, indent=2, sort_keys=True) + "\n")
+    best_dir = out_dir / "best"
+    if best_dir.exists():
+        shutil.rmtree(best_dir)
+    if best is not None:
+        src = iteration_dir(out_dir, best)
+        best_dir.mkdir(parents=True)
+        for name in ("model.json", "weights.bin"):
+            shutil.copyfile(src / name, best_dir / name)
     return net, reports, best

@@ -104,7 +104,7 @@ def flat_grads(grads) -> list:
 def prune_one_layer(net, layer_index, alpha, pruning_set):
     """Score and mask one prunable layer on a copy of ``net``, which is left
     untouched. Returns the pruned copy and the layer's decisions."""
-    scores = score_network(net, pruning_set, [layer_index])[layer_index]
+    scores = score_network(net, pruning_set)[layer_index]
     selection = select_kept(scores.scores, alpha)
     pruned = net.clone()
     layer = pruned.layers[layer_index]

@@ -139,8 +139,8 @@ def test_02_select_kept_matches_oracle(capsys):
             for alpha in alphas:
                 got = select_kept(s, alpha)
                 kept, pruned = _oracle_select(s, alpha)
-                assert got.kept.tolist() == kept, (s, alpha)
-                assert got.pruned.tolist() == pruned, (s, alpha)
+                assert np.flatnonzero(got.keep).tolist() == kept, (s, alpha)
+                assert np.flatnonzero(~got.keep).tolist() == pruned, (s, alpha)
                 cases += 1
     dt = time.perf_counter() - t0
     ok = dt < 5.0
@@ -180,7 +180,7 @@ def test_03_fc_deviation_bounds(capsys):
         if rng.random() < 0.15:
             layer.weights[0] = 0.0
             layer.bias[0] = 0.0
-        net = Network([layer], (n_in,), n_out, strict=False)
+        net = Network([layer], (n_in,), n_out)
         x = (rng.standard_normal((int(rng.integers(1, 17)), n_in))
              * rng.uniform(0.2, 4.0)).astype(np.float32)
         if rng.random() < 0.15:
@@ -215,7 +215,7 @@ def test_04_conv_deviation_bounds(capsys):
             layer.bias[0] = 0.0
         h = int(rng.integers(k, 17))
         w = int(rng.integers(k, 17))
-        net = Network([layer], (c_in, h, w), c_out, strict=False)
+        net = Network([layer], (c_in, h, w), c_out)
         x = (rng.standard_normal((int(rng.integers(1, 7)), c_in, h, w))
              * rng.uniform(0.2, 3.0)).astype(np.float32)
         alpha = float(alphas[t % len(alphas)])

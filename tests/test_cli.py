@@ -16,10 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
+from prune_relief import Flatten, MaxPool2D, Network
 from prune_relief.cli import main
 from prune_relief.model_io import load_model, save_model
 from prune_relief.pipeline import read_history
-from tests.conftest import count_forwards_and_scores
+from tests.conftest import (count_forwards_and_scores, random_conv,
+                            random_dense, small_mlp)
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 from tests.test_model_io import set_f32
 
@@ -474,6 +476,46 @@ class TestFailureModes:
         (out2 / "model" / "model.json").write_text("{oops")
         assert main(["scores", "--config", str(cfg2)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    # one edit each to the manifest of a CRC-valid conv checkpoint for the
+    # run's (1, 1, 16) samples; no layer stack can take the result
+    @pytest.mark.parametrize("layer,key,value", [
+        (0, "stride", [0, 0]),
+        (0, "padding", [-1, -1]),
+        (1, "window", [0, 0]),
+        (1, "window", [5, 5]),  # larger than the 1x16 map
+        (None, "input_shape", [1, 1, 12]),  # the dense layer reads 16
+    ])
+    def test_inconsistent_checkpoint_exit_3(self, run, tmp_path, capsys,
+                                            layer, key, value):
+        cfg, _ = run
+        rng = np.random.default_rng(0)
+        ckpt = tmp_path / "conv"
+        save_model(Network([random_conv(rng, 1, 2, 1), MaxPool2D((1, 2)),
+                            Flatten(), random_dense(rng, 16, 3, "identity")],
+                           (1, 1, 16), 3), ckpt)
+        argv = ["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        mpath = ckpt / "model.json"
+        manifest = json.loads(mpath.read_text())
+        (manifest if layer is None else manifest["layers"][layer])[key] = value
+        mpath.write_text(json.dumps(manifest))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"invalid checkpoint {ckpt}" in err
+        assert "Traceback" not in err
+
+    def test_checkpoint_for_other_inputs_exit_2(self, run, tmp_path, capsys):
+        # a consistent checkpoint that does not fit the dataset is a usage
+        # mismatch, not a malformed file
+        cfg, _ = run
+        ckpt = tmp_path / "mlp12"
+        save_model(small_mlp(np.random.default_rng(0), (12, 3)), ckpt)
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert "network expects (12,)" in err
+        assert "Traceback" not in err
 
     def test_missing_dataset_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",

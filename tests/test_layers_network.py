@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from prune_relief import (ConvLayer, DenseLayer, DimensionError, Flatten,
-                          MaxPool2D, Network, build_network, init_params,
-                          sample_first, sample_last)
+from prune_relief import (ConfigError, ConvLayer, DenseLayer, DimensionError,
+                          Flatten, MaxPool2D, Network, build_network,
+                          init_params, sample_first, sample_last)
 from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
 
 
@@ -233,28 +233,32 @@ class TestNetworkForward:
 
     def test_spatial_exit_is_batch_first(self, rng):
         conv = random_conv(rng, 2, 3, 3)
-        net = Network([conv], (2, 6, 6), 3, strict=False)
+        net = Network([conv], (2, 6, 6), 3)
         x = rng.standard_normal((4, 2, 6, 6)).astype(np.float32)
         out, kept = net.forward(x, keep=[0])
         assert out.shape == (4, 3, 4, 4) and out.flags.c_contiguous
         np.testing.assert_array_equal(out, sample_first(conv.forward(sample_last(x))))
         np.testing.assert_array_equal(kept[0], sample_last(x))
 
-    def test_list_of_samples_accepted(self, rng):
-        net = small_mlp(rng, (4, 3))
-        samples = [rng.standard_normal(4).astype(np.float32) for _ in range(5)]
-        out = net.forward(samples)
-        assert out.shape == (5, 3)
-
     def test_wrong_sample_shape(self, rng):
         net = small_mlp(rng, (4, 3))
         with pytest.raises(DimensionError):
             net.forward(np.zeros((2, 5), np.float32))
 
-    def test_last_layer_must_emit_logits(self, rng):
-        layer = random_dense(rng, 4, 3, activation="relu")
-        with pytest.raises(ValueError):
-            Network([layer], (4,), 3)
+    @pytest.mark.parametrize("model", ["lenet300100", "lenet5",
+                                       "mlp:784-5-10", "cnn:conv2k5,fc10"])
+    def test_built_networks_emit_logits(self, model):
+        # build_network is what makes a network emit raw logits: its last
+        # layer is dense, with identity activation and one unit per class
+        last = build_network(model, (1, 28, 28), 10).layers[-1]
+        assert isinstance(last, DenseLayer) and last.activation == "identity"
+        assert last.fan_out == 10
+
+    @pytest.mark.parametrize("model", ["mlp:784-5-4", "cnn:conv2k5,fc4"])
+    def test_logits_must_match_classes(self, model):
+        with pytest.raises(ConfigError, match="emits 4 logits but the "
+                                              "dataset has 10 classes"):
+            build_network(model, (1, 28, 28), 10)
 
     def test_forward_never_mutates_params(self, rng):
         net = small_cnn(rng)

@@ -13,7 +13,7 @@ import pytest
 from prune_relief import (LrSpan, Optimizer, OptimizerConfig, build_network,
                           compression_stats, evaluate, forward_backward,
                           init_params, train)
-from prune_relief.network import Subnetwork
+from prune_relief.network import Network, Subnetwork
 from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
                             flat_grads, small_cnn, small_mlp, tensors)
 
@@ -25,7 +25,11 @@ GRAD_TOL = 1e4 * np.finfo(np.float64).eps
 def lenet5(rng, dtype=np.float32):
     net = build_network("lenet5", (1, 28, 28), 10, "relu")
     init_params(net, int(rng.integers(1 << 30)))
-    return net.astype(dtype) if dtype != np.float32 else net
+    if dtype == np.float32:
+        return net
+    # the parameter-free layers carry over as they are
+    return Network([l.astype(dtype) if l.params() else l for l in net.layers],
+                   net.input_shape, net.classes)
 
 
 NETS = {

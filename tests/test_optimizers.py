@@ -13,29 +13,36 @@ def arr(*vals):
     return np.array(vals, dtype=np.float32)
 
 
+def buffers(p, count):
+    """``count`` scratch buffers shaped like ``p``: one for an SGD step, two
+    for an Adam step."""
+    return [np.empty_like(p) for _ in range(count)]
+
+
 class TestSgdStep:
     def test_plain_step(self):
         w, v = arr(1.0), arr(0.0)
-        sgd_step(w, arr(0.5), v, lr=0.1)
+        sgd_step(w, arr(0.5), v, lr=0.1, scratch=buffers(w, 1))
         assert w[0] == pytest.approx(0.95, rel=1e-6)
 
     def test_weight_decay(self):
         # effective gradient 0.5 + 5e-4 * 1 = 0.5005
         w, v = arr(1.0), arr(0.0)
-        sgd_step(w, arr(0.5), v, lr=0.1, weight_decay=5e-4)
+        sgd_step(w, arr(0.5), v, lr=0.1, weight_decay=5e-4,
+                 scratch=buffers(w, 1))
         assert w[0] == pytest.approx(0.94995, rel=1e-6)
 
     def test_momentum_accumulates(self):
         w, v = arr(0.0), arr(0.0)
-        sgd_step(w, arr(1.0), v, lr=1.0, momentum=0.9)
+        sgd_step(w, arr(1.0), v, lr=1.0, momentum=0.9, scratch=buffers(w, 1))
         assert w[0] == pytest.approx(-1.0, rel=1e-6)
-        sgd_step(w, arr(1.0), v, lr=1.0, momentum=0.9)
+        sgd_step(w, arr(1.0), v, lr=1.0, momentum=0.9, scratch=buffers(w, 1))
         # second velocity: 0.9 * 1 + 1 = 1.9
         assert w[0] == pytest.approx(-2.9, rel=1e-6)
 
     def test_zero_gradient_zero_decay_is_noop(self):
         w, v = arr(3.0), arr(0.0)
-        sgd_step(w, arr(0.0), v, lr=0.5)
+        sgd_step(w, arr(0.0), v, lr=0.5, scratch=buffers(w, 1))
         assert w[0] == 3.0
 
     def test_masked_gradient_freezes_entry(self):
@@ -44,14 +51,14 @@ class TestSgdStep:
         v = arr(0.0, 0.0)
         for _ in range(10):
             sgd_step(w, arr(-0.0, 1.0), v, lr=0.1, momentum=0.9,
-                     weight_decay=1e-3)
+                     weight_decay=1e-3, scratch=buffers(w, 1))
         assert w[0] == 0.0
         assert v[0] == 0.0
         assert w[1] != 2.0
 
     def test_float32_preserved(self):
         w, v = arr(1.0), arr(0.0)
-        sgd_step(w, arr(0.5), v, lr=0.1)
+        sgd_step(w, arr(0.5), v, lr=0.1, scratch=buffers(w, 1))
         assert w.dtype == np.float32 and v.dtype == np.float32
 
 
@@ -60,20 +67,21 @@ class TestAdamStep:
         # bias correction makes the first update lr * g / (|g| + eps)
         w = arr(1.0)
         m, v = arr(0.0), arr(0.0)
-        adam_step(w, arr(0.5), m, v, step=1, lr=1e-3)
+        adam_step(w, arr(0.5), m, v, step=1, lr=1e-3, scratch=buffers(w, 2))
         assert w[0] == pytest.approx(0.999, rel=1e-5)
 
     def test_direction_follows_sign(self):
         w = arr(0.0)
         m, v = arr(0.0), arr(0.0)
-        adam_step(w, arr(-2.0), m, v, step=1, lr=1e-2)
+        adam_step(w, arr(-2.0), m, v, step=1, lr=1e-2, scratch=buffers(w, 2))
         assert w[0] > 0
 
     def test_weight_decay_enters_gradient(self):
         # with zero gradient, decay alone drives the step
         w = arr(1.0)
         m, v = arr(0.0), arr(0.0)
-        adam_step(w, arr(0.0), m, v, step=1, lr=1e-3, weight_decay=0.1)
+        adam_step(w, arr(0.0), m, v, step=1, lr=1e-3, weight_decay=0.1,
+                  scratch=buffers(w, 2))
         assert w[0] == pytest.approx(0.999, rel=1e-5)
 
     def test_masked_gradient_freezes_entry_and_moments(self):
@@ -81,14 +89,14 @@ class TestAdamStep:
         m, v = arr(0.0, 0.0), arr(0.0, 0.0)
         for step in range(1, 50):
             adam_step(w, arr(-0.0, 1.0), m, v, step=step, lr=1e-2,
-                      weight_decay=1e-3)
+                      weight_decay=1e-3, scratch=buffers(w, 2))
         assert w[0] == 0.0 and m[0] == 0.0 and v[0] == 0.0
         assert w[1] != 1.0
 
     def test_moments_update(self):
         w = arr(1.0)
         m, v = arr(0.0), arr(0.0)
-        adam_step(w, arr(2.0), m, v, step=1, lr=1e-3)
+        adam_step(w, arr(2.0), m, v, step=1, lr=1e-3, scratch=buffers(w, 2))
         assert m[0] == pytest.approx(0.2, rel=1e-5)
         assert v[0] == pytest.approx(0.004, rel=1e-4)
 
@@ -258,13 +266,3 @@ class TestFusedStepsMatchReference:
             else:
                 assert got["m"].tobytes() == a.tobytes()
                 assert got["v"].tobytes() == b.tobytes()
-
-    def test_steps_without_scratch_match_with_scratch(self, rng):
-        p1 = rng.standard_normal(20).astype(np.float32)
-        p2 = p1.copy()
-        g = rng.standard_normal(20).astype(np.float32)
-        m1, v1, m2, v2 = (np.zeros(20, np.float32) for _ in range(4))
-        adam_step(p1, g, m1, v1, 1, 1e-3, weight_decay=1e-4)
-        adam_step(p2, g, m2, v2, 1, 1e-3, weight_decay=1e-4,
-                  scratch=[np.empty_like(p2), np.empty_like(p2)])
-        assert p1.tobytes() == p2.tobytes() and m1.tobytes() == m2.tobytes()

@@ -166,11 +166,12 @@ class TestSelectBest:
 
 
 class TestIterate:
-    def test_monotone_remaining_and_masks_enforced(self):
+    def test_monotone_remaining_and_masks_enforced(self, tmp_path):
         net, initial, train_ds, test_ds = fresh_setup()
         pcfg = PruneConfig(alpha_fc=0.9, n_pruning_samples=40, iterations=3)
         out, reports, _ = iterate(net, train_ds, test_ds, pcfg, tiny_retrain(),
-                                  seed=7, initial_net=initial)
+                                  seed=7, out_dir=tmp_path,
+                                  initial_net=initial)
         fractions = [r.remaining_fraction for r in reports]
         assert all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
         assert fractions[-1] < 1.0
@@ -180,7 +181,7 @@ class TestIterate:
             assert np.all(layer.bias[layer.bias_mask == 0] == 0.0)
         assert [r.iteration for r in reports] == [1, 2, 3]
 
-    def test_alpha_one_prunes_nothing_on_dense_scores(self):
+    def test_alpha_one_prunes_nothing_on_dense_scores(self, tmp_path):
         # identity activations and nonzero biases: every contributor has a
         # positive score, so alpha = 1 keeps the whole network
         rng = np.random.default_rng(3)
@@ -197,18 +198,18 @@ class TestIterate:
         pcfg = PruneConfig(alpha_fc=1.0, alpha_conv=1.0, n_pruning_samples=30,
                            iterations=1, retrain_mode="finetune")
         out, reports, _ = iterate(net, train_ds, test_ds, pcfg, tiny_retrain(),
-                                  seed=1)
+                                  seed=1, out_dir=tmp_path)
         assert reports[0].remaining_fraction == 1.0
         assert reports[0].compression_rate == 1.0
         assert out.num_unmasked() == out.num_params()
 
-    def test_reinit_original_restores_initial_values(self):
+    def test_reinit_original_restores_initial_values(self, tmp_path):
         # a vanishing learning rate makes retraining a no-op in float32, so
         # the surviving weights must come out exactly as initialized
         net, initial, train_ds, test_ds = fresh_setup(seed=2)
         pcfg = PruneConfig(alpha_fc=0.85, n_pruning_samples=40, iterations=1)
         out, _, _ = iterate(net, train_ds, test_ds, pcfg,
-                            tiny_retrain(lr=1e-30), seed=9,
+                            tiny_retrain(lr=1e-30), seed=9, out_dir=tmp_path,
                             initial_net=initial)
         for li in out.prunable_indices():
             layer = out.layers[li]
@@ -218,7 +219,7 @@ class TestIterate:
             np.testing.assert_array_equal(
                 layer.bias, src.bias * layer.bias_mask)
 
-    def test_finetune_keeps_trained_values(self):
+    def test_finetune_keeps_trained_values(self, tmp_path):
         net, initial, train_ds, test_ds = fresh_setup(seed=4)
         # train for real first so pre-prune values differ from the init
         real = tiny_retrain(epochs=2)
@@ -228,19 +229,19 @@ class TestIterate:
         pcfg = PruneConfig(alpha_fc=0.85, n_pruning_samples=40, iterations=1,
                            retrain_mode="finetune")
         out, _, _ = iterate(net, train_ds, test_ds, pcfg,
-                            tiny_retrain(lr=1e-30), seed=9)
+                            tiny_retrain(lr=1e-30), seed=9, out_dir=tmp_path)
         for li in out.prunable_indices():
             layer = out.layers[li]
             np.testing.assert_array_equal(
                 layer.weights,
                 trained[li]["weights"] * layer.weight_mask)
 
-    def test_reinit_fresh_draws_new_values(self):
+    def test_reinit_fresh_draws_new_values(self, tmp_path):
         net, initial, train_ds, test_ds = fresh_setup(seed=6)
         pcfg = PruneConfig(alpha_fc=0.85, n_pruning_samples=40, iterations=1,
                            reinit_draw="fresh")
         out, _, _ = iterate(net, train_ds, test_ds, pcfg,
-                            tiny_retrain(lr=1e-30), seed=11)
+                            tiny_retrain(lr=1e-30), seed=11, out_dir=tmp_path)
         expected = out.clone()
         init_params(expected, [11, PURPOSE_REINIT, 1])
         for li in out.prunable_indices():
@@ -252,18 +253,19 @@ class TestIterate:
                                       initial.layers[li].weights
                                       * layer.weight_mask)
 
-    def test_reinit_original_needs_initial_net(self):
+    def test_reinit_original_needs_initial_net(self, tmp_path):
         net, _, train_ds, test_ds = fresh_setup()
         pcfg = PruneConfig(alpha_fc=0.9, n_pruning_samples=40, iterations=1)
         with pytest.raises(ConfigError, match="initial network"):
-            iterate(net, train_ds, test_ds, pcfg, tiny_retrain(), seed=0)
+            iterate(net, train_ds, test_ds, pcfg, tiny_retrain(), seed=0,
+                    out_dir=tmp_path)
 
-    def test_pruning_set_larger_than_train(self):
+    def test_pruning_set_larger_than_train(self, tmp_path):
         net, initial, train_ds, test_ds = fresh_setup(n=30)
         pcfg = PruneConfig(alpha_fc=0.9, n_pruning_samples=31, iterations=1)
         with pytest.raises(ConfigError, match="exceeds"):
             iterate(net, train_ds, test_ds, pcfg, tiny_retrain(), seed=0,
-                    initial_net=initial)
+                    out_dir=tmp_path, initial_net=initial)
 
 
 class TestRunDirectory:
