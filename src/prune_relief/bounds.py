@@ -20,10 +20,20 @@ set keeps the pruned layer's input and the logits, and one scoring of that
 layer gives the masks and the signal totals S(l) that every bound takes. The
 deviations are measured on the same kept input. ``measure_deviation`` runs
 both layers of a pair through their own ``forward``, so the measured layer
-is the one the network evaluates.
-Conv pairs run one chunk of samples at a time, whose columns fit
-``tensor_ops.COLUMN_BUDGET``, so the measurement holds the same memory
-whatever the pruning-set size; dense pairs run the whole set in one product.
+is the one the network evaluates, on float64 copies made once per pair.
+The copies share the layers' masks as read-only views (``astype``); only
+``clone``, which the pruned network is made with, copies them.
+
+Both kinds of pair run one chunk of samples at a time, so the measurement
+holds the same memory whatever the pruning-set size: a conv chunk's patch
+columns fit ``tensor_ops.COLUMN_BUDGET``, and so do a dense chunk's input
+rows, z and act(z) of both layers and their difference
+(``tensor_ops.dense_chunks``). Only the per-sample deviations, one float64
+value per sample and target for each of the two fields, grow with the set.
+The chunks give the bytes of the whole set in one product: conv chunks span
+whole ``COLUMN_TILE``s of columns, dense chunk boundaries are multiples of
+``SAMPLE_TILE`` samples, and the mean over the samples is taken once, over
+the whole set's per-sample array.
 
 All measurement and bound arithmetic here runs in float64: bounds compared
 against measurements at 1e-5 tolerances should not inherit float32
@@ -36,7 +46,7 @@ from .errors import CapabilityError, DimensionError, EmptyPruningSetError
 from .importance import _as_input_batch, _mask_layer, score_layer
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import sample_chunks
+from .tensor_ops import dense_chunks, sample_chunks
 
 
 def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
@@ -54,12 +64,12 @@ def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
 
 
 def _pre_and_post(layer, x):
-    """z and act(z) of a float64 copy of ``layer`` on ``x``.
+    """z and act(z) of ``layer`` on ``x``.
 
     The rest of the forward cache (a conv layer's patch columns) is dropped
     on return, before the caller runs the next layer.
     """
-    y, cache = layer.astype(np.float64).forward(x, with_cache=True)
+    y, cache = layer.forward(x, with_cache=True)
     return cache[-1], y
 
 
@@ -67,12 +77,15 @@ def measure_deviation(before, after, inputs):
     """Mean pre- and post-activation deviation per target of a layer pair.
 
     ``after`` is meant to be a masked copy of ``before``; both run their own
-    ``forward`` on the same inputs in float64. ``inputs`` are in the layers'
-    layout: (N, features) for dense, (C, H, W, N) maps for conv layers.
-    Dense targets report the mean |delta z|, conv filters the mean Frobenius
-    norm of the difference over their output map. Conv pairs run one chunk
-    of samples at a time, whose columns fit ``COLUMN_BUDGET``, collect each
-    sample's norms and take one mean over them.
+    ``forward`` on the same inputs in float64, as copies made once per pair
+    that share the layers' masks. ``inputs`` are in the layers' layout:
+    (N, features) for dense, (C, H, W, N) maps for conv layers. Dense
+    targets report the mean |delta z|, conv filters the mean Frobenius norm
+    of the difference over their output map. The pair runs one chunk of
+    samples at a time (``tensor_ops.dense_chunks`` and ``sample_chunks``),
+    writes each sample's deviations into one array per field and takes one
+    mean over the samples, so the result has the bytes of the whole set in
+    one product.
     """
     if type(before) is not type(after) \
             or not isinstance(before, (DenseLayer, ConvLayer)):
@@ -88,30 +101,35 @@ def measure_deviation(before, after, inputs):
     conv = isinstance(before, ConvLayer)
     # rejects a wrongly shaped batch
     out_shape = before.output_shape(x.shape[:-1] if conv else x.shape[1:])
-    if x.shape[-1 if conv else 0] == 0:
+    # the sample axis of the inputs and of the per-sample deviations
+    axis = -1 if conv else 0
+    n = x.shape[axis]
+    if n == 0:
         raise EmptyPruningSetError("deviation measurement needs samples")
-    if not conv:
-        x = np.asarray(x, dtype=np.float64)
-        zb, yb = _pre_and_post(before, x)
-        za, ya = _pre_and_post(after, x)
-        return _mean_abs(zb, za), _mean_abs(yb, ya)
-    n = x.shape[-1]
-    co, ho, wo = out_shape
-    pre, post = np.empty((co, n)), np.empty((co, n))
-    column_bytes = before.in_channels * before.kernel_size ** 2 * 8
-    for s0, s1 in sample_chunks(n, ho * wo, column_bytes):
-        xc = x[..., s0:s1].astype(np.float64)
-        zb, yb = _pre_and_post(before, xc)
-        za, ya = _pre_and_post(after, xc)
-        pre[:, s0:s1] = _frobenius(zb, za)
-        post[:, s0:s1] = _frobenius(yb, ya)
-    return pre.mean(axis=1), post.mean(axis=1)
+    if conv:
+        co, ho, wo = out_shape
+        column_bytes = before.in_channels * before.kernel_size ** 2 * 8
+        chunks = sample_chunks(n, ho * wo, column_bytes)
+        shape, deviation = (co, n), _frobenius
+    else:
+        chunks = dense_chunks(n, before.fan_in, before.fan_out)
+        shape, deviation = (n, before.fan_out), _abs_diff
+    b64, a64 = before.astype(np.float64), after.astype(np.float64)
+    pre, post = np.empty(shape), np.empty(shape)
+    for s0, s1 in chunks:
+        part = np.s_[..., s0:s1] if conv else np.s_[s0:s1]
+        xc = x[part].astype(np.float64)
+        zb, yb = _pre_and_post(b64, xc)
+        za, ya = _pre_and_post(a64, xc)
+        pre[part] = deviation(zb, za)
+        post[part] = deviation(yb, ya)
+    return pre.mean(axis=axis), post.mean(axis=axis)
 
 
-def _mean_abs(a, b):
-    """Mean over samples of each target's |a - b| for (N, targets) arrays."""
+def _abs_diff(a, b):
+    """|a - b| of (n, targets) dense outputs."""
     d = a - b
-    return np.abs(d, out=d).mean(axis=0)
+    return np.abs(d, out=d)
 
 
 def _frobenius(a, b):

@@ -16,7 +16,8 @@ import sys
 from pathlib import Path
 
 from .bounds import bound_report
-from .config import build_network, infer_classes, load_config, load_dataset
+from .config import (build_network, check_logits, infer_classes, load_config,
+                     load_dataset)
 from .errors import (CapabilityError, ConfigError, FormatError,
                      PruneReliefError, TrainingError)
 from .importance import score_network
@@ -178,7 +179,9 @@ def cmd_prune(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
     train_ds, test_ds = load_dataset(cfg)
-    net = load_model(_checkpoint(args, out_dir))
+    ckpt = _checkpoint(args, out_dir)
+    net = load_model(ckpt)
+    check_logits(net, ckpt, cfg, train_ds, test_ds)
     initial = None
     if cfg.prune.retrain_mode == "reinit" and cfg.prune.reinit_draw == "original":
         init_dir = out_dir / "initial"
@@ -207,8 +210,10 @@ def cmd_prune(args) -> int:
 def cmd_bounds(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
-    train_ds, _ = load_dataset(cfg)
-    net = load_model(_checkpoint(args, out_dir))
+    train_ds, _ = load_dataset(cfg, test=False)
+    ckpt = _checkpoint(args, out_dir)
+    net = load_model(ckpt)
+    check_logits(net, ckpt, cfg, train_ds)
     layer_index = args.layer
     if layer_index not in net.prunable_indices():
         raise ConfigError(
@@ -248,13 +253,16 @@ def cmd_report(args) -> int:
     if not cpath.is_file():
         raise ConfigError(f"no config.json in {run_dir}")
     cfg = load_config(cpath)
-    train_ds, _ = load_dataset(cfg)
+    train_ds, _ = load_dataset(cfg, test=False)
     baseline_acc = _read_baseline(run_dir / "baseline.json")
     best = select_best(history, baseline_acc, cfg.prune.drop_tolerance) \
         if baseline_acc is not None else None
 
-    base_net = load_model(run_dir / "model")
-    final_net = load_model(iteration_dir(run_dir, history[-1].iteration))
+    base_dir = run_dir / "model"
+    final_dir = iteration_dir(run_dir, history[-1].iteration)
+    base_net, final_net = load_model(base_dir), load_model(final_dir)
+    check_logits(base_net, base_dir, cfg, train_ds)
+    check_logits(final_net, final_dir, cfg, train_ds)
     batch = draw_pruning_set(train_ds, cfg.prune.n_pruning_samples,
                              cfg.seed, 0)
 
@@ -313,9 +321,10 @@ def cmd_report(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
-    _, test_ds = load_dataset(cfg)
+    _, test_ds = load_dataset(cfg, train=False)
     ckpt = _checkpoint(args, out_dir, prefer_best=True)
     net = load_model(ckpt)
+    check_logits(net, ckpt, cfg, test_ds)
     acc = evaluate(net, test_ds.images, test_ds.labels)
     comp = compression_stats(net)
     print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": acc,
@@ -326,8 +335,10 @@ def cmd_eval(args) -> int:
 def cmd_scores(args) -> int:
     cfg = _load_run(args)
     out_dir = _resolve_out(cfg, args)
-    train_ds, _ = load_dataset(cfg)
-    net = load_model(_checkpoint(args, out_dir))
+    train_ds, _ = load_dataset(cfg, test=False)
+    ckpt = _checkpoint(args, out_dir)
+    net = load_model(ckpt)
+    check_logits(net, ckpt, cfg, train_ds)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     layer_scores = score_network(net, batch)

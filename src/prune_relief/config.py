@@ -164,41 +164,54 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def load_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+def load_dataset(cfg: RunConfig, train: bool = True,
+                 test: bool = True) -> tuple[Dataset | None, Dataset | None]:
+    """The (train, test) splits the config names, each None unless asked for.
+
+    Only the splits asked for are read or generated, except that with
+    ``dataset.normalize`` the test split is standardized with the training
+    split's statistics, so asking for it reads the training split too. The
+    checks (a split with no samples, a label at or above
+    ``dataset.classes``) cover the splits read.
+    """
     raw = {"dataset": cfg.dataset}
-    kind = cfg.dataset["kind"]
-    if kind == "idx":
-        train = load_idx(cfg.dataset["train_images"],
-                         cfg.dataset["train_labels"])
-        test = load_idx(cfg.dataset["test_images"], cfg.dataset["test_labels"])
-        for split, d in (("train", train), ("test", test)):
+    normalize = _get(raw, "dataset.normalize", bool, default=False)
+    read = {"train": train or (test and normalize), "test": test}
+    splits = dict.fromkeys(read)
+    if cfg.dataset["kind"] == "idx":
+        for split in (s for s, wanted in read.items() if wanted):
+            d = load_idx(cfg.dataset[f"{split}_images"],
+                         cfg.dataset[f"{split}_labels"])
             if d.n == 0:
                 raise ConfigError(
                     f"the {split} split ({cfg.dataset[f'{split}_images']}) "
                     f"has no samples")
+            splits[split] = d
     else:
         classes = _get(raw, "dataset.classes", int)
-        n_train = _get(raw, "dataset.n_train", int, default=2000)
-        n_test = _get(raw, "dataset.n_test", int, default=500)
         dim = _get(raw, "dataset.dim", int, default=16)
         spread = _get(raw, "dataset.spread", float, default=6.0)
         dseed = _get(raw, "dataset.seed", int, default=cfg.seed)
-        train = synth_dataset(dseed, n_train, classes, dim, spread, split=0)
-        test = synth_dataset(dseed, n_test, classes, dim, spread, split=1)
+        for i, (split, default) in enumerate((("train", 2000), ("test", 500))):
+            n = _get(raw, f"dataset.n_{split}", int, default=default)
+            if read[split]:
+                splits[split] = synth_dataset(dseed, n, classes, dim, spread,
+                                              split=i)
     limit = _get(raw, "dataset.limit_train", int, default=0)
     if limit < 0:
         raise ConfigError(f"config field 'dataset.limit_train' must be >= 0, "
                           f"got {limit}")
-    if limit:
-        train = train.head(limit)
+    if limit and splits["train"] is not None:
+        splits["train"] = splits["train"].head(limit)
     classes = _get(raw, "dataset.classes", int, default=0)
-    top = max(int(d.labels.max()) for d in (train, test))
+    top = max(int(d.labels.max()) for d in splits.values() if d is not None)
     if classes and top >= classes:
         raise ConfigError(f"the dataset has label {top}, but config field "
                           f"'dataset.classes' is {classes}")
-    if _get(raw, "dataset.normalize", bool, default=False):
-        train, test = normalize_pair(train, test)
-    return train, test
+    if normalize:
+        splits["train"], splits["test"] = normalize_pair(splits["train"],
+                                                         splits["test"])
+    return (splits["train"] if train else None), splits["test"]
 
 
 _CONV_RE = re.compile(r"^conv(\d+)k(\d+)(?:s(\d+))?(?:p(\d+))?$")
@@ -329,3 +342,16 @@ def infer_classes(cfg: RunConfig, train: Dataset) -> int:
     if explicit:
         return explicit
     return int(train.labels.max()) + 1
+
+
+def check_logits(net: Network, where, cfg: RunConfig, *splits: Dataset) -> None:
+    """Raise ConfigError when ``net``, loaded from ``where``, emits fewer
+    logits than the dataset has classes (as :func:`infer_classes` counts
+    them over ``splits``). Training and evaluation read the logit of each
+    sample's label; the commands that only score check it too, so a
+    checkpoint that cannot classify the dataset fails the same way in every
+    command."""
+    classes = max(infer_classes(cfg, d) for d in splits)
+    if net.classes < classes:
+        raise ConfigError(f"the model at {where} emits {net.classes} logits "
+                          f"but the dataset has {classes} classes")

@@ -135,12 +135,15 @@ def synth_dataset(seed, n: int, classes: int, dim: int = 16,
     return Dataset(images.reshape(n, 1, 1, dim), labels)
 
 
-def normalize_pair(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
-    """Standardize both splits with the training split's mean and std."""
+def normalize_pair(train: Dataset, test: Dataset | None
+                   ) -> tuple[Dataset, Dataset | None]:
+    """Standardize both splits with the training split's mean and std; a
+    test split of None stays None."""
     mean = train.images.mean(dtype=np.float64)
     std = train.images.std(dtype=np.float64)
     if std == 0:
         std = 1.0
     mean32, std32 = np.float32(mean), np.float32(std)
     return (Dataset((train.images - mean32) / std32, train.labels),
-            Dataset((test.images - mean32) / std32, test.labels))
+            None if test is None
+            else Dataset((test.images - mean32) / std32, test.labels))

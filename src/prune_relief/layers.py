@@ -81,6 +81,13 @@ def _ones_where(hit, dtype):
     return ones
 
 
+def _read_only(a):
+    """A view of ``a`` that cannot be written through."""
+    v = a.view()
+    v.flags.writeable = False
+    return v
+
+
 def _check_mask(mask, shape, name):
     if mask.shape != shape:
         raise DimensionError(f"{name} shape {mask.shape} does not match {shape}")
@@ -95,20 +102,26 @@ class _MaskedLayer:
     ``stored_masks``, keyed by their attribute names, and define ``fan_in``
     and ``fan_out``. The weight tensor's leading axes are (targets,
     contributors), as are the weight mask's. A copy takes the layer's
-    settings and new tensors; whatever it holds of a valid layer is valid,
-    so it skips the constructor's checks.
+    settings and new parameter tensors, and new masks or read-only views of
+    the layer's; whatever it holds of a valid layer is valid, so it skips
+    the constructor's checks.
     """
 
     def clone(self):
-        return self.astype(self.bias.dtype)
+        """A copy with its own parameters and masks."""
+        return self._copy(self.bias.dtype, np.copy)
 
     def astype(self, dtype):
-        """A copy with the parameters in ``dtype``; the masks keep theirs."""
+        """A copy with the parameters in ``dtype`` that shares the layer's
+        masks as read-only views: it computes, it is not masked."""
+        return self._copy(dtype, _read_only)
+
+    def _copy(self, dtype, copy_mask):
         out = copy.copy(self)
         for name, a in self.params().items():
             setattr(out, name, a.astype(dtype))
         for name, a in self.stored_masks().items():
-            setattr(out, name, a.copy())
+            setattr(out, name, copy_mask(a))
         return out
 
     def take(self, rows, cols):

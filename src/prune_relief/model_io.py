@@ -211,7 +211,12 @@ def load_model(path) -> Network:
                           f"{sorted(tensors)}")
     try:
         net = Network(layers, manifest["input_shape"], manifest["classes"])
-        net.layer_input_shapes()  # the layers must chain from input_shape
+        # the layers must chain from input_shape
+        out_shape = layers[-1].output_shape(net.layer_input_shapes()[-1])
     except (KeyError, TypeError, ValueError, DimensionError) as e:
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
+    if out_shape != (net.classes,):
+        raise FormatError(f"invalid checkpoint {path}: the manifest declares "
+                          f"{net.classes} classes, but the last layer emits "
+                          f"outputs of shape {out_shape}")
     return net

@@ -1,4 +1,5 @@
-"""Dense tensor primitives: the patch lowering behind 2-D convolution.
+"""Dense tensor primitives: the patch lowering behind 2-D convolution, and
+the sample chunks that work without a backward cache runs in.
 
 Everything here is pure and dtype-preserving. Maps are sample-last,
 (C, H, W, N), the layout conv and pool layers carry their activations in.
@@ -16,7 +17,13 @@ at a time: the inference forward one band of output rows at a time
 (:func:`sample_chunks`). Both give the same bytes as lowering everything at
 once: the parts span whole tiles of :data:`COLUMN_TILE` columns and, at
 LeNet-5's shapes, hundreds of columns or more, and the per-sample reductions
-run in the same order.
+run in the same order. Dense deviation measurement runs float64 layer pairs
+one chunk of samples at a time (:func:`dense_chunks`), each chunk's rows
+within :data:`ROW_BUDGET`; its chunks start at multiples of
+:data:`SAMPLE_TILE` samples and give the bytes of one product over the
+whole set. Each of these equalities holds on one BLAS thread: a threaded
+product splits its columns or samples among the threads at boundaries of
+its own.
 """
 
 import math
@@ -109,6 +116,39 @@ def sample_chunks(n: int, positions: int, column_bytes: int) -> list[tuple[int, 
     """
     most = max(COLUMN_BUDGET // (positions * column_bytes), 4)
     return equal_parts(n, most, _unit(positions))
+
+
+SAMPLE_TILE = 24
+"""Every dense chunk but the last spans a multiple of this many samples.
+With OpenBLAS on x86-64, on one thread, a row of a float64 product
+``x @ W.T`` keeps its bits in a product over fewer rows of ``x`` when the
+rows before it span whole tiles of 24 (tiles of 8 or 16 move the last bits
+at LeNet-300-100's 784 -> 300 layer), and when the narrower product is not
+small: OpenBLAS sums a product of at most ~1200 outputs (samples times
+targets) with a small-matrix kernel, in another order. So
+:func:`dense_chunks` splits a set only into parts of over 1200 outputs, and
+the only partial tile is the last part's, as in the whole product."""
+
+ROW_BUDGET = 1 << 20
+"""Bytes of float64 rows a dense deviation chunk holds at once: its input
+rows, z and act(z) of both layers of the pair, and one difference."""
+
+CHUNK_OUTPUTS = 4096
+"""About the fewest outputs a part of a split dense set holds. A chunk plan
+allows twice this many per chunk or more, and its equal parts of whole
+tiles come out at half of that, less 1.5 tiles, or more: over 1200 outputs
+at any layer width."""
+
+
+def dense_chunks(n: int, fan_in: int, targets: int) -> list[tuple[int, int]]:
+    """Chunks [s0, s1) of ``n`` samples for a float64 dense layer pair with
+    ``fan_in`` inputs and ``targets`` outputs whose rows fit
+    :data:`ROW_BUDGET`, unless that allows fewer than twice
+    :data:`CHUNK_OUTPUTS` outputs per chunk. Boundaries are multiples of
+    :data:`SAMPLE_TILE`."""
+    per_sample = 8 * (fan_in + 5 * targets)
+    most = max(ROW_BUDGET // per_sample, -(-2 * CHUNK_OUTPUTS // targets))
+    return equal_parts(n, most, SAMPLE_TILE)
 
 
 def pad_maps(x: np.ndarray, padding) -> np.ndarray:

@@ -5,8 +5,16 @@ package's backward pass: it perturbs raw parameter entries and re-runs the
 forward loss only.
 """
 
-import numpy as np
-import pytest
+import os
+
+# Before NumPy loads its BLAS: the byte-identity tests compare products over
+# different row ranges, whose bits agree only when one thread computes each.
+# A threaded dense product splits its samples among the threads at
+# boundaries that depend on the product's size (CI pins the same way).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from prune_relief import (ConvLayer, DenseLayer, Flatten, LayerDecisions,
                           MaxPool2D, Network, bounds, importance,

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from tests.conftest import (count_forwards_and_scores, random_conv,
                             random_dense, small_mlp)
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 from tests.test_model_io import set_f32
+
+QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / \
+    "synthetic_quickstart.json"
 
 
 def write_config(path, out=None, **overrides):
@@ -515,6 +519,36 @@ class TestFailureModes:
                      str(ckpt)]) == 2
         err = capsys.readouterr().err
         assert "network expects (12,)" in err
+        assert "Traceback" not in err
+
+    def test_best_classes_unlike_its_logits_exit_3(self, run, tmp_path,
+                                                    capsys):
+        cfg2, out2 = copy_run(run, tmp_path)
+        mpath = out2 / "best" / "model.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["classes"] = 2  # over the run's 3-logit last layer
+        mpath.write_text(json.dumps(manifest))
+        assert main(["eval", "--config", str(cfg2)]) == 3
+        err = capsys.readouterr().err
+        assert "declares 2 classes" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["prune", "bounds", "eval", "scores"])
+    def test_fewer_logits_than_classes_exit_2(self, tmp_path, capsys,
+                                              command):
+        # the quickstart's samples are (1, 1, 48), in 3 classes
+        rng = np.random.default_rng(0)
+        ckpt = tmp_path / "two_logits"
+        save_model(Network([Flatten(), random_dense(rng, 48, 8),
+                            random_dense(rng, 8, 2, "identity")],
+                           (1, 1, 48), 2), ckpt)
+        argv = [command, "--config", str(QUICKSTART),
+                "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt)]
+        if command == "bounds":
+            argv += ["--layer", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"the model at {ckpt} emits 2 logits but the dataset has 3 " \
+               f"classes" in err
         assert "Traceback" not in err
 
     def test_missing_dataset_field(self, tmp_path, capsys):

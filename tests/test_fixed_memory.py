@@ -1,32 +1,42 @@
-"""Conv work that keeps no backward cache: same bytes, bounded memory.
+"""Work that keeps no backward cache: same bytes, bounded memory.
 
 Inference lowers one band of output rows at a time, and conv scoring and
 conv deviation measurement one chunk of samples at a time, so their column
 memory stays within ``tensor_ops.COLUMN_BUDGET`` whatever the batch or
-pruning-set size. The references here are the whole-batch computations they
-replace: the forward with a cache, which still lowers the whole batch, and
-copies of the whole-set conv scoring and conv deviation measurement. Results
-are compared with ``.tobytes()``. The equality rests on BLAS giving each
-output column the same bits in a narrower product; OpenBLAS does for parts
-that span whole 16-column tiles and are hundreds of columns wide, while
-products a few dozen columns wide can differ in the last bits. Under the
-shipped budget the forward bands from N = 193 up on LeNet-5's layers and at
-N = 1000 on the strided one; a 256 KiB budget makes each layer band or chunk
-at more of the sizes.
+pruning-set size. Dense deviation measurement runs one chunk of samples at
+a time within ``tensor_ops.ROW_BUDGET``. The references here are the
+whole-batch computations they replace: the forward with a cache, which
+still lowers the whole batch, and copies of the whole-set conv scoring and
+of the whole-set conv and dense deviation measurement. Results are compared
+with ``.tobytes()``. The equality rests on BLAS giving each output column
+(each output row, for a dense product) the same bits in a narrower product;
+OpenBLAS does for parts that span whole tiles (16 columns, 24 dense rows)
+and are not small, while products a few dozen columns wide, or of at most
+~1200 dense outputs, can differ in the last bits. Under the shipped budget
+the forward bands from N = 193 up on LeNet-5's layers and at N = 1000 on the
+strided one; a 256 KiB budget makes each layer band or chunk at more of the
+sizes.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from prune_relief import (ConvLayer, ImportanceScores, build_network,
-                          export_importance_csv, init_params)
+from prune_relief import (ConvLayer, DenseLayer, Flatten, ImportanceScores,
+                          Network, build_network, export_importance_csv,
+                          init_params)
 from prune_relief import tensor_ops
 from prune_relief.bounds import bound_report, measure_deviation
 from prune_relief.importance import (_normalize, conv_importance,
                                      score_network)
+from prune_relief.cli import main
+from prune_relief.model_io import save_model
 from prune_relief.tensor_ops import conv_output_hw, equal_parts, im2col
+from tests.conftest import random_dense
+from tests.test_cli import write_config
+from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 
 SIZES = [1, 7, 193, 200, 257, 1000]
 
@@ -55,10 +65,36 @@ def make_maps(name, n, seed=1):
     return np.maximum(x, 0, out=x)  # post-ReLU, with exact zeros
 
 
+# (fan_in, targets, activation): LeNet-300-100's three dense layers and
+# LeNet-5's two fc layers
+DENSES = {
+    "lenet300100_fc1": (784, 300, "relu"),
+    "lenet300100_fc2": (300, 100, "relu"),
+    "lenet300100_fc3": (100, 10, "identity"),
+    "lenet5_fc1": (800, 500, "relu"),
+    "lenet5_fc2": (500, 10, "identity"),
+}
+
+
+def make_dense(name, seed=0):
+    n_in, n_out, activation = DENSES[name]
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n_out, n_in)) * np.sqrt(2.0 / n_in)
+    b = 0.1 * rng.standard_normal(n_out)
+    return DenseLayer(w.astype(np.float32), b.astype(np.float32), activation)
+
+
+def make_rows(name, n, seed=1):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, DENSES[name][0]), dtype=np.float32)
+    return np.maximum(x, 0, out=x)  # post-ReLU, with exact zeros
+
+
 def masked_copy(layer):
-    """The layer with every third kernel and every fourth bias masked."""
+    """The layer with every third weight or kernel and every fourth bias
+    masked."""
     after = layer.clone()
-    co, ci = after.kernel_mask.shape
+    co, ci = next(iter(after.stored_masks().values())).shape
     t, c = np.nonzero(np.arange(co * ci).reshape(co, ci) % 3 == 0)
     after.apply_mask(t, c)
     after.apply_mask(np.arange(0, co, 4), ci)
@@ -103,12 +139,36 @@ def whole_set_conv_deviation(before, after, x):
     return mean_norm(zb, za), mean_norm(yb, ya)
 
 
+def whole_set_dense_deviation(before, after, x):
+    """Dense deviation measurement over the whole set in one product."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def pre_and_post(layer):
+        y, cache = layer.astype(np.float64).forward(x, with_cache=True)
+        return cache[-1], y
+
+    def mean_abs(a, b):
+        return np.abs(a - b).mean(axis=0)
+
+    zb, yb = pre_and_post(before)
+    za, ya = pre_and_post(after)
+    return mean_abs(zb, za), mean_abs(yb, ya)
+
+
 @pytest.fixture(params=["shipped", "256KiB"])
 def budget(request, monkeypatch):
     """The shipped column budget, and a smaller one under which every layer
     bands or chunks at more of the sizes."""
     if request.param == "256KiB":
         monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
+
+
+@pytest.fixture(params=["shipped", "256KiB"])
+def row_budget(request, monkeypatch):
+    """The shipped dense row budget, and a smaller one under which every
+    layer but the 10-target ones chunks at more of the sizes."""
+    if request.param == "256KiB":
+        monkeypatch.setattr(tensor_ops, "ROW_BUDGET", 1 << 18)
 
 
 class TestEqualParts:
@@ -168,6 +228,17 @@ class TestSameBytes:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("name", list(DENSES))
+    @pytest.mark.parametrize("n", SIZES)
+    def test_chunked_dense_deviation(self, row_budget, name, n):
+        before = make_dense(name)
+        after = masked_copy(before)
+        x = make_rows(name, n)
+        got = measure_deviation(before, after, x)
+        want = whole_set_dense_deviation(before, after, x)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("n", [7, 200])
     def test_lenet5_logits_match_cached_forwards(self, budget, n):
         net = init_params(build_network("lenet5", (1, 28, 28), 10), 3)
@@ -213,6 +284,88 @@ class TestMemoryBounds:
     def test_network_forward(self, lenet5):
         net, batch = lenet5
         assert traced_peak_mb(lambda: net.forward(batch)) < 130
+
+
+def test_dense_bound_report():
+    """LeNet-300-100's first dense layer at 1000 samples. Running the pair
+    over the whole set held its float64 input (6.3 MB), z and act(z) of
+    both layers (2.4 MB each) and a float64 copy of each layer's masks:
+    a 23.1 MB peak. In chunks, what grows with the set is the two
+    per-sample deviation arrays (2.4 MB each); the peak is ~14.6 MB."""
+    net = init_params(build_network("lenet300100", (1, 28, 28), 10), 5)
+    batch = np.random.default_rng(6).random((1000, 1, 28, 28),
+                                            dtype=np.float32)
+    assert traced_peak_mb(lambda: bound_report(net, 1, 0.95, batch)) < 17
+
+
+@pytest.mark.parametrize("build", [lambda: make_dense("lenet300100_fc2"),
+                                   lambda: make_conv("lenet5_conv2")],
+                         ids=["dense", "conv"])
+def test_float64_copies_share_the_masks(build):
+    """Deviation measurement runs float64 copies of both layers; they read
+    the layers' masks and hold none of their own. A clone still copies the
+    masks, so masking the clone leaves the original's alone."""
+    layer = build()
+    wide = layer.astype(np.float64)
+    for m, n in zip(wide.stored_masks().values(),
+                    layer.stored_masks().values()):
+        assert np.shares_memory(m, n) and not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        wide.apply_mask(0, 0)
+    assert all(m.all() for m in layer.stored_masks().values())
+
+    before = [m.copy() for m in layer.stored_masks().values()]
+    after = masked_copy(layer)
+    for m, n, b in zip(after.stored_masks().values(),
+                       layer.stored_masks().values(), before):
+        assert not np.shares_memory(m, n) and m.flags.writeable
+        assert n.tobytes() == b.tobytes() and not (m == n).all()
+
+
+def idx_run(tmp_path, **dataset):
+    """A config over 4x4 IDX splits and a random mlp:16-8-3 checkpoint."""
+    rng = np.random.default_rng(9)
+    paths = {}
+    for split, n in (("train", 80), ("test", 20)):
+        for kind, data in (("images", idx_images_bytes(
+                rng.integers(0, 256, size=(n, 4, 4)))),
+                           ("labels", idx_labels_bytes(np.arange(n) % 3))):
+            path = tmp_path / f"{split}-{kind}"
+            path.write_bytes(data)
+            paths[f"{split}_{kind}"] = str(path)
+    cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                       dataset={"kind": "idx", **paths, **dataset})
+    ckpt = tmp_path / "ckpt"
+    save_model(Network([Flatten(), random_dense(rng, 16, 8),
+                        random_dense(rng, 8, 3, "identity")], (1, 4, 4), 3),
+               ckpt)
+    return cfg, ckpt, paths
+
+
+@pytest.mark.parametrize("command,missing", [
+    ("eval", "train"), ("scores", "test"), ("bounds", "test")])
+def test_commands_read_only_their_split(tmp_path, capsys, command, missing):
+    """eval reads the test split alone; scores and bounds draw their
+    pruning set from the training split alone."""
+    cfg, ckpt, paths = idx_run(tmp_path)
+    for kind in ("images", "labels"):
+        os.remove(paths[f"{missing}_{kind}"])
+    argv = [command, "--config", str(cfg), "--checkpoint", str(ckpt)]
+    if command == "bounds":
+        argv += ["--layer", "1"]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+def test_normalized_eval_reads_the_train_split(tmp_path, capsys):
+    """The test split is standardized with the training split's statistics,
+    so with normalize set eval reads the training split too."""
+    cfg, ckpt, paths = idx_run(tmp_path, normalize=True)
+    argv = ["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    os.remove(paths["train_images"])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"cannot read {paths['train_images']}" in err
 
 
 def test_max_pool_inference_keeps_no_argmax():

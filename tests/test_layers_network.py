@@ -54,7 +54,8 @@ class TestCopies:
         for m, n in zip(wide.stored_masks().values(),
                         layer.stored_masks().values()):
             assert m.dtype == np.float32 and m.tobytes() == n.tobytes()
-            assert not np.shares_memory(m, n)
+            # the copy shares the masks and cannot write them
+            assert np.shares_memory(m, n) and not m.flags.writeable
         back = wide.astype(np.float32)
         assert [p.tobytes() for p in back.params().values()] == \
             [p.tobytes() for p in layer.params().values()]

@@ -27,8 +27,10 @@ def lenet5(rng, dtype=np.float32):
     init_params(net, int(rng.integers(1 << 30)))
     if dtype == np.float32:
         return net
-    # the parameter-free layers carry over as they are
-    return Network([l.astype(dtype) if l.params() else l for l in net.layers],
+    # the parameter-free layers carry over as they are; astype shares the
+    # masks read-only, and clone gives the copy masks of its own to cut
+    return Network([l.astype(dtype).clone() if l.params() else l
+                    for l in net.layers],
                    net.input_shape, net.classes)
 
 

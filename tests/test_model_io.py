@@ -189,6 +189,16 @@ class TestRejection:
         with pytest.raises(FormatError):
             load_model(ckpt)
 
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_classes_unlike_the_last_layer(self, ckpt, classes):
+        # the manifest's class count must be the logits the net emits
+        def mutate(m, b):
+            m["classes"] = classes
+            return m, b
+        _corrupt(ckpt, mutate)
+        with pytest.raises(FormatError, match=f"declares {classes} classes"):
+            load_model(ckpt)
+
     def test_shape_contradiction(self, ckpt):
         def mutate(m, b):
             m["layers"][0]["out"] = 9
