@@ -6,7 +6,15 @@ pruning set, masks everything below a kept-mass threshold, retrains, and
 repeats. Analytical bounds tie the score mass removed to the worst mean
 deviation a unit (or the whole network output) can suffer, and the metrics
 module accounts parameters and FLOPs for the masked result.
+
+Importing the package before NumPy pins OpenBLAS to one thread unless
+``OPENBLAS_NUM_THREADS`` is set: a threaded product splits its work at
+boundaries that depend on the core count, and so would a run's bytes.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .activations import ACTIVATIONS, Activation, get_activation
 from .bounds import (bound_report, fc_neuron_bound, measure_deviation,
@@ -17,9 +25,9 @@ from .datasets import Dataset, load_idx, load_idx_images, load_idx_labels, \
 from .errors import (CapabilityError, ConfigError, DimensionError,
                      EmptyPruningSetError, FormatError, PruneReliefError,
                      TrainingError)
-from .importance import (ImportanceScores, LayerDecisions, Selection,
-                         conv_importance, fc_importance, prune_pass,
-                         score_layer, score_network, select_kept)
+from .importance import (ImportanceScores, Selection, conv_importance,
+                         fc_importance, prune_pass, score_layer,
+                         score_network, select_kept)
 from .layers import (ConvLayer, DenseLayer, Flatten, MaxPool2D, sample_first,
                      sample_last)
 from .metrics import (CompressionReport, FlopsReport, compression_stats,

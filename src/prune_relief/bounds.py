@@ -199,14 +199,14 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     inputs = kept[layer_index]
     before = net.layers[layer_index]
     pruned_net = net.clone()
-    decisions = _mask_layer(pruned_net.layers[layer_index],
-                            score_layer(before, inputs), alpha, layer_index)
+    scores = score_layer(before, inputs)
+    selection = _mask_layer(pruned_net.layers[layer_index], scores, alpha)
     delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
                                          inputs)
     c = before.act.lipschitz
-    s = decisions.scores.totals
-    keep = decisions.selection.keep
-    kappa = decisions.selection.achieved_mass
+    s = scores.totals
+    keep = selection.keep
+    kappa = selection.achieved_mass
     kept = keep.sum(axis=1)
     slack = np.maximum(1.0 - kappa, 0.0)
     columns = {

@@ -18,13 +18,12 @@ from pathlib import Path
 from .bounds import bound_report
 from .config import (build_network, check_logits, infer_classes, load_config,
                      load_dataset)
-from .errors import (CapabilityError, ConfigError, FormatError,
-                     PruneReliefError, TrainingError)
-from .importance import score_network
+from .errors import ConfigError, FormatError, PruneReliefError, TrainingError
+from .importance import alpha_for, score_network
 from .layers import DenseLayer
 from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
-from .model_io import load_model, save_model
+from .model_io import load_model, save_model, write_json
 from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, check_alpha,
                        draw_pruning_set, iterate, iteration_dir, read_history,
                        select_best)
@@ -120,9 +119,15 @@ def _copy_config(args, out_dir: Path) -> None:
         shutil.copyfile(src, dst)
 
 
-def _checkpoint(args, out_dir: Path, prefer_best: bool = False) -> Path:
-    """The model directory a command loads: --checkpoint, else the run's
-    ``model/`` (``best/`` first when ``prefer_best`` and it exists)."""
+def _open_checkpoint(args, train: bool, test: bool, prefer_best: bool):
+    """Config, output directory, (train, test) splits, checkpoint directory
+    and network of a command that loads a checkpoint: --checkpoint, else the
+    run's ``model/`` (``best/`` first when ``prefer_best`` and it exists).
+    Only the splits asked for are read, the other is None; the network must
+    emit a logit for every class of the splits read."""
+    cfg = _load_run(args)
+    out_dir = _resolve_out(cfg, args)
+    splits = load_dataset(cfg, train, test)
     if args.checkpoint:
         ckpt = Path(args.checkpoint)
     elif prefer_best and (out_dir / "best" / "model.json").is_file():
@@ -132,7 +137,9 @@ def _checkpoint(args, out_dir: Path, prefer_best: bool = False) -> Path:
     if not (ckpt / "model.json").is_file():
         raise ConfigError(f"no model at {ckpt}; run 'train' first or pass "
                           f"--checkpoint")
-    return ckpt
+    net = load_model(ckpt)
+    check_logits(net, ckpt, cfg, *(d for d in splits if d is not None))
+    return cfg, out_dir, *splits, ckpt, net
 
 
 def _read_baseline(path: Path):
@@ -166,9 +173,8 @@ def cmd_train(args) -> int:
               seed=[cfg.seed, PURPOSE_TRAIN], log=log)
         test_acc = evaluate(net, test_ds.images, test_ds.labels)
         train_acc = evaluate(net, train_ds.images, train_ds.labels)
-        (out_dir / "baseline.json").write_text(json.dumps(
-            {"test_accuracy": test_acc, "train_accuracy": train_acc},
-            indent=2, sort_keys=True) + "\n")
+        write_json(out_dir / "baseline.json",
+                   {"test_accuracy": test_acc, "train_accuracy": train_acc})
         save_model(net, out_dir / "model")
     print(f"[train] done: test_acc {test_acc:.4f} train_acc {train_acc:.4f} "
           f"model at {out_dir / 'model'}")
@@ -176,12 +182,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg = _load_run(args)
-    out_dir = _resolve_out(cfg, args)
-    train_ds, test_ds = load_dataset(cfg)
-    ckpt = _checkpoint(args, out_dir)
-    net = load_model(ckpt)
-    check_logits(net, ckpt, cfg, train_ds, test_ds)
+    cfg, out_dir, train_ds, test_ds, _, net = _open_checkpoint(
+        args, True, True, False)
     initial = None
     if cfg.prune.retrain_mode == "reinit" and cfg.prune.reinit_draw == "original":
         init_dir = out_dir / "initial"
@@ -208,32 +210,28 @@ def cmd_prune(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _load_run(args)
-    out_dir = _resolve_out(cfg, args)
-    train_ds, _ = load_dataset(cfg, test=False)
-    ckpt = _checkpoint(args, out_dir)
-    net = load_model(ckpt)
-    check_logits(net, ckpt, cfg, train_ds)
+    cfg, out_dir, train_ds, _, _, net = _open_checkpoint(
+        args, True, False, False)
     layer_index = args.layer
     if layer_index not in net.prunable_indices():
         raise ConfigError(
             f"layer {layer_index} is not prunable; prunable layers are "
             f"{net.prunable_indices()}")
-    kind = net.layers[layer_index].kind
+    layer = net.layers[layer_index]
     if args.alpha is not None:
         alpha = check_alpha("--alpha", args.alpha)
     else:
-        alpha = cfg.prune.alpha_fc if kind == "dense" else cfg.prune.alpha_conv
+        alpha = alpha_for(layer, cfg.prune.alpha_conv, cfg.prune.alpha_fc)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     report = bound_report(net, layer_index, alpha, batch)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "bounds.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(path, report)
     worst = max(report["targets"],
                 key=lambda t: t["post_activation_deviation"], default=None)
-    print(f"[bounds] layer {layer_index} ({kind}) alpha {alpha:g} on {n} "
-          f"samples -> {path}")
+    print(f"[bounds] layer {layer_index} ({layer.kind}) alpha {alpha:g} "
+          f"on {n} samples -> {path}")
     if worst:
         print(f"[bounds] largest measured deviation "
               f"{worst['post_activation_deviation']:.6g} against bound "
@@ -286,8 +284,7 @@ def cmd_report(args) -> int:
         "compression": comp.to_json_dict(),
         "flops": fl.to_json_dict(),
     }
-    (run_dir / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n")
+    write_json(run_dir / "metrics.json", metrics)
 
     wrote = ["metrics.json"]
     for li, scores in base_scores.items():
@@ -319,12 +316,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run(args)
-    out_dir = _resolve_out(cfg, args)
-    _, test_ds = load_dataset(cfg, train=False)
-    ckpt = _checkpoint(args, out_dir, prefer_best=True)
-    net = load_model(ckpt)
-    check_logits(net, ckpt, cfg, test_ds)
+    _, _, _, test_ds, ckpt, net = _open_checkpoint(args, False, True, True)
     acc = evaluate(net, test_ds.images, test_ds.labels)
     comp = compression_stats(net)
     print(json.dumps({"checkpoint": str(ckpt), "test_accuracy": acc,
@@ -333,12 +325,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scores(args) -> int:
-    cfg = _load_run(args)
-    out_dir = _resolve_out(cfg, args)
-    train_ds, _ = load_dataset(cfg, test=False)
-    ckpt = _checkpoint(args, out_dir)
-    net = load_model(ckpt)
-    check_logits(net, ckpt, cfg, train_ds)
+    cfg, out_dir, train_ds, _, _, net = _open_checkpoint(
+        args, True, False, False)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples
     batch = draw_pruning_set(train_ds, n, cfg.seed, 0)
     layer_scores = score_network(net, batch)
@@ -402,18 +390,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except PruneReliefError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except TrainingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except (CapabilityError, PruneReliefError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, FormatError) \
+            else 4 if isinstance(e, TrainingError) else 2
 
 
 if __name__ == "__main__":

@@ -39,7 +39,11 @@ def _get(d: dict, path: str, kind, default=...):
         return default
     v = cur[leaf]
     if kind is float and isinstance(v, int) and not isinstance(v, bool):
-        v = float(v)
+        try:
+            v = float(v)
+        except OverflowError:
+            raise ConfigError(f"config field '{path}' must be a finite "
+                              f"number, got a huge integer") from None
     if kind is not None:
         bad = not isinstance(v, kind)
         if not bad and kind is not bool and isinstance(v, bool):
@@ -219,11 +223,6 @@ _POOL_RE = re.compile(r"^pool(\d+)(?:s(\d+))?$")
 _FC_RE = re.compile(r"^fc(\d+)$")
 
 
-def _zeros_dense(n_in: int, n_out: int, activation: str) -> DenseLayer:
-    return DenseLayer(np.zeros((n_out, n_in), np.float32),
-                      np.zeros(n_out, np.float32), activation)
-
-
 def _check_size(model: str, part: str, size: int) -> None:
     if size < 1:
         raise ConfigError(f"model {model!r}: part {part!r} has size {size}; "
@@ -267,74 +266,69 @@ def build_network(model: str, input_shape, classes: int,
             raise ConfigError(
                 f"model {model!r} expects {dims[0]} input values, dataset "
                 f"samples have shape {input_shape}")
-        if dims[-1] != classes:
-            raise ConfigError(f"model {model!r} emits {dims[-1]} logits but "
-                              f"the dataset has {classes} classes")
-        layers: list = [Flatten()]
-        for a, b in zip(dims[:-2], dims[1:-1]):
-            layers.append(_zeros_dense(a, b, activation))
-        layers.append(_zeros_dense(dims[-2], dims[-1], "identity"))
-        return Network(layers, input_shape, classes)
-
-    if model.startswith("cnn:"):
+        # an mlp is the fc parts of its hidden and output sizes
+        parts = [f"fc{d}" for d in dims[1:]]
+    elif model.startswith("cnn:"):
         if len(input_shape) != 3:
             raise ConfigError(f"model {model!r} needs (channels, h, w) "
                               f"inputs, dataset samples have shape {input_shape}")
-        layers = []
-        cur = input_shape
-        flat = False
-        for part in model[4:].split(","):
-            part = part.strip()
-            try:
-                if m := _CONV_RE.match(part):
-                    if flat:
-                        raise ConfigError(f"model {model!r}: conv after fc")
-                    c_out, k = int(m.group(1)), int(m.group(2))
-                    _check_size(model, part, min(c_out, k))
-                    s = int(m.group(3) or 1)
-                    p = int(m.group(4) or 0)
-                    layers.append(ConvLayer(
-                        np.zeros((c_out, cur[0], k, k), np.float32),
-                        np.zeros(c_out, np.float32), activation,
-                        (s, s), (p, p)))
-                    cur = layers[-1].output_shape(cur)
-                elif m := _POOL_RE.match(part):
-                    if flat:
-                        raise ConfigError(f"model {model!r}: pool after fc")
-                    w = int(m.group(1))
-                    _check_size(model, part, w)
-                    s = int(m.group(2) or w)
-                    layers.append(MaxPool2D((w, w), (s, s)))
-                    cur = layers[-1].output_shape(cur)
-                elif m := _FC_RE.match(part):
-                    if not flat:
-                        layers.append(Flatten())
-                        cur = layers[-1].output_shape(cur)
-                        flat = True
-                    units = int(m.group(1))
-                    _check_size(model, part, units)
-                    layers.append(_zeros_dense(cur[0], units, activation))
-                    cur = layers[-1].output_shape(cur)
-                else:
-                    raise ConfigError(f"model {model!r}: cannot parse part "
-                                      f"{part!r}")
-            except ConfigError:
-                raise
-            except Exception as e:
-                raise ConfigError(f"model {model!r}: part {part!r} does not "
-                                  f"fit input {input_shape}: {e}") from e
-        if not flat:
-            raise ConfigError(f"model {model!r} must end with an fc part")
-        last = layers[-1]
-        if last.fan_out != classes:
-            raise ConfigError(f"model {model!r} emits {last.fan_out} logits "
-                              f"but the dataset has {classes} classes")
-        layers[-1] = DenseLayer(last.weights, last.bias, "identity")
-        return Network(layers, input_shape, classes)
+        parts = model[4:].split(",")
+    else:
+        raise ConfigError(
+            f"unknown model {model!r}; expected 'lenet300100', 'lenet5', "
+            f"'mlp:<dims>', or 'cnn:<parts>'")
 
-    raise ConfigError(
-        f"unknown model {model!r}; expected 'lenet300100', 'lenet5', "
-        f"'mlp:<dims>', or 'cnn:<parts>'")
+    layers = []
+    cur = input_shape
+    flat = False
+    for part in parts:
+        part = part.strip()
+        try:
+            if m := _CONV_RE.match(part):
+                if flat:
+                    raise ConfigError(f"model {model!r}: conv after fc")
+                c_out, k = int(m.group(1)), int(m.group(2))
+                _check_size(model, part, min(c_out, k))
+                s = int(m.group(3) or 1)
+                p = int(m.group(4) or 0)
+                layers.append(ConvLayer(
+                    np.zeros((c_out, cur[0], k, k), np.float32),
+                    np.zeros(c_out, np.float32), activation,
+                    (s, s), (p, p)))
+            elif m := _POOL_RE.match(part):
+                if flat:
+                    raise ConfigError(f"model {model!r}: pool after fc")
+                w = int(m.group(1))
+                _check_size(model, part, w)
+                s = int(m.group(2) or w)
+                layers.append(MaxPool2D((w, w), (s, s)))
+            elif m := _FC_RE.match(part):
+                if not flat:
+                    layers.append(Flatten())
+                    cur = layers[-1].output_shape(cur)
+                    flat = True
+                units = int(m.group(1))
+                _check_size(model, part, units)
+                layers.append(DenseLayer(np.zeros((units, cur[0]), np.float32),
+                                         np.zeros(units, np.float32),
+                                         activation))
+            else:
+                raise ConfigError(f"model {model!r}: cannot parse part "
+                                  f"{part!r}")
+            cur = layers[-1].output_shape(cur)
+        except ConfigError:
+            raise
+        except Exception as e:
+            raise ConfigError(f"model {model!r}: part {part!r} does not "
+                              f"fit input {input_shape}: {e}") from e
+    if not flat:
+        raise ConfigError(f"model {model!r} must end with an fc part")
+    last = layers[-1]
+    if last.fan_out != classes:
+        raise ConfigError(f"model {model!r} emits {last.fan_out} logits "
+                          f"but the dataset has {classes} classes")
+    layers[-1] = DenseLayer(last.weights, last.bias, "identity")
+    return Network(layers, input_shape, classes)
 
 
 def infer_classes(cfg: RunConfig, train: Dataset) -> int:

@@ -17,12 +17,12 @@ layer's input.
 
 Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
-keep matrix of the same shape with one prefix length, threshold and achieved
-mass per target, and the layer masks every dropped (target, contributor)
-pair in a single ``apply_mask`` call. Selection reads each row's scores
-sorted by value, with no ranking of indices: tied scores are equal, so the
-order they sort in changes neither the running mass nor the threshold, and
-every contributor tied at the threshold is kept.
+keep matrix of the same shape with the achieved mass per target, and the
+layer masks every dropped (target, contributor) pair in a single
+``apply_mask`` call. Selection reads each row's scores sorted by value, with
+no ranking of indices: tied scores are equal, so the order they sort in
+changes neither the running mass nor the threshold, and every contributor
+tied at the threshold is kept.
 
 Dense layer, contributor i of target j:
 
@@ -79,24 +79,14 @@ class ImportanceScores:
 class Selection:
     """Which contributors survive, row by row, at one threshold ``alpha``.
 
-    ``keep`` has the shape of the scores it was selected from; the other
-    fields take their leading shape, one entry per target (plain scalars for
-    a single row). Dead targets keep nothing and read 0 in every field.
+    ``keep`` has the shape of the scores it was selected from;
+    ``achieved_mass``, the kept score mass, takes their leading shape, one
+    entry per target (a plain scalar for a single row). Dead targets keep
+    nothing and reach mass 0.
     """
 
     keep: np.ndarray
-    prefix_len: np.ndarray
-    threshold: np.ndarray
     achieved_mass: np.ndarray
-
-
-@dataclass
-class LayerDecisions:
-    layer_index: int
-    kind: str
-    alpha: float
-    scores: ImportanceScores
-    selection: Selection
 
 
 def _as_input_batch(inputs, sample_axis=0) -> np.ndarray:
@@ -200,13 +190,10 @@ def select_kept(scores, alpha: float) -> Selection:
     # cum never decreases, so the shortest prefix reaching min(alpha, total)
     # ends one past the entries still short of it
     p0 = np.count_nonzero(cum < np.minimum(alpha, total), axis=1) + 1
-    last = np.take_along_axis(desc, p0[:, None] - 1, axis=1)[:, 0]
-    threshold = np.where(live, last, 0.0)
-    keep = (rows >= threshold[:, None]) & live[:, None]
+    threshold = np.take_along_axis(desc, p0[:, None] - 1, axis=1)
+    keep = (rows >= threshold) & live[:, None]
     return Selection(
         keep=keep.reshape(s.shape),
-        prefix_len=np.where(live, p0, 0).reshape(lead)[()],
-        threshold=threshold.reshape(lead)[()],
         achieved_mass=np.where(keep, rows, 0.0).sum(axis=1).reshape(lead)[()])
 
 
@@ -229,25 +216,30 @@ def score_network(net: Network, pruning_set) -> dict:
     return {li: score_layer(net.layers[li], inputs[li]) for li in prunable}
 
 
-def _mask_layer(layer, scores: ImportanceScores, alpha: float,
-                layer_index: int) -> LayerDecisions:
+def _mask_layer(layer, scores: ImportanceScores, alpha: float) -> Selection:
     selection = select_kept(scores.scores, alpha)
     layer.apply_mask(*np.nonzero(~selection.keep))
-    return LayerDecisions(layer_index, layer.kind, alpha, scores, selection)
+    return selection
+
+
+def alpha_for(layer, alpha_conv: float, alpha_fc: float) -> float:
+    """The score mass to keep in ``layer``: ``alpha_fc`` for a dense layer,
+    ``alpha_conv`` for a conv layer."""
+    return alpha_fc if layer.kind == "dense" else alpha_conv
 
 
 def prune_pass(net: Network, pruning_set, alpha_conv: float,
-               alpha_fc: float) -> tuple[Network, list[LayerDecisions]]:
+               alpha_fc: float) -> dict:
     """One full pruning pass over every prunable layer, in place.
 
     Every layer is scored from one forward of the pass-start network before
     any is masked, so later layers see activations unaffected by the masks
-    of earlier ones.
+    of earlier ones. Returns a dict mapping layer index to the layer's
+    (ImportanceScores, Selection), in layer order.
     """
-    scores = score_network(net, pruning_set)
-    decisions = []
-    for li, layer_scores in scores.items():
+    selected = {}
+    for li, scores in score_network(net, pruning_set).items():
         layer = net.layers[li]
-        alpha = alpha_fc if layer.kind == "dense" else alpha_conv
-        decisions.append(_mask_layer(layer, layer_scores, alpha, li))
-    return net, decisions
+        alpha = alpha_for(layer, alpha_conv, alpha_fc)
+        selected[li] = scores, _mask_layer(layer, scores, alpha)
+    return selected

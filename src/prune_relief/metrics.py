@@ -11,7 +11,7 @@ unit with u surviving inputs costs max(2 u - 1, 0) and a conv filter with u
 surviving kernels costs 2 H W (u K^2 + bias_bit); wholly dead units are free.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,7 @@ class FlopsReport:
         return 100.0 * (1.0 - self.masked_total / self.baseline_total)
 
     def to_json_dict(self) -> dict:
-        return {"layers": self.layers, "baseline_total": self.baseline_total,
-                "masked_total": self.masked_total,
-                "pruned_pct": self.pruned_pct}
+        return {**asdict(self), "pruned_pct": self.pruned_pct}
 
 
 def masked_flops(net: Network) -> FlopsReport:
@@ -158,13 +156,9 @@ class CompressionReport:
         return self.total_params / self.unmasked_params
 
     def to_json_dict(self) -> dict:
-        return {"total_params": self.total_params,
-                "unmasked_params": self.unmasked_params,
-                "remaining_pct": self.remaining_pct,
+        return {**asdict(self), "remaining_pct": self.remaining_pct,
                 "pruned_pct": self.pruned_pct,
-                "compression_rate": self.compression_rate,
-                "per_layer": self.per_layer,
-                "score_stats": self.score_stats}
+                "compression_rate": self.compression_rate}
 
 
 def compression_stats(net: Network, scores_before: dict | None = None,

@@ -7,7 +7,8 @@ byte offset, length, and CRC32 so loads can reject torn or tampered files.
 A parameter tensor holding NaN or infinity is rejected too, even under a
 valid CRC: no command could give a meaningful result from it. So is a
 layer record no layer can take (a stride or window below 1, a negative
-padding) and a layer stack that does not chain from ``input_shape``: every
+padding), a size or offset that is no integer (JSON's ``1e400`` is
+infinite) and a layer stack that does not chain from ``input_shape``: every
 malformed checkpoint raises ``FormatError``. Round-tripping a network
 through save/load is bit-exact.
 """
@@ -81,9 +82,14 @@ def save_model(net: Network, path) -> None:
         "layers": [_layer_record(l) for l in net.layers],
         "tensors": tensors,
     }
-    (path / "model.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path / "model.json", manifest)
     (path / "weights.bin").write_bytes(b"".join(chunks))
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as JSON at ``path``: 2-space indent, sorted keys, final
+    newline, the form of every JSON file of a run directory."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _read_manifest(path: Path) -> dict:
@@ -119,7 +125,7 @@ def _extract(blob: bytes, rec: dict, path: Path) -> np.ndarray:
         offset = int(rec["offset"])
         nbytes = int(rec["nbytes"])
         crc = int(rec["crc32"])
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"malformed tensor record in {path}: {e}") from e
     if kind == _FLOAT:
         dtype = np.dtype("<f4")
@@ -154,7 +160,7 @@ def load_model(path) -> Network:
     blob = bpath.read_bytes()
     try:
         total = sum(int(t.get("nbytes", 0)) for t in manifest["tensors"])
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"malformed tensor record in {path}: {e}") from e
     if total != len(blob):
         raise FormatError(f"{bpath} holds {len(blob)} bytes but the manifest "
@@ -202,9 +208,10 @@ def load_model(path) -> Network:
                 raise FormatError(f"layer {i}: unknown kind {kind!r}")
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed layer record in {path}: {e}") from e
-    except (ValueError, DimensionError) as e:
+    except (ValueError, OverflowError, DimensionError) as e:
         # mask/value invariant violations surface as ValueError from layers,
-        # a bad stride, padding or pool window as DimensionError
+        # a bad stride, padding or pool window as DimensionError, an
+        # infinite size (JSON's 1e400) as OverflowError
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
     if tensors:
         raise FormatError(f"manifest declares tensors not owned by any layer: "
@@ -213,7 +220,8 @@ def load_model(path) -> Network:
         net = Network(layers, manifest["input_shape"], manifest["classes"])
         # the layers must chain from input_shape
         out_shape = layers[-1].output_shape(net.layer_input_shapes()[-1])
-    except (KeyError, TypeError, ValueError, DimensionError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            DimensionError) as e:
         raise FormatError(f"invalid checkpoint {path}: {e}") from e
     if out_shape != (net.classes,):
         raise FormatError(f"invalid checkpoint {path}: the manifest declares "

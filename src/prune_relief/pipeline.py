@@ -13,7 +13,7 @@ so a resumed run replays the exact byte stream of an uninterrupted one.
 import json
 import math
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .datasets import Dataset
 from .errors import ConfigError, FormatError
 from .importance import prune_pass
 from .metrics import compression_stats, masked_flops, score_stats
-from .model_io import load_model, save_model
+from .model_io import load_model, save_model, write_json
 from .network import Network
 from .optimizers import OptimizerConfig, summarize
 from .training import evaluate, init_params, train
@@ -87,45 +87,21 @@ class IterationReport:
     score_stats: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"iteration": self.iteration,
-                "pre_retrain_accuracy": self.pre_retrain_accuracy,
-                "post_retrain_accuracy": self.post_retrain_accuracy,
-                "remaining_fraction": self.remaining_fraction,
-                "compression_rate": self.compression_rate,
-                "flops_pruned_pct": self.flops_pruned_pct,
-                "per_layer": self.per_layer,
-                "score_stats": self.score_stats}
+        return asdict(self)
 
     @staticmethod
     def from_json_dict(d: dict) -> "IterationReport":
         """The report a history record holds; ValueError names the first
-        field of the wrong type."""
+        field of the wrong type, KeyError the first one missing."""
         d = {"per_layer": [], "score_stats": {}, **d}
-        return IterationReport(
-            iteration=_field(d, "iteration", _is_int, "an integer"),
-            pre_retrain_accuracy=_field(d, "pre_retrain_accuracy", _is_finite,
-                                        "a finite number"),
-            post_retrain_accuracy=_field(d, "post_retrain_accuracy",
-                                         _is_finite, "a finite number"),
-            remaining_fraction=_field(d, "remaining_fraction", _is_finite,
-                                      "a finite number"),
-            compression_rate=_field(d, "compression_rate",
-                                    lambda v: v is None or _is_number(v),
-                                    "a number or null"),
-            flops_pruned_pct=_field(d, "flops_pruned_pct", _is_finite,
-                                    "a finite number"),
-            per_layer=_field(d, "per_layer", lambda v: isinstance(v, list),
-                             "a list"),
-            score_stats=_field(d, "score_stats", lambda v: isinstance(v, dict),
-                               "an object"))
+        for key, (check, expected) in _HISTORY_FIELDS.items():
+            if not check(d[key]):
+                raise ValueError(f"{key} must be {expected}, got {d[key]!r}")
+        return IterationReport(**{key: d[key] for key in _HISTORY_FIELDS})
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
 
 
 def _is_finite(v) -> bool:
@@ -133,11 +109,21 @@ def _is_finite(v) -> bool:
     return _is_int(v) or isinstance(v, float) and math.isfinite(v)
 
 
-def _field(record: dict, key: str, check, expected: str):
-    value = record[key]
-    if not check(value):
-        raise ValueError(f"{key} must be {expected}, got {value!r}")
-    return value
+_FINITE = (_is_finite, "a finite number")
+
+# the check and its wording for each field of a history record, in the
+# order IterationReport declares them
+_HISTORY_FIELDS = {
+    "iteration": (_is_int, "an integer"),
+    "pre_retrain_accuracy": _FINITE,
+    "post_retrain_accuracy": _FINITE,
+    "remaining_fraction": _FINITE,
+    "compression_rate": (lambda v: v is None or _is_int(v)
+                         or isinstance(v, float), "a number or null"),
+    "flops_pruned_pct": _FINITE,
+    "per_layer": (lambda v: isinstance(v, list), "a list"),
+    "score_stats": (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 def history_line(report: IterationReport) -> str:
@@ -288,13 +274,13 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         key = it if pcfg.pruning_set_policy == "resample" else 0
         batch = _draw_pruning_batch(train_ds, pcfg.n_pruning_samples, seed,
                                     key)
-        _, decisions = prune_pass(net, batch, pcfg.alpha_conv, pcfg.alpha_fc)
+        selected = prune_pass(net, batch, pcfg.alpha_conv, pcfg.alpha_fc)
         # only the kept scores' statistics outlive the pass, so the score
         # matrices and keep masks are freed before evaluation and retraining
         stats = score_stats(np.concatenate(
-            [d.scores.scores[d.selection.keep] for d in decisions])
-            if decisions else np.zeros(0))
-        del decisions
+            [scores.scores[sel.keep] for scores, sel in selected.values()])
+            if selected else np.zeros(0))
+        del selected
         pre_acc = evaluate(net, test_ds.images, test_ds.labels)
         if pcfg.retrain_mode == "reinit":
             if pcfg.reinit_draw == "original":
@@ -322,9 +308,7 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         save_model(net, ckpt)
         steps = (retrain_cfg.epochs
                  * int(np.ceil(train_ds.n / retrain_cfg.batch_size)))
-        (ckpt / "optimizer.json").write_text(
-            json.dumps(summarize(retrain_cfg, steps), indent=2,
-                       sort_keys=True) + "\n")
+        write_json(ckpt / "optimizer.json", summarize(retrain_cfg, steps))
         with open(history_path, "a") as fh:
             fh.write(history_line(report))
         if log is not None:
@@ -332,10 +316,10 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
                 f"remaining {100 * report.remaining_fraction:.2f}%")
 
     best = select_best(reports, baseline_accuracy, pcfg.drop_tolerance)
-    (out_dir / "best.json").write_text(json.dumps(
-        {"baseline_accuracy": baseline_accuracy,
-         "drop_tolerance_pp": pcfg.drop_tolerance,
-         "best_iteration": best}, indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "best.json",
+               {"baseline_accuracy": baseline_accuracy,
+                "drop_tolerance_pp": pcfg.drop_tolerance,
+                "best_iteration": best})
     best_dir = out_dir / "best"
     if best_dir.exists():
         shutil.rmtree(best_dir)

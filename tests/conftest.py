@@ -16,9 +16,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from prune_relief import (ConvLayer, DenseLayer, Flatten, LayerDecisions,
-                          MaxPool2D, Network, bounds, importance,
-                          score_network, select_kept, softmax_cross_entropy)
+from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
+                          bounds, importance, score_network, select_kept,
+                          softmax_cross_entropy)
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -111,14 +111,13 @@ def flat_grads(grads) -> list:
 
 def prune_one_layer(net, layer_index, alpha, pruning_set):
     """Score and mask one prunable layer on a copy of ``net``, which is left
-    untouched. Returns the pruned copy and the layer's decisions."""
+    untouched. Returns the pruned copy, the layer's ImportanceScores and its
+    Selection."""
     scores = score_network(net, pruning_set)[layer_index]
     selection = select_kept(scores.scores, alpha)
     pruned = net.clone()
-    layer = pruned.layers[layer_index]
-    layer.apply_mask(*np.nonzero(~selection.keep))
-    return pruned, LayerDecisions(layer_index, layer.kind, alpha, scores,
-                                  selection)
+    pruned.layers[layer_index].apply_mask(*np.nonzero(~selection.keep))
+    return pruned, scores, selection
 
 
 def loss_of(net, x, labels) -> float:

@@ -154,12 +154,13 @@ def test_02_select_kept_matches_oracle(capsys):
 
 
 def _bound_margins(net, layer_index, alpha, batch):
-    pruned, decisions = prune_one_layer(net, layer_index, alpha, batch)
+    pruned, scores, selection = prune_one_layer(net, layer_index, alpha,
+                                                batch)
     delta, big_delta = measure_deviation(net.layers[layer_index],
                                          pruned.layers[layer_index],
                                          net.first_layer_input(batch))
-    s = decisions.scores.totals
-    kappa = decisions.selection.achieved_mass
+    s = scores.totals
+    kappa = selection.achieved_mass
     c = net.layers[layer_index].act.lipschitz
     pre_gap = s * np.maximum(1.0 - kappa, 0.0) + 1e-5 - delta
     post_gap = c * delta + 1e-5 - big_delta
@@ -251,10 +252,10 @@ def test_05_network_output_bound(capsys):
         logits_before = net.forward(batch)
         for layer_index in net.prunable_indices():
             for alpha in (0.8, 0.95):
-                pruned, decisions = prune_one_layer(net, layer_index, alpha,
-                                                       batch)
+                pruned, scores, _ = prune_one_layer(net, layer_index, alpha,
+                                                    batch)
                 bound = network_output_bound(net, layer_index, alpha,
-                                             decisions.scores.totals)
+                                             scores.totals)
                 measured = np.abs(logits_before
                                   - pruned.forward(batch)).mean(axis=0)
                 gap = bound + 1e-12 - measured

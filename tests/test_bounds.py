@@ -57,8 +57,7 @@ class TestHandEqualities:
                            "identity")
         net = Network([layer], (1,), 1)
         x = np.array([[1.0]], F32)
-        pruned, decisions = prune_one_layer(net, 0, 0.75, x)
-        sel = decisions.selection
+        pruned, _, sel = prune_one_layer(net, 0, 0.75, x)
         assert sel.keep.tolist() == [[True, False]]
         assert sel.achieved_mass[0] == 0.75
         delta, big_delta = measure_deviation(layer, pruned.layers[0], x)
@@ -76,8 +75,7 @@ class TestHandEqualities:
                        DenseLayer(np.eye(1, dtype=F32), np.zeros(1, F32),
                                   "identity")], (2, 1, 1), 1)
         x = np.ones((1, 2, 1, 1), F32)
-        pruned, decisions = prune_one_layer(net, 0, 0.75, x)
-        sel = decisions.selection
+        pruned, _, sel = prune_one_layer(net, 0, 0.75, x)
         assert sel.keep.tolist() == [[True, False, False]]
         assert sel.achieved_mass[0] == 0.75
         delta, big_delta = measure_deviation(conv, pruned.layers[0],
@@ -98,7 +96,7 @@ class TestHandEqualities:
         logits = net.forward(x)
         bound = network_output_bound(net, 0, 0.75, [2.0])
         np.testing.assert_array_equal(bound, [1.0])
-        pruned, _ = prune_one_layer(net, 0, 0.75, x)
+        pruned, _, _ = prune_one_layer(net, 0, 0.75, x)
         measured = np.abs(logits.astype(np.float64)
                           - pruned.forward(x).astype(np.float64)).mean(0)
         assert measured[0] == 1.0
@@ -180,11 +178,11 @@ class TestRandomSatisfaction:
             dims = (n_in, n_out, 3)
             net = small_mlp(rng, dims, activation=act)
             x = rng.standard_normal((int(rng.integers(1, 20)), n_in)).astype(F32)
-            pruned, decisions = prune_one_layer(net, 0, alpha, x)
+            pruned, scores, selection = prune_one_layer(net, 0, alpha, x)
             delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0], x.astype(np.float64))
-            s = decisions.scores.totals
-            kappa = decisions.selection.achieved_mass
+            s = scores.totals
+            kappa = selection.achieved_mass
             c = net.layers[0].act.lipschitz
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(delta, s * (1.0 - alpha) if alpha < 1 else s * 0.0)
@@ -204,12 +202,12 @@ class TestRandomSatisfaction:
                             c_mid=c_mid, k=k, pool=hw >= 2 * k)
             x = rng.standard_normal(
                 (int(rng.integers(1, 6)), c_in, hw, hw)).astype(F32)
-            pruned, decisions = prune_one_layer(net, 0, alpha, x)
+            pruned, scores, selection = prune_one_layer(net, 0, alpha, x)
             delta, big_delta = measure_deviation(
                 net.layers[0], pruned.layers[0],
                 sample_last(x.astype(np.float64)))
-            s = decisions.scores.totals
-            kappa = decisions.selection.achieved_mass
+            s = scores.totals
+            kappa = selection.achieved_mass
             c = net.layers[0].act.lipschitz
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(big_delta, c * delta)
@@ -226,12 +224,12 @@ class TestRandomSatisfaction:
             alpha = (0.8, 0.95)[case % 2]
             li = case % 3  # prunable layers 0, 1, 2
             x = rng.standard_normal((int(rng.integers(2, 16)), dims[0]))
-            pruned, decisions = prune_one_layer(net, li, alpha, x)
-            s = decisions.scores.totals
+            pruned, scores, selection = prune_one_layer(net, li, alpha, x)
+            s = scores.totals
             bound = network_output_bound(net, li, alpha, s)
             measured = np.abs(net.forward(x) - pruned.forward(x)).mean(0)
             leq(measured, bound, tol=1e-12)
-            kappa = decisions.selection.achieved_mass
+            kappa = selection.achieved_mass
             tight = network_output_bound(net, li, alpha, s, kept_mass=kappa)
             leq(tight, bound, tol=1e-12)
             leq(measured, tight, tol=1e-12)

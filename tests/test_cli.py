@@ -135,6 +135,17 @@ class TestReport:
         cfg, out = run
         assert main(["report", "--run", str(out)]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
+        assert sorted(metrics) == ["baseline_accuracy", "best_iteration",
+                                   "compression", "final", "flops",
+                                   "iterations"]
+        assert sorted(metrics["final"]) == [
+            "compression_rate", "flops_pruned_pct", "post_retrain_accuracy",
+            "remaining_pct"]
+        assert sorted(metrics["compression"]) == [
+            "compression_rate", "per_layer", "pruned_pct", "remaining_pct",
+            "score_stats", "total_params", "unmasked_params"]
+        assert sorted(metrics["flops"]) == ["baseline_total", "layers",
+                                            "masked_total", "pruned_pct"]
         assert metrics["iterations"] == 2
         assert metrics["best_iteration"] == 2
         assert 0.0 < metrics["final"]["remaining_pct"] < 100.0
@@ -482,13 +493,19 @@ class TestFailureModes:
         assert "error:" in capsys.readouterr().err
 
     # one edit each to the manifest of a CRC-valid conv checkpoint for the
-    # run's (1, 1, 16) samples; no layer stack can take the result
+    # run's (1, 1, 16) samples; no layer stack can take the result. JSON
+    # reads both 1e400 and Infinity as an infinite float, which no size is
     @pytest.mark.parametrize("layer,key,value", [
         (0, "stride", [0, 0]),
         (0, "padding", [-1, -1]),
         (1, "window", [0, 0]),
         (1, "window", [5, 5]),  # larger than the 1x16 map
         (None, "input_shape", [1, 1, 12]),  # the dense layer reads 16
+        (0, "out", float("inf")),
+        (0, "stride", [float("inf"), 1]),
+        (1, "window", [float("inf"), 1]),
+        (None, "input_shape", [1, 1, float("inf")]),
+        (None, "classes", float("inf")),
     ])
     def test_inconsistent_checkpoint_exit_3(self, run, tmp_path, capsys,
                                             layer, key, value):
@@ -576,8 +593,11 @@ class TestFailureModes:
         assert "label 9" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section,field", [
-        ("train", "lr"), ("train", "weight_decay"), ("dataset", "spread")])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+        ("train", "lr"), ("train", "weight_decay"), ("dataset", "spread"),
+        ("prune", "alpha_fc")])
+    # an int of 401 digits is finite, but no float can hold it
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), pytest.param(10 ** 400, id="1e400")])
     def test_non_finite_float_exit_2(self, tmp_path, capsys, section, field,
                                      value):
         cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
@@ -647,6 +667,23 @@ class TestFailureModes:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value,expected", [(None, "1"), ("3", "3")])
+def test_import_pins_one_blas_thread(value, expected):
+    """Importing the package sets OPENBLAS_NUM_THREADS to 1 when it is
+    unset, and leaves a value already set alone."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", "import os, prune_relief; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True)
+    assert child.stdout == f"{expected}\n"
 
 
 @pytest.mark.skipif(not has_mallopt(), reason="no mallopt in this libc")

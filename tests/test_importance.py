@@ -182,12 +182,25 @@ def pruned_of(sel) -> list:
     return np.flatnonzero(~sel.keep).tolist()
 
 
+def assert_keeps_prefix(keep, row, p0, threshold):
+    """``keep`` is what the minimal prefix of ``p0`` descending scores,
+    ending at score ``threshold``, keeps: every score at or above the
+    ``p0``-th largest, which is ``threshold``. A dead row (``p0`` 0) keeps
+    nothing."""
+    row = np.asarray(row, dtype=np.float64)
+    if p0 == 0:
+        assert not np.any(keep)
+        return
+    np.testing.assert_array_equal(keep, row >= np.sort(row)[::-1][p0 - 1])
+    np.testing.assert_array_equal(keep, row >= threshold)
+
+
 class TestSelectKept:
     def test_worked_example_alpha_090(self):
         d = select_kept([0.5, 0.3, 0.15, 0.05], 0.9)
         assert kept_of(d) == [0, 1, 2]
         assert pruned_of(d) == [3]
-        assert d.prefix_len == 3
+        assert_keeps_prefix(d.keep, [0.5, 0.3, 0.15, 0.05], 3, 0.15)
         assert d.achieved_mass == pytest.approx(0.95)
 
     def test_worked_example_ties_kept(self):
@@ -195,7 +208,7 @@ class TestSelectKept:
         d = select_kept([0.4, 0.3, 0.3], 0.7)
         assert kept_of(d) == [0, 1, 2]
         assert pruned_of(d) == []
-        assert d.prefix_len == 2
+        assert_keeps_prefix(d.keep, [0.4, 0.3, 0.3], 2, 0.3)
 
     def test_alpha_one_prunes_only_zeros(self):
         d = select_kept([0.5, 0.0, 0.3, 0.2, 0.0], 1.0)
@@ -241,8 +254,7 @@ class TestSelectKept:
                 kept, pruned, p0, thr = oracle_select(list(row), alpha)
                 assert kept_of(d) == kept
                 assert pruned_of(d) == pruned
-                assert d.prefix_len == p0
-                assert d.threshold == thr
+                assert_keeps_prefix(d.keep, row, p0, thr)
 
     def test_achieved_mass_reaches_alpha(self, rng):
         for _ in range(100):
@@ -260,16 +272,14 @@ class TestSelectKept:
         for alpha in (0.5, 0.7, 0.9, 0.95, 1.0):
             sel = select_kept(s, alpha)
             assert sel.keep.shape == s.shape
-            assert not sel.keep[3].any() and sel.prefix_len[3] == 0
+            assert not sel.keep[3].any()
             for i, row in enumerate(s):
                 one = select_kept(row, alpha)
                 np.testing.assert_array_equal(sel.keep[i], one.keep)
-                assert sel.prefix_len[i] == one.prefix_len
-                assert sel.threshold[i] == one.threshold
                 assert sel.achieved_mass[i] == one.achieved_mass
                 kept, _, p0, thr = oracle_select(list(row), alpha)
                 assert np.flatnonzero(sel.keep[i]).tolist() == kept
-                assert (sel.prefix_len[i], sel.threshold[i]) == (p0, thr)
+                assert_keeps_prefix(sel.keep[i], row, p0, thr)
                 assert sel.achieved_mass[i] == pytest.approx(row[kept].sum(),
                                                              abs=1e-12)
 
@@ -300,8 +310,6 @@ def argsort_select(scores, alpha):
     keep = (rows >= threshold[:, None]) & live[:, None]
     return Selection(
         keep=keep.reshape(s.shape),
-        prefix_len=np.where(live, p0, 0).reshape(lead)[()],
-        threshold=threshold.reshape(lead)[()],
         achieved_mass=np.where(keep, rows, 0.0).sum(axis=1).reshape(lead)[()])
 
 
@@ -333,7 +341,7 @@ class TestSelectKeptMatchesArgsortSelection:
     def test_fields_byte_identical(self, rng, alpha):
         for s in selection_cases(rng):
             got, want = select_kept(s, alpha), argsort_select(s, alpha)
-            for field in ("keep", "prefix_len", "threshold", "achieved_mass"):
+            for field in ("keep", "achieved_mass"):
                 a = np.asarray(getattr(got, field))
                 b = np.asarray(getattr(want, field))
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), field
@@ -344,11 +352,11 @@ class TestPrunePass:
     def test_masks_applied_and_reported(self, rng):
         net = small_mlp(rng, (10, 8, 4))
         x = rng.standard_normal((20, 10)).astype(np.float32)
-        _, decisions = prune_pass(net, x, alpha_conv=0.9, alpha_fc=0.7)
-        assert [d.layer_index for d in decisions] == [0, 1]
-        for d in decisions:
-            layer = net.layers[d.layer_index]
-            dropped = ~d.selection.keep
+        selected = prune_pass(net, x, alpha_conv=0.9, alpha_fc=0.7)
+        assert list(selected) == [0, 1]
+        for li, (_, sel) in selected.items():
+            layer = net.layers[li]
+            dropped = ~sel.keep
             assert dropped.any()
             assert np.all(layer.weight_mask[dropped[:, :-1]] == 0)
             assert np.all(layer.weights[dropped[:, :-1]] == 0.0)
@@ -370,18 +378,18 @@ class TestPrunePass:
         _, kept = net.forward(x, keep=[1])
         from prune_relief import fc_importance as fci
         expected = fci(net.layers[1], kept[1])
-        _, decisions = prune_pass(net, x, 0.6, 0.6)
-        np.testing.assert_allclose(decisions[1].scores.scores, expected.scores,
-                                   rtol=1e-12)
+        scores, _ = prune_pass(net, x, 0.6, 0.6)[1]
+        np.testing.assert_allclose(scores.scores, expected.scores, rtol=1e-12)
 
     def test_achieved_mass_at_least_alpha(self, rng):
         net = small_cnn(rng)
         x = rng.standard_normal((12, 2, 6, 6)).astype(np.float32)
-        _, decisions = prune_pass(net, x, 0.8, 0.85)
-        for d in decisions:
-            alpha = 0.85 if d.kind == "dense" else 0.8
-            live = d.scores.totals > 0
-            assert np.all(d.selection.achieved_mass[live] >= alpha - 1e-9)
+        selected = prune_pass(net, x, 0.8, 0.85)
+        assert list(selected) == [0, 3]
+        for li, (scores, sel) in selected.items():
+            alpha = 0.85 if net.layers[li].kind == "dense" else 0.8
+            live = scores.totals > 0
+            assert np.all(sel.achieved_mass[live] >= alpha - 1e-9)
 
     def test_empty_pruning_set(self, rng):
         net = small_mlp(rng, (4, 3, 2))
@@ -408,8 +416,8 @@ class TestPruneSingleLayer:
     def test_only_requested_layer_changes(self, rng):
         net = small_mlp(rng, (8, 6, 4))
         x = rng.standard_normal((10, 8)).astype(np.float32)
-        pruned, dec = prune_one_layer(net, 1, 0.6, x)
-        assert dec.layer_index == 1
+        pruned, scores, sel = prune_one_layer(net, 1, 0.6, x)
+        assert scores.scores.shape == sel.keep.shape == (4, 7)
         np.testing.assert_array_equal(pruned.layers[0].weight_mask,
                                       net.layers[0].weight_mask)
         assert np.any(pruned.layers[1].weight_mask == 0)

@@ -255,6 +255,22 @@ class TestNetworkForward:
         assert isinstance(last, DenseLayer) and last.activation == "identity"
         assert last.fan_out == 10
 
+    @pytest.mark.parametrize("input_shape", [(784,), (1, 28, 28)])
+    def test_mlp_is_its_fc_parts(self, input_shape):
+        # an mlp string builds the network of its fc parts; a cnn string
+        # needs (channels, h, w) samples, so it always reads (1, 28, 28)
+        mlp = build_network("mlp:784-300-100-10", input_shape, 10)
+        cnn = build_network("cnn:fc300,fc100,fc10", (1, 28, 28), 10)
+        assert len(mlp.layers) == len(cnn.layers) == 4
+        for a, b in zip(mlp.layers, cnn.layers):
+            assert a.kind == b.kind
+            assert getattr(a, "activation", None) == \
+                getattr(b, "activation", None)
+            assert {k: v.shape for k, v in a.params().items()} == \
+                {k: v.shape for k, v in b.params().items()}
+        assert [l.activation for l in mlp.layers[1:]] == \
+            ["relu", "relu", "identity"]
+
     @pytest.mark.parametrize("model", ["mlp:784-5-4", "cnn:conv2k5,fc4"])
     def test_logits_must_match_classes(self, model):
         with pytest.raises(ConfigError, match="emits 4 logits but the "

@@ -257,7 +257,7 @@ class TestKeptConnectionScores:
     def test_counts_follow_masks(self, rng):
         net = small_mlp(rng, (6, 5, 3))
         x = rng.standard_normal((8, 6)).astype(F32)
-        pruned, _ = prune_one_layer(net, 0, 0.8, x)
+        pruned, _, _ = prune_one_layer(net, 0, 0.8, x)
         _, kept_b = net.forward(x, keep=[0])
         _, kept_a = pruned.forward(x, keep=[0])
         before = {0: score_layer(net.layers[0], kept_b[0])}

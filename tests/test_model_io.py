@@ -167,7 +167,8 @@ class TestRejection:
                            match=f"tensor {tensor}: holds non-finite values"):
             load_model(ckpt)
 
-    @pytest.mark.parametrize("field,value", [("nbytes", "x"), ("name", ["a"])])
+    @pytest.mark.parametrize("field,value", [
+        ("nbytes", "x"), ("name", ["a"]), ("offset", float("inf"))])
     def test_wrong_json_type_in_tensor_record(self, ckpt, field, value):
         def mutate(m, b):
             m["tensors"][0][field] = value

@@ -82,6 +82,16 @@ class TestHistory:
         back = IterationReport.from_json_dict(json.loads(history_line(r)))
         assert back.compression_rate is None
 
+    def test_pinned_history_line(self):
+        r = self.report(2)
+        r.per_layer = [{"layer": 1, "unmasked": 7}]
+        r.score_stats = {"count": 7}
+        assert history_line(r) == (
+            '{"compression_rate": 4.0, "flops_pruned_pct": 20.0, '
+            '"iteration": 2, "per_layer": [{"layer": 1, "unmasked": 7}], '
+            '"post_retrain_accuracy": 0.9, "pre_retrain_accuracy": 0.5, '
+            '"remaining_fraction": 0.25, "score_stats": {"count": 7}}\n')
+
     def test_line_is_sorted_and_newline_terminated(self):
         line = history_line(self.report(1))
         assert line.endswith("\n")
