@@ -43,10 +43,17 @@ accumulation noise from the network dtype.
 import numpy as np
 
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
-from .importance import _as_input_batch, _mask_layer, score_layer
+from .importance import _as_input_batch, _mask_layer, check_alpha, score_layer
 from .layers import ConvLayer, DenseLayer
 from .network import Network
 from .tensor_ops import dense_chunks, sample_chunks
+
+
+def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
+    """``error`` naming the prunable layers unless ``layer_index`` is one."""
+    if layer_index not in net.prunable_indices():
+        raise error(f"layer {layer_index} is not prunable; prunable layers "
+                    f"are {net.prunable_indices()}")
 
 
 def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
@@ -54,8 +61,7 @@ def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
 
     Conv filters take the same closed form, with deviations in Frobenius norm.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     s = np.asarray(s_total, dtype=np.float64)
     if np.any(s < 0):
         raise ValueError("signal totals must be non-negative")
@@ -150,16 +156,14 @@ def network_output_bound(net: Network, layer_index: int, alpha: float,
     the leading (1 - alpha) is replaced by the tighter per-target
     (1 - kept_mass).
     """
-    if layer_index not in net.prunable_indices():
-        raise IndexError(f"layer {layer_index} is not prunable")
+    check_prunable(net, layer_index)
     tail = net.layers[layer_index:]
     if any(not isinstance(l, DenseLayer) for l in tail):
         kinds = [l.kind for l in tail]
         raise CapabilityError(
             f"network output bounds need an all-dense tail from the pruned "
             f"layer to the output; layers {layer_index}.. are {kinds}")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     s = np.asarray(s_total, dtype=np.float64)
     if s.shape != (tail[0].fan_out,):
         raise DimensionError(
@@ -193,27 +197,28 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     capability limitation as a message.
     """
     batch = _as_input_batch(pruning_set)
-    if layer_index not in net.prunable_indices():
-        raise IndexError(f"layer {layer_index} is not prunable")
+    check_prunable(net, layer_index)
     logits, kept = net.forward(batch, keep=[layer_index])
     inputs = kept[layer_index]
     before = net.layers[layer_index]
     pruned_net = net.clone()
     scores = score_layer(before, inputs)
     selection = _mask_layer(pruned_net.layers[layer_index], scores, alpha)
+    # only the totals, the kept counts and the kept mass outlive the masking
+    s = scores.totals
+    kappa = selection.achieved_mass
+    kept = selection.keep.sum(axis=1)
+    pruned = selection.keep.shape[1] - kept
+    del scores, selection
     delta, big_delta = measure_deviation(before, pruned_net.layers[layer_index],
                                          inputs)
     c = before.act.lipschitz
-    s = scores.totals
-    keep = selection.keep
-    kappa = selection.achieved_mass
-    kept = keep.sum(axis=1)
     slack = np.maximum(1.0 - kappa, 0.0)
     columns = {
         "signal_total": s,
         "kept_mass": kappa,
         "kept": kept,
-        "pruned": keep.shape[1] - kept,
+        "pruned": pruned,
         "pre_activation_deviation": delta,
         "pre_activation_bound": s * slack,
         "post_activation_deviation": big_delta,

@@ -15,18 +15,17 @@ import shutil
 import sys
 from pathlib import Path
 
-from .bounds import bound_report
+from .bounds import bound_report, check_prunable
 from .config import (build_network, check_logits, infer_classes, load_config,
                      load_dataset)
 from .errors import ConfigError, FormatError, PruneReliefError, TrainingError
-from .importance import alpha_for, score_network
+from .importance import alpha_for, check_alpha, score_network
 from .layers import DenseLayer
 from .metrics import (compression_stats, export_heatmaps,
                       export_importance_csv, masked_flops)
 from .model_io import load_model, save_model, write_json
-from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, check_alpha,
-                       draw_pruning_set, iterate, iteration_dir, read_history,
-                       select_best)
+from .pipeline import (PURPOSE_INIT, PURPOSE_TRAIN, draw_pruning_set, iterate,
+                       iteration_dir, read_history, select_best)
 from .svg import write_line_chart
 from .training import evaluate, init_params, train
 
@@ -213,13 +212,10 @@ def cmd_bounds(args) -> int:
     cfg, out_dir, train_ds, _, _, net = _open_checkpoint(
         args, True, False, False)
     layer_index = args.layer
-    if layer_index not in net.prunable_indices():
-        raise ConfigError(
-            f"layer {layer_index} is not prunable; prunable layers are "
-            f"{net.prunable_indices()}")
+    check_prunable(net, layer_index, ConfigError)
     layer = net.layers[layer_index]
     if args.alpha is not None:
-        alpha = check_alpha("--alpha", args.alpha)
+        alpha = check_alpha(args.alpha, "--alpha", ConfigError)
     else:
         alpha = alpha_for(layer, cfg.prune.alpha_conv, cfg.prune.alpha_fc)
     n = args.n if args.n is not None else cfg.prune.n_pruning_samples

@@ -196,8 +196,18 @@ def load_dataset(cfg: RunConfig, train: bool = True,
         dim = _get(raw, "dataset.dim", int, default=16)
         spread = _get(raw, "dataset.spread", float, default=6.0)
         dseed = _get(raw, "dataset.seed", int, default=cfg.seed)
+        # a split is drawn as one float64 (n, dim) array, whose byte count
+        # must fit NumPy's index type
+        most = np.iinfo(np.intp).max // 8
+        if dim > most:
+            raise ConfigError("config field 'dataset.dim' is too large for "
+                              "any array")
         for i, (split, default) in enumerate((("train", 2000), ("test", 500))):
             n = _get(raw, f"dataset.n_{split}", int, default=default)
+            if n * max(dim, 1) > most:
+                raise ConfigError(
+                    f"config field 'dataset.n_{split}' is too large: "
+                    f"{split} samples of dimension {dim} do not fit any array")
             if read[split]:
                 splits[split] = synth_dataset(dseed, n, classes, dim, spread,
                                               split=i)

@@ -19,10 +19,16 @@ Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
 keep matrix of the same shape with the achieved mass per target, and the
 layer masks every dropped (target, contributor) pair in a single
-``apply_mask`` call. Selection reads each row's scores sorted by value, with
-no ranking of indices: tied scores are equal, so the order they sort in
-changes neither the running mass nor the threshold, and every contributor
-tied at the threshold is kept.
+``apply_mask`` call on that keep matrix. Selection reads each row's scores
+sorted by value, with no ranking of indices: tied scores are equal, so the
+order they sort in changes neither the running mass nor the threshold, and
+every contributor tied at the threshold is kept.
+
+A pass holds one float64 grid per layer: the numerators and the bias
+numerator are written into it and divided by the row totals in place, so
+the grid becomes the scores. Selection runs over blocks of rows within
+``tensor_ops.ROW_BUDGET`` bytes, so its sorted copy and running mass stay
+small whatever the layer's size.
 
 Dense layer, contributor i of target j:
 
@@ -52,7 +58,8 @@ import numpy as np
 from .errors import DimensionError, EmptyPruningSetError
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import conv_output_hw, im2col, sample_chunks
+from .tensor_ops import (ROW_BUDGET, conv_output_hw, equal_parts, im2col,
+                         sample_chunks)
 
 
 @dataclass
@@ -89,6 +96,14 @@ class Selection:
     achieved_mass: np.ndarray
 
 
+def check_alpha(alpha: float, name: str = "alpha", error=ValueError) -> float:
+    """``alpha`` itself, or ``error`` naming ``name`` unless alpha lies in
+    (0, 1]: the range of a score mass to keep."""
+    if not 0 < alpha <= 1:  # NaN fails the comparison too
+        raise error(f"{name} must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 def _as_input_batch(inputs, sample_axis=0) -> np.ndarray:
     """The pruning set as an array with at least one sample along
     ``sample_axis``."""
@@ -98,13 +113,15 @@ def _as_input_batch(inputs, sample_axis=0) -> np.ndarray:
     return x
 
 
-def _normalize(numer: np.ndarray, bias_numer: np.ndarray) -> ImportanceScores:
-    totals = numer.sum(axis=1) + bias_numer
-    scores = np.concatenate([numer, bias_numer[:, None]], axis=1)
+def _normalize(grid: np.ndarray) -> ImportanceScores:
+    """Divide each row of a float64 (targets, contributors + 1) grid of
+    numerators, the bias numerator last, by its total in place: the grid
+    becomes the scores."""
+    totals = grid[:, :-1].sum(axis=1) + grid[:, -1]
     live = totals > 0
-    scores[live] /= totals[live, None]
-    scores[~live] = 0.0
-    return ImportanceScores(scores=scores, totals=totals)
+    np.divide(grid, totals[:, None], out=grid, where=live[:, None])
+    grid[~live] = 0.0
+    return ImportanceScores(scores=grid, totals=totals)
 
 
 def fc_importance(layer: DenseLayer, inputs) -> ImportanceScores:
@@ -116,9 +133,12 @@ def fc_importance(layer: DenseLayer, inputs) -> ImportanceScores:
             f"shape {x.shape}"
         )
     mean_abs_x = np.mean(np.abs(x), axis=0, dtype=np.float64)
-    numer = np.abs(layer.weights).astype(np.float64) * mean_abs_x[None, :]
-    bias_numer = np.abs(layer.bias).astype(np.float64)
-    return _normalize(numer, bias_numer)
+    grid = np.empty((layer.fan_out, layer.fan_in + 1))
+    numer = grid[:, :-1]
+    np.abs(layer.weights, out=numer)
+    numer *= mean_abs_x
+    np.abs(layer.bias, out=grid[:, -1])
+    return _normalize(grid)
 
 
 def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
@@ -137,7 +157,7 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     # convolution would carry ~1e-8 relative noise into scores that
     # equality-tight bounds are checked against
     khat = np.abs(layer.kernels).astype(np.float64)
-    numer = np.empty((co, ci), dtype=np.float64)
+    grid = np.empty((layer.fan_out, layer.fan_in + 1))
     norms = np.empty((co, n), dtype=np.float64)
     # one float64 product per input channel and chunk of samples, over that
     # channel's columns only: the columns of every channel and sample at
@@ -150,9 +170,11 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
             maps = np.matmul(ki, im2col(xi, r, layer.stride, layer.padding))
             np.square(maps, out=maps)  # (Co, Ho*Wo*n)
             norms[:, s0:s1] = np.sqrt(maps.reshape(co, ho * wo, -1).sum(axis=1))
-        numer[:, i] = norms.mean(axis=1)
-    bias_numer = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
-    return _normalize(numer, bias_numer)
+        grid[:, i] = norms.mean(axis=1)
+    bias_numer = grid[:, -1]
+    np.abs(layer.bias, out=bias_numer)
+    bias_numer *= np.sqrt(float(ho * wo))
+    return _normalize(grid)
 
 
 def select_kept(scores, alpha: float) -> Selection:
@@ -175,10 +197,24 @@ def select_kept(scores, alpha: float) -> Selection:
         raise DimensionError("select_kept needs at least one score per row")
     if not np.all(s >= 0):  # also rejects NaN
         raise ValueError("scores must be non-negative")
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    check_alpha(alpha)
     lead = s.shape[:-1]
     rows = s.reshape(-1, s.shape[-1])
+    keep = np.empty(rows.shape, dtype=bool)
+    mass = np.empty(rows.shape[0])
+    # rows are independent, so blocks of them give the bytes of one pass
+    # over the grid, and each block's sorted copy, running mass and kept
+    # scores stay within ROW_BUDGET
+    most = ROW_BUDGET // (8 * rows.shape[1])
+    for r0, r1 in equal_parts(rows.shape[0], most):
+        _select_rows(rows[r0:r1], alpha, keep[r0:r1], mass[r0:r1])
+    return Selection(keep=keep.reshape(s.shape),
+                     achieved_mass=mass.reshape(lead)[()])
+
+
+def _select_rows(rows, alpha, keep, mass) -> None:
+    """Write :func:`select_kept`'s keep rows and achieved mass of a 2-D
+    block of score rows into ``keep`` and ``mass``."""
     # negating is exact, so sorting -rows in place gives the descending
     # values in one float64 copy
     desc = np.negative(rows)
@@ -191,10 +227,12 @@ def select_kept(scores, alpha: float) -> Selection:
     # ends one past the entries still short of it
     p0 = np.count_nonzero(cum < np.minimum(alpha, total), axis=1) + 1
     threshold = np.take_along_axis(desc, p0[:, None] - 1, axis=1)
-    keep = (rows >= threshold) & live[:, None]
-    return Selection(
-        keep=keep.reshape(s.shape),
-        achieved_mass=np.where(keep, rows, 0.0).sum(axis=1).reshape(lead)[()])
+    np.greater_equal(rows, threshold, out=keep)
+    keep &= live[:, None]
+    # the kept scores and zeros, in the sorted copy's memory; a dropped
+    # -0.0 stays -0.0, which changes no sum: NumPy's sums start at +0.0
+    np.multiply(rows, keep, out=desc)
+    desc.sum(axis=1, out=mass)
 
 
 def score_layer(layer, inputs) -> ImportanceScores:
@@ -218,7 +256,7 @@ def score_network(net: Network, pruning_set) -> dict:
 
 def _mask_layer(layer, scores: ImportanceScores, alpha: float) -> Selection:
     selection = select_kept(scores.scores, alpha)
-    layer.apply_mask(*np.nonzero(~selection.keep))
+    layer.apply_mask(selection.keep)
     return selection
 
 

@@ -6,9 +6,9 @@ exactly; constructors validate it and ``apply_mask`` zeroes what it masks.
 Masks address (target, contributor) pairs: a target is an output unit or
 filter, a contributor an input unit or input channel, and contributor index
 ``fan_in`` is the target's bias. Conv masks have one bit per (filter,
-input-channel) kernel, not per tap. ``apply_mask`` takes broadcastable index
-arrays, so one call masks a few contributors of one target or every dropped
-pair of a whole layer.
+input-channel) kernel, not per tap. ``apply_mask`` takes the layer's boolean
+(fan_out, fan_in + 1) keep grid, so one call masks every dropped pair of a
+whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
 what ``backward`` needs; for dense and conv layers its last entry is the
@@ -136,28 +136,27 @@ class _MaskedLayer:
             setattr(out, b, bias[rows])
         return out
 
-    def apply_mask(self, targets, contributors) -> None:
-        """Mask the (target, contributor) pairs of broadcastable index arrays.
+    def apply_mask(self, keep) -> None:
+        """Mask every (target, contributor) pair that the boolean keep grid
+        ``keep``, of shape (fan_out, fan_in + 1), holds False.
 
-        ``apply_mask(j, [i, k])`` masks two contributors of target j, and
-        ``apply_mask(*np.nonzero(drop))`` every True entry of a (fan_out,
-        fan_in + 1) matrix. A masked conv contributor zeroes a whole kernel.
+        A masked conv contributor zeroes a whole kernel. Masking clears every
+        bit of the dropped weights, biases and mask entries, so each holds
+        +0.0, also where it held a negative value or -0.0 before.
         """
-        t = np.asarray(targets, dtype=np.int64)
-        c = np.asarray(contributors, dtype=np.int64)
-        if t.size and (t.min() < 0 or t.max() >= self.fan_out):
-            raise IndexError(f"targets must lie in [0, {self.fan_out}), got "
-                             f"[{t.min()}, {t.max()}]")
-        if c.size and (c.min() < 0 or c.max() > self.fan_in):
-            raise IndexError(f"contributor indices must lie in [0, "
-                             f"{self.fan_in}], got [{c.min()}, {c.max()}]")
-        t, c = np.broadcast_arrays(t, c)
-        on_bias = c == self.fan_in
-        rows, cols, units = t[~on_bias], c[~on_bias], t[on_bias]
+        keep = np.asarray(keep)
+        shape = (self.fan_out, self.fan_in + 1)
+        if keep.shape != shape or keep.dtype != bool:
+            raise DimensionError(f"keep grid must be a {shape} boolean array, "
+                                 f"got {keep.shape} {keep.dtype}")
         weights, bias = self.params().values()
         weight_mask, bias_mask = self.stored_masks().values()
-        weight_mask[rows, cols] = weights[rows, cols] = 0
-        bias_mask[units] = bias[units] = 0
+        ones = _ones_where(keep, _bits(bias).dtype)
+        for a, grid in ((weights, ones[:, :-1]), (weight_mask, ones[:, :-1]),
+                        (bias, ones[:, -1]), (bias_mask, ones[:, -1])):
+            bits = _bits(a)
+            # a conv kernel's taps share their (filter, channel) entry
+            bits &= grid.reshape(grid.shape + (1,) * (a.ndim - grid.ndim))
 
 
 class DenseLayer(_MaskedLayer):

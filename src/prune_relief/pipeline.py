@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .errors import ConfigError, FormatError
-from .importance import prune_pass
+from .importance import check_alpha, prune_pass
 from .metrics import compression_stats, masked_flops, score_stats
 from .model_io import load_model, save_model, write_json
 from .network import Network
@@ -32,13 +32,6 @@ PURPOSE_TRAIN = 1
 PURPOSE_PRUNE_DRAW = 2
 PURPOSE_RETRAIN = 3
 PURPOSE_REINIT = 4
-
-
-def check_alpha(name: str, alpha: float) -> float:
-    """``alpha`` itself, or ConfigError unless it lies in (0, 1]."""
-    if not 0 < alpha <= 1:  # NaN fails the comparison too
-        raise ConfigError(f"{name} must lie in (0, 1], got {alpha}")
-    return alpha
 
 
 @dataclass
@@ -54,7 +47,7 @@ class PruneConfig:
 
     def validate(self) -> "PruneConfig":
         for name in ("alpha_conv", "alpha_fc"):
-            check_alpha(name, getattr(self, name))
+            check_alpha(getattr(self, name), name, ConfigError)
         if self.n_pruning_samples < 1:
             raise ConfigError(f"n_pruning_samples must be >= 1, got "
                               f"{self.n_pruning_samples}")
@@ -275,12 +268,15 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         batch = _draw_pruning_batch(train_ds, pcfg.n_pruning_samples, seed,
                                     key)
         selected = prune_pass(net, batch, pcfg.alpha_conv, pcfg.alpha_fc)
+        del batch
         # only the kept scores' statistics outlive the pass, so the score
-        # matrices and keep masks are freed before evaluation and retraining
-        stats = score_stats(np.concatenate(
-            [scores.scores[sel.keep] for scores, sel in selected.values()])
-            if selected else np.zeros(0))
+        # grids and keep masks are freed before the statistics are taken
+        kept = np.concatenate(
+            [scores.scores[sel.keep] for scores, sel in selected.values()]) \
+            if selected else np.zeros(0)
         del selected
+        stats = score_stats(kept)
+        del kept
         pre_acc = evaluate(net, test_ds.images, test_ds.labels)
         if pcfg.retrain_mode == "reinit":
             if pcfg.reinit_draw == "original":

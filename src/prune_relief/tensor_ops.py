@@ -130,8 +130,10 @@ targets) with a small-matrix kernel, in another order. So
 the only partial tile is the last part's, as in the whole product."""
 
 ROW_BUDGET = 1 << 20
-"""Bytes of float64 rows a dense deviation chunk holds at once: its input
-rows, z and act(z) of both layers of the pair, and one difference."""
+"""Bytes of float64 rows a dense deviation chunk holds at once (its input
+rows, z and act(z) of both layers of the pair, and one difference), and
+that each of a selection block's sorted copy and running mass holds (at
+least one score row)."""
 
 CHUNK_OUTPUTS = 4096
 """About the fewest outputs a part of a split dense set holds. A chunk plan

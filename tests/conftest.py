@@ -61,6 +61,15 @@ def small_cnn(rng, activation="relu", dtype=np.float32, in_shape=(2, 6, 6),
     return Network(layers, in_shape, classes)
 
 
+def mask_pairs(layer, targets, contributors):
+    """Mask the (target, contributor) pairs of broadcastable index arrays
+    through the layer's keep grid: ``mask_pairs(layer, j, [i, k])`` masks
+    two contributors of target j, and contributor ``fan_in`` is the bias."""
+    keep = np.ones((layer.fan_out, layer.fan_in + 1), dtype=bool)
+    keep[targets, contributors] = False
+    layer.apply_mask(keep)
+
+
 def next_prunable(net, a):
     return next(i for i in net.prunable_indices() if i > a)
 
@@ -72,17 +81,17 @@ def cut_units(rng, net, share=0.3):
     for li in net.prunable_indices():
         layer = net.layers[li]
         drop = rng.random((layer.fan_out, layer.fan_in + 1)) < share
-        layer.apply_mask(*np.nonzero(drop))
+        layer.apply_mask(~drop)
     for a in net.prunable_indices()[:-1]:
         layer, nxt = net.layers[a], net.layers[next_prunable(net, a)]
         per = nxt.fan_in // layer.fan_out
         order = rng.permutation(layer.fan_out)
         k = max(layer.fan_out // 4, 1)
         for u in order[:k]:  # dead-end
-            nxt.apply_mask(np.arange(nxt.fan_out)[:, None],
-                           np.arange(u * per, (u + 1) * per)[None, :])
+            mask_pairs(nxt, np.arange(nxt.fan_out)[:, None],
+                       np.arange(u * per, (u + 1) * per)[None, :])
         for u in order[k - 1:2 * k]:  # input-less; order[k - 1] is both
-            layer.apply_mask(u, np.arange(layer.fan_in + 1))
+            mask_pairs(layer, u, np.arange(layer.fan_in + 1))
     return net
 
 
@@ -116,7 +125,7 @@ def prune_one_layer(net, layer_index, alpha, pruning_set):
     scores = score_network(net, pruning_set)[layer_index]
     selection = select_kept(scores.scores, alpha)
     pruned = net.clone()
-    pruned.layers[layer_index].apply_mask(*np.nonzero(~selection.keep))
+    pruned.layers[layer_index].apply_mask(selection.keep)
     return pruned, scores, selection
 
 

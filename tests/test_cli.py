@@ -21,8 +21,8 @@ from prune_relief import Flatten, MaxPool2D, Network
 from prune_relief.cli import main
 from prune_relief.model_io import load_model, save_model
 from prune_relief.pipeline import read_history
-from tests.conftest import (count_forwards_and_scores, random_conv,
-                            random_dense, small_mlp)
+from tests.conftest import (count_forwards_and_scores, mask_pairs,
+                            random_conv, random_dense, small_mlp)
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
 from tests.test_model_io import set_f32
 
@@ -455,7 +455,7 @@ class TestFailureModes:
         ckpt = out2 / "iterations" / "iter_02"
         net = load_model(ckpt)
         j, i = np.argwhere(net.layers[1].weight_mask != 0)[0]
-        net.layers[1].apply_mask(j, [i])
+        mask_pairs(net.layers[1], j, [i])
         save_model(net, ckpt)
         cfg3 = write_config(tmp_path / "config3.json", out=out2, prune={
             "alpha_fc": 0.9, "n_pruning_samples": 64, "iterations": 3,
@@ -607,6 +607,23 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"'{section}.{field}' must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    # no array holds 10**400 values; 2**61 samples of 16 values overflow
+    # the byte count although each number fits an int64
+    @pytest.mark.parametrize("field,value", [
+        ("n_train", 10 ** 400), ("n_test", 10 ** 400), ("dim", 10 ** 400),
+        ("n_train", 2 ** 61)], ids=["n_train", "n_test", "dim", "n_train*dim"])
+    def test_synthetic_size_beyond_any_array_exit_2(self, tmp_path, capsys,
+                                                    field, value):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
+        data = json.loads(cfg.read_text())
+        data["dataset"][field] = value
+        cfg.write_text(json.dumps(data))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"'dataset.{field}' is too large" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 

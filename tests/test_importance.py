@@ -5,15 +5,20 @@ normalization, scaling invariance, permutation equivariance, and the
 minimal-prefix selection rule against a brute-force oracle.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prune_relief import (ConvLayer, DenseLayer, DimensionError,
                           EmptyPruningSetError, Selection, conv_importance,
-                          fc_importance, prune_pass, sample_last,
+                          fc_importance, importance, prune_pass, sample_last,
                           score_network, select_kept)
-from tests.conftest import (prune_one_layer, random_conv, random_dense,
-                            small_cnn, small_mlp)
+from prune_relief.tensor_ops import ROW_BUDGET, equal_parts
+from tests.conftest import (mask_pairs, prune_one_layer, random_conv,
+                            random_dense, small_cnn, small_mlp)
 
 
 class TestFcImportance:
@@ -72,7 +77,7 @@ class TestFcImportance:
 
     def test_masked_connections_score_zero(self, rng):
         layer = random_dense(rng, 10, 4)
-        layer.apply_mask(2, [1, 5, 8])
+        mask_pairs(layer, 2, [1, 5, 8])
         x = rng.standard_normal((6, 10)).astype(np.float32)
         sc = fc_importance(layer, x)
         assert np.all(sc.scores[2, [1, 5, 8]] == 0.0)
@@ -346,6 +351,62 @@ class TestSelectKeptMatchesArgsortSelection:
                 b = np.asarray(getattr(want, field))
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), field
                 assert a.tobytes() == b.tobytes(), (field, s)
+
+
+# quantized values tie often, also at the threshold; -0.0 passes the
+# non-negativity check like +0.0
+SCORES = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0]) \
+    | st.floats(0.0, 1.0)
+
+
+@st.composite
+def blocked_grids(draw):
+    """A score grid, some rows zeroed, some normalized, and a row budget that
+    splits it into three or more blocks."""
+    n_rows, n_cols = draw(st.integers(3, 14)), draw(st.integers(1, 9))
+    s = np.array(draw(st.lists(SCORES, min_size=n_rows * n_cols,
+                               max_size=n_rows * n_cols))).reshape(n_rows, -1)
+    for i in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        s[i] = 0.0 if draw(st.booleans()) else -0.0
+    scale = draw(st.sampled_from(["raw", "normalized"]))
+    if scale == "normalized":
+        s /= np.maximum(s.sum(axis=1, keepdims=True), 1e-300)
+    rows_per_block = draw(st.integers(1, n_rows // 3))
+    return s, rows_per_block * s[0].nbytes
+
+
+class TestSelectKeptRowBlocks:
+    """Rows are independent, so selection over blocks of rows gives the
+    bytes a per-row selection gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocked_grids(),
+           st.sampled_from([1.0, 0.95, 0.9, 0.5]) | st.floats(1e-3, 1.0))
+    def test_blocks_match_per_row_selection(self, grid, alpha):
+        s, budget = grid
+        blocks = equal_parts(s.shape[0], budget // s[0].nbytes)
+        assert len(blocks) >= 3
+        with mock.patch.object(importance, "ROW_BUDGET", budget), \
+                mock.patch.object(importance, "_select_rows",
+                                  wraps=importance._select_rows) as spy:
+            got = select_kept(s, alpha)
+        assert spy.call_count == len(blocks)
+        for i, row in enumerate(s):
+            want = argsort_select(row, alpha)
+            assert got.keep[i].tobytes() == want.keep.tobytes()
+            assert got.achieved_mass[i].tobytes() == \
+                np.float64(want.achieved_mass).tobytes()
+
+    def test_layer_grid_at_the_shipped_budget(self, rng):
+        # LeNet-300-100's first layer twice over: four blocks of rows
+        s = rng.integers(0, 5, size=(600, 785)).astype(np.float64)
+        s[::7] = 0.0
+        s /= np.maximum(s.sum(axis=1, keepdims=True), 1.0)
+        assert len(equal_parts(600, ROW_BUDGET // s[0].nbytes)) == 4
+        for alpha in (0.9, 1.0):
+            got, want = select_kept(s, alpha), argsort_select(s, alpha)
+            assert got.keep.tobytes() == want.keep.tobytes()
+            assert got.achieved_mass.tobytes() == want.achieved_mass.tobytes()
 
 
 class TestPrunePass:

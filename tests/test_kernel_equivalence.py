@@ -15,6 +15,7 @@ import pytest
 
 from prune_relief import ConvLayer, MaxPool2D, im2col, sample_first, sample_last
 from prune_relief.tensor_ops import check_stride_padding, col2im, conv_output_hw
+from tests.conftest import mask_pairs
 
 
 def ref_pool_forward(x, window, stride):
@@ -192,7 +193,7 @@ class TestConvBackwardMatchesPerSample:
             self, rng, n, ci, co, r, stride, padding, h, w):
         kernels = rng.standard_normal((co, ci, r, r)).astype(np.float32)
         layer = ConvLayer(kernels, rng.standard_normal(co), "relu", stride, padding)
-        layer.apply_mask(0, [0, ci])
+        mask_pairs(layer, 0, [0, ci])
         x = signed_zeros(rng, rng.standard_normal((n, ci, h, w)).astype(np.float32), 0.2)
         y, cache = layer.forward(sample_last(x), with_cache=True)
         d_out = rng.standard_normal(y.shape).astype(np.float32)

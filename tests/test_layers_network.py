@@ -6,7 +6,8 @@ import pytest
 from prune_relief import (ConfigError, ConvLayer, DenseLayer, DimensionError,
                           Flatten, MaxPool2D, Network, build_network,
                           init_params, sample_first, sample_last)
-from tests.conftest import random_conv, random_dense, small_cnn, small_mlp
+from tests.conftest import (mask_pairs, random_conv, random_dense, small_cnn,
+                            small_mlp)
 
 
 class TestDenseForward:
@@ -46,7 +47,7 @@ class TestCopies:
                              ids=["dense", "conv"])
     def test_astype_keeps_the_mask_dtype(self, rng, build):
         layer = build(rng)
-        layer.apply_mask(1, [0, 2])
+        mask_pairs(layer, 1, [0, 2])
         wide = layer.astype(np.float64)
         for p, q in zip(wide.params().values(), layer.params().values()):
             assert p.dtype == np.float64
@@ -62,7 +63,7 @@ class TestCopies:
 
     def test_take_keeps_the_block(self, rng):
         layer = random_conv(rng, 3, 4, 3)
-        layer.apply_mask(2, [1, 3])
+        mask_pairs(layer, 2, [1, 3])
         part = layer.take(np.array([0, 2]), np.array([1, 2]))
         np.testing.assert_array_equal(part.kernels,
                                       layer.kernels[[0, 2]][:, [1, 2]])
@@ -81,7 +82,7 @@ class TestMasking:
         for li in net.prunable_indices():
             layer = net.layers[li]
             for j in range(layer.fan_out):
-                layer.apply_mask(j, np.arange(layer.fan_in + 1))
+                mask_pairs(layer, j, np.arange(layer.fan_in + 1))
         out = net.forward(rng.standard_normal((6, 5)).astype(np.float32))
         np.testing.assert_array_equal(out, np.zeros((6, 3), np.float32))
 
@@ -89,7 +90,7 @@ class TestMasking:
         layer = DenseLayer([[2.0, -1.0]], [0.5], "identity")
         x = np.array([[1.0, 1.0]], np.float32)
         before = layer.forward(x)[0, 0]
-        layer.apply_mask(0, [2])  # index fan_in addresses the bias
+        mask_pairs(layer, 0, [2])  # index fan_in addresses the bias
         after = layer.forward(x)[0, 0]
         assert before - after == pytest.approx(0.5)
         assert layer.bias[0] == 0.0
@@ -97,23 +98,53 @@ class TestMasking:
     def test_empty_contributor_list_is_noop(self, rng):
         layer = random_dense(rng, 4, 2)
         w = layer.weights.copy()
-        layer.apply_mask(1, [])
+        mask_pairs(layer, 1, [])
         np.testing.assert_array_equal(layer.weights, w)
         np.testing.assert_array_equal(layer.weight_mask, np.ones((2, 4)))
 
-    def test_out_of_range_target(self, rng):
+    @pytest.mark.parametrize("grid", [
+        np.ones((3, 5), bool), np.ones((2, 6), bool), np.ones((2, 4), bool),
+        np.ones(10, bool), np.ones((2, 5))],
+        ids=["target-too-many", "contributor-too-many", "no-bias-column",
+             "flat", "float"])
+    def test_grid_must_be_a_boolean_layer_grid(self, rng, grid):
         layer = random_dense(rng, 4, 2)
-        with pytest.raises(IndexError):
-            layer.apply_mask(2, [0])
+        before = [a.copy() for a in (*layer.params().values(),
+                                     *layer.stored_masks().values())]
+        with pytest.raises(DimensionError):
+            layer.apply_mask(grid)
+        after = (*layer.params().values(), *layer.stored_masks().values())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
-    def test_out_of_range_contributor(self, rng):
-        layer = random_dense(rng, 4, 2)
-        with pytest.raises(IndexError):
-            layer.apply_mask(0, [5])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_dropped_entries_become_positive_zero(self, rng, kind):
+        layer = random_dense(rng, 6, 5) if kind == "dense" \
+            else random_conv(rng, 6, 5, 2)
+        weights, bias = layer.params().values()
+        # negative entries, and -0.0 ones as training can leave them
+        np.negative(np.abs(weights), out=weights)
+        weights[:, 1] = -0.0
+        np.negative(np.abs(bias), out=bias)
+        bias[1] = -0.0
+        keep = rng.random((5, 7)) < 0.5
+        keep[0] = True  # its -0.0 entries stay as they are
+        keep[1] = False  # its -0.0 entries and bias are dropped
+        old_w, old_b = weights.copy(), bias.copy()
+        layer.apply_mask(keep)
+        w_keep = keep[:, :-1].reshape(5, 6, *(1,) * (weights.ndim - 2))
+        w_keep = np.broadcast_to(w_keep, weights.shape)
+        for new, old, k in ((weights, old_w, w_keep),
+                            (bias, old_b, keep[:, -1])):
+            bits, old_bits = new.view(np.uint32), old.view(np.uint32)
+            assert not bits[~k].any()  # +0.0, never -0.0
+            np.testing.assert_array_equal(bits[k], old_bits[k])
+        for m, k in zip(layer.stored_masks().values(),
+                        (keep[:, :-1], keep[:, -1])):
+            assert m.tobytes() == k.astype(np.float32).tobytes()
 
     def test_masked_entries_are_exact_zeros(self, rng):
         layer = random_dense(rng, 10, 6)
-        layer.apply_mask(3, [1, 4, 7, 10])
+        mask_pairs(layer, 3, [1, 4, 7, 10])
         assert np.all(layer.weights[3, [1, 4, 7]] == 0.0)
         assert layer.bias[3] == 0.0
         assert np.all(layer.weight_mask[3, [1, 4, 7]] == 0.0)
@@ -127,20 +158,20 @@ class TestMasking:
         layer = random_dense(rng, 4, 3)
         w, b = layer.weights.copy(), layer.bias.copy()
         # pairs (0, 1), (2, 0), and the biases (index 4) of targets 2 and 1
-        layer.apply_mask([0, 2, 2, 1], [1, 0, 4, 4])
+        mask_pairs(layer, [0, 2, 2, 1], [1, 0, 4, 4])
         kept = np.ones((3, 4), np.float32)
         kept[0, 1] = kept[2, 0] = 0
         np.testing.assert_array_equal(layer.weight_mask, kept)
         np.testing.assert_array_equal(layer.weights, w * kept)
         np.testing.assert_array_equal(layer.bias_mask, [1, 0, 0])
         np.testing.assert_array_equal(layer.bias, [b[0], 0, 0])
-        with pytest.raises(IndexError):
-            layer.apply_mask([0, 3], [0, 0])
+        with pytest.raises(DimensionError):
+            layer.apply_mask(np.ones((4, 5), dtype=bool))
         # a (2, 1) column of filters broadcasts against two contributors:
         # channel 1 and the bias (index 3) of filters 0 and 2
         conv = random_conv(rng, 3, 4, 2)
         k = conv.kernels.copy()
-        conv.apply_mask(np.array([[0], [2]]), [1, 3])
+        mask_pairs(conv, np.array([[0], [2]]), [1, 3])
         assert np.all(conv.kernels[[0, 2], 1] == 0.0)
         np.testing.assert_array_equal(conv.kernel_mask[:, 1], [0, 1, 0, 1])
         np.testing.assert_array_equal(conv.bias_mask, [0, 1, 0, 1])
@@ -150,9 +181,9 @@ class TestMasking:
         for layer in (random_dense(rng, 7, 5), random_conv(rng, 3, 4, 2)):
             drop = rng.random((layer.fan_out, layer.fan_in + 1)) < 0.4
             bulk, single = layer.clone(), layer.clone()
-            bulk.apply_mask(*np.nonzero(drop))
+            bulk.apply_mask(~drop)
             for j in range(layer.fan_out):
-                single.apply_mask(j, np.flatnonzero(drop[j]))
+                mask_pairs(single, j, np.flatnonzero(drop[j]))
             for name, p in bulk.params().items():
                 assert p.tobytes() == single.params()[name].tobytes()
             for name, m in bulk.stored_masks().items():
@@ -160,7 +191,7 @@ class TestMasking:
 
     def test_fully_masked_conv_filter_is_dead(self, rng):
         layer = random_conv(rng, 3, 4, 2)
-        layer.apply_mask(2, np.arange(4))  # 3 channels + bias
+        mask_pairs(layer, 2, np.arange(4))  # 3 channels + bias
         x = rng.standard_normal((3, 6, 6, 5)).astype(np.float32)  # (C, H, W, N)
         out = layer.forward(x)
         np.testing.assert_array_equal(out[2], np.zeros((5, 5, 5), np.float32))

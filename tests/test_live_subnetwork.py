@@ -15,7 +15,8 @@ from prune_relief import (LrSpan, Optimizer, OptimizerConfig, build_network,
                           init_params, train)
 from prune_relief.network import Network, Subnetwork
 from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
-                            flat_grads, small_cnn, small_mlp, tensors)
+                            flat_grads, mask_pairs, small_cnn, small_mlp,
+                            tensors)
 
 # float64 gradients that differ only in the order of their sums; relative
 # to the largest entry of each tensor
@@ -86,9 +87,9 @@ class TestLiveness:
     def test_dense_hand_example(self):
         net = small_mlp(np.random.default_rng(0), (3, 4, 3, 2))
         first, second, last = (net.layers[i] for i in (0, 1, 2))
-        second.apply_mask(np.arange(3)[:, None], [[1]])  # unit 1: dead-end
-        first.apply_mask(2, np.arange(4))                # unit 2: input-less
-        last.apply_mask(np.arange(2)[:, None], [[0]])    # unit 0 of layer 1
+        mask_pairs(second, np.arange(3)[:, None], [[1]])  # unit 1: dead-end
+        mask_pairs(first, 2, np.arange(4))  # unit 2: input-less
+        mask_pairs(last, np.arange(2)[:, None], [[0]])  # unit 0 of layer 1
         live = net.liveness()
         assert live[0].dead_end.tolist() == [False, True, False, False]
         assert live[0].inputless.tolist() == [False, False, True, False]
@@ -110,11 +111,11 @@ class TestLiveness:
         conv, fc = net.layers[0], net.layers[3]
         per = fc.fan_in // conv.fan_out  # 2x2 pooled map per channel
         # channel 1's feature block is unread except one column: still live
-        fc.apply_mask(np.arange(2)[:, None],
-                      np.arange(per, 2 * per - 1)[None, :])
+        mask_pairs(fc, np.arange(2)[:, None],
+                   np.arange(per, 2 * per - 1)[None, :])
         # channel 2's block is wholly masked: dead-end
-        fc.apply_mask(np.arange(2)[:, None],
-                      np.arange(2 * per, 3 * per)[None, :])
+        mask_pairs(fc, np.arange(2)[:, None],
+                   np.arange(2 * per, 3 * per)[None, :])
         live = net.liveness()[0]
         assert live.dead_end.tolist() == [False, False, True]
         sub = Subnetwork(net)
@@ -124,13 +125,13 @@ class TestLiveness:
 
     def test_sigmoid_targets_without_inputs_stay(self):
         net = small_mlp(np.random.default_rng(2), (4, 5, 3), "sigmoid")
-        net.layers[0].apply_mask(1, np.arange(5))
+        mask_pairs(net.layers[0], 1, np.arange(5))
         assert not net.liveness()[0].inputless.any()
         assert 1 in kept(Subnetwork(net), 0)[0]
 
     def test_a_boundary_keeps_one_target(self):
         net = small_mlp(np.random.default_rng(3), (4, 5, 3))
-        net.layers[1].apply_mask(np.arange(3)[:, None], np.arange(5)[None, :])
+        mask_pairs(net.layers[1], np.arange(3)[:, None], np.arange(5)[None, :])
         assert not net.liveness()[0].live.any()
         sub = Subnetwork(net)
         assert sub.net.layers[0].weights.shape == (1, 4)
@@ -209,7 +210,7 @@ class TestTraining:
             layer = net.layers[li]
             drop = rng.random((layer.fan_out, layer.fan_in + 1)) < 0.2
             drop[:, 0] = False
-            layer.apply_mask(*np.nonzero(drop))
+            layer.apply_mask(~drop)
         assert all(v.live.all() for v in net.liveness().values())
         ref = net.clone()
         x, labels = batch(rng, net, 24)

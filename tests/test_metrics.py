@@ -15,7 +15,7 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer, Flatten,
                           kept_connection_scores, masked_flops,
                           score_layer, score_stats)
 from prune_relief import grid_csv
-from tests.conftest import prune_one_layer, small_cnn, small_mlp
+from tests.conftest import mask_pairs, prune_one_layer, small_cnn, small_mlp
 
 F32 = np.float32
 
@@ -66,7 +66,7 @@ class TestMaskedFlops:
         for li in net.prunable_indices():
             layer = net.layers[li]
             for j in range(layer.fan_out):
-                layer.apply_mask(j, range(layer.fan_in + 1))
+                mask_pairs(layer, j, range(layer.fan_in + 1))
         report = masked_flops(net)
         assert report.masked_total == 0
         assert report.pruned_pct == 100.0
@@ -78,7 +78,7 @@ class TestMaskedFlops:
         net = Network([ConvLayer(k, np.zeros(1, F32), "relu"), Flatten(),
                        DenseLayer(np.zeros((1, 4), F32), np.zeros(1, F32),
                                   "identity")], (2, 4, 4), 1)
-        net.layers[0].apply_mask(0, [0])
+        mask_pairs(net.layers[0], 0, [0])
         report = masked_flops(net)
         conv = report.layers[0]
         assert conv["baseline_flops"] == 608
@@ -88,8 +88,8 @@ class TestMaskedFlops:
     def test_dead_dense_unit_is_free_but_live_costs(self, rng):
         net = small_mlp(rng, (4, 3, 2))
         layer = net.layers[0]
-        layer.apply_mask(0, range(5))       # dead: contributes 0
-        layer.apply_mask(1, [0, 1])         # 2 of 4 inputs kept
+        mask_pairs(layer, 0, range(5))  # dead: contributes 0
+        mask_pairs(layer, 1, [0, 1])  # 2 of 4 inputs kept
         report = masked_flops(net)
         dense = report.layers[0]
         assert dense["masked_flops"] == 0 + (2 * 2 - 1) + (2 * 4 - 1)
@@ -105,7 +105,7 @@ class TestMaskedFlops:
         net = Network([ConvLayer(k, np.zeros(1, F32), "relu"), Flatten(),
                        DenseLayer(np.zeros((1, 4), F32), np.zeros(1, F32),
                                   "identity")], (2, 4, 4), 1)
-        net.layers[0].apply_mask(0, [0, 1])
+        mask_pairs(net.layers[0], 0, [0, 1])
         conv = masked_flops(net).layers[0]
         assert conv["masked_flops"] == 2 * 16 * 1
 
@@ -127,8 +127,8 @@ class TestMaskedFlops:
                 for j in range(layer.fan_out if layer.kind == "dense"
                                else layer.out_channels):
                     drop = rng.integers(0, n_contrib + 1)
-                    layer.apply_mask(j, rng.choice(n_contrib, drop,
-                                                   replace=False))
+                    mask_pairs(layer, j, rng.choice(n_contrib, drop,
+                                                    replace=False))
             report = masked_flops(net)
             expect_base = 0
             expect_masked = 0
@@ -215,7 +215,7 @@ class TestCompression:
 
     def test_invariants(self, rng):
         net = small_mlp(rng, (8, 6, 3))
-        net.layers[0].apply_mask(0, [0, 1, 2])
+        mask_pairs(net.layers[0], 0, [0, 1, 2])
         comp = compression_stats(net)
         assert comp.remaining_pct + comp.pruned_pct == pytest.approx(100.0)
         assert abs(comp.compression_rate
@@ -227,7 +227,7 @@ class TestCompression:
         for li in net.prunable_indices():
             layer = net.layers[li]
             for j in range(layer.fan_out):
-                layer.apply_mask(j, range(layer.fan_in + 1))
+                mask_pairs(layer, j, range(layer.fan_in + 1))
         assert compression_stats(net).compression_rate is None
 
     def test_lenet_shape_at_low_remaining(self):
@@ -239,7 +239,7 @@ class TestCompression:
         for li in (1, 2):
             layer = net.layers[li]
             for j in range(layer.fan_out):
-                layer.apply_mask(j, range(layer.fan_in + 1))
+                mask_pairs(layer, j, range(layer.fan_in + 1))
         for j in range(net.layers[0].fan_out):
             net.layers[0].bias_mask[j] = 0.0
         comp = compression_stats(net)

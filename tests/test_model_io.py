@@ -8,7 +8,7 @@ import pytest
 
 from prune_relief import (FormatError, build_network, init_params, load_model,
                           save_model)
-from tests.conftest import small_cnn, small_mlp
+from tests.conftest import mask_pairs, small_cnn, small_mlp
 
 
 def assert_nets_equal(a, b):
@@ -26,13 +26,13 @@ def assert_nets_equal(a, b):
 class TestRoundTrip:
     def test_mlp_bit_exact(self, rng, tmp_path):
         net = small_mlp(rng, (784, 300, 100, 10))
-        net.layers[0].apply_mask(5, rng.choice(785, 300, replace=False))
+        mask_pairs(net.layers[0], 5, rng.choice(785, 300, replace=False))
         save_model(net, tmp_path / "ckpt")
         assert_nets_equal(net, load_model(tmp_path / "ckpt"))
 
     def test_cnn_bit_exact(self, rng, tmp_path):
         net = small_cnn(rng)
-        net.layers[0].apply_mask(1, [0, 2])
+        mask_pairs(net.layers[0], 1, [0, 2])
         save_model(net, tmp_path / "ckpt")
         loaded = load_model(tmp_path / "ckpt")
         assert_nets_equal(net, loaded)
@@ -61,9 +61,9 @@ class TestRoundTrip:
         # weights would read the wrong inputs
         net = build_network("lenet5", (1, 28, 28), 10)
         init_params(net, 5)
-        net.layers[0].apply_mask(3, [0])
-        net.layers[2].apply_mask(np.arange(10)[:, None], [1, 4, 7])
-        net.layers[5].apply_mask(7, rng.choice(801, 300, replace=False))
+        mask_pairs(net.layers[0], 3, [0])
+        mask_pairs(net.layers[2], np.arange(10)[:, None], [1, 4, 7])
+        mask_pairs(net.layers[5], 7, rng.choice(801, 300, replace=False))
         save_model(net, tmp_path / "ckpt")
         loaded = load_model(tmp_path / "ckpt")
         x = rng.random((6, 1, 28, 28)).astype(np.float32)
@@ -120,7 +120,7 @@ class TestRejection:
     @pytest.fixture
     def ckpt(self, rng, tmp_path):
         net = small_mlp(rng, (5, 4, 3))
-        net.layers[0].apply_mask(0, [1, 3])
+        mask_pairs(net.layers[0], 0, [1, 3])
         save_model(net, tmp_path / "ckpt")
         return tmp_path / "ckpt"
 

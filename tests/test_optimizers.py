@@ -6,7 +6,7 @@ import pytest
 from prune_relief import (ConfigError, LrSpan, Optimizer, OptimizerConfig,
                           adam_step, sgd_step)
 from prune_relief.optimizers import summarize
-from tests.conftest import small_cnn, small_mlp, tensors
+from tests.conftest import mask_pairs, small_cnn, small_mlp, tensors
 
 
 def arr(*vals):
@@ -157,7 +157,7 @@ class TestOptimizerOverNetwork:
                     drop = rng.choice(layer.fan_in + 1,
                                       size=(layer.fan_in + 1) // 2,
                                       replace=False)
-                    layer.apply_mask(j, drop)
+                    mask_pairs(layer, j, drop)
             cfg = OptimizerConfig(kind=kind, epochs=1, weight_decay=1e-4,
                                   lr_schedule=[LrSpan(1, 1, 1e-2)])
             opt = Optimizer(tensors(net), cfg)
@@ -222,7 +222,7 @@ def pruned_net(rng, build):
         for j in range(layer.fan_out):
             drop = rng.choice(layer.fan_in + 1, size=(layer.fan_in + 1) // 2,
                               replace=False)
-            layer.apply_mask(j, drop)
+            mask_pairs(layer, j, drop)
         # masked entries hold zeros of either sign
         for p, mask in zip(layer.params().values(), layer.param_masks().values()):
             full = np.broadcast_to(mask, p.shape) == 0

@@ -11,6 +11,7 @@ from prune_relief import (PURPOSE_REINIT, ConfigError, DenseLayer, Flatten,
                           OptimizerConfig, PruneConfig, evaluate, history_line,
                           init_params, iterate, load_model, read_history,
                           save_model, select_best, synth_dataset)
+from tests.conftest import mask_pairs
 
 F32 = np.float32
 
@@ -381,7 +382,7 @@ class TestRunDirectory:
             net = load_model(ckpt)
             layer = net.layers[2]
             j, i = np.argwhere(layer.weight_mask != 0)[0]
-            layer.apply_mask(j, [i])
+            mask_pairs(layer, j, [i])
             save_model(net, ckpt)
         else:
             # the history records another layer size

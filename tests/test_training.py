@@ -12,8 +12,8 @@ from prune_relief import (ConvLayer, DenseLayer, Flatten, LrSpan, MaxPool2D,
 from prune_relief.config import build_network
 from prune_relief.network import Subnetwork
 from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
-                            numeric_gradients, random_conv, random_dense,
-                            small_cnn, small_mlp)
+                            mask_pairs, numeric_gradients, random_conv,
+                            random_dense, small_cnn, small_mlp)
 
 
 class TestInit:
@@ -56,7 +56,7 @@ class TestInit:
 
     def test_biases_zero_and_masks_reset(self, rng):
         net = small_mlp(rng, (6, 4, 3))
-        net.layers[0].apply_mask(0, [0, 1, 6])
+        mask_pairs(net.layers[0], 0, [0, 1, 6])
         init_params(net, 5)
         assert np.all(net.layers[0].bias == 0.0)
         assert np.all(net.layers[0].weight_mask == 1.0)
@@ -135,7 +135,7 @@ class TestGradients:
 
     def test_masked_entries_get_zero_gradient(self, rng):
         net = small_mlp(rng, (6, 5, 3), dtype=np.float64)
-        net.layers[0].apply_mask(2, [0, 3, 6])
+        mask_pairs(net.layers[0], 2, [0, 3, 6])
         x = rng.standard_normal((4, 6))
         _, grads, _ = forward_backward(net, x, rng.integers(0, 3, size=4))
         assert np.all(grads[0]["weights"][2, [0, 3]] == 0.0)
@@ -144,8 +144,8 @@ class TestGradients:
         # the bias of filter 2
         net = small_cnn(rng, dtype=np.float64)
         conv = net.layers[0]
-        conv.apply_mask(1, [0])
-        conv.apply_mask(2, [conv.fan_in])
+        mask_pairs(conv, 1, [0])
+        mask_pairs(conv, 2, [conv.fan_in])
         x = rng.standard_normal((4, 2, 6, 6))
         _, grads, _ = forward_backward(net, x, rng.integers(0, 3, size=4))
         dk, db = grads[0]["kernels"], grads[0]["bias"]
@@ -172,7 +172,7 @@ class TestBackwardStopsAtFirstParameters:
     def test_gradient_bytes(self, rng, model):
         net = build_network(model, (1, 28, 28), 10)
         init_params(net, 3)
-        net.layers[-1].apply_mask(0, [1, 2])
+        mask_pairs(net.layers[-1], 0, [1, 2])
         x = rng.standard_normal((8, 1, 28, 28)).astype(np.float32)
         labels = rng.integers(0, 10, size=8)
         _, grads, _ = forward_backward(net, x, labels)
