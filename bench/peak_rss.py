@@ -28,7 +28,11 @@ standard output) and records, per workload, whether all trees wrote the
 same bytes.
 
 The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
-(by default ``bench/BENCH_peak_rss.json``).
+(by default ``bench/BENCH_peak_rss.json``). The host block also names the
+OpenBLAS kernel (``openblas_core``), from the ``Core:`` line that the data
+child prints under ``OPENBLAS_VERBOSE=2``; the commands inherit the same
+environment, so they load the same kernel. ``outputs_identical`` is a byte
+claim that holds for that kernel: another kernel computes other bytes.
 """
 
 import argparse
@@ -85,14 +89,22 @@ def run_child(argv, env, cwd, stdout):
 
 
 def generate(workload, seed, data_dir, env):
+    """Write the workload's data; returns its paths, the NumPy build and
+    the OpenBLAS kernel the child loaded."""
     out = data_dir / "generate.json"
+    # OpenBLAS names the kernel it loads on stderr ("Core: Haswell")
     code, _ = run_child([sys.executable, "-c", GENERATE, str(PERFBENCH),
                          str(data_dir), str(seed), str(workload.n_train),
-                         str(workload.n_test)], env, data_dir, out)
+                         str(workload.n_test)],
+                        dict(env, OPENBLAS_VERBOSE="2"), data_dir, out)
+    err = Path(f"{out}.err").read_text()
     if code:
-        raise SystemExit(f"data generation failed ({code}): "
-                         f"{Path(f'{out}.err').read_text()}")
-    return json.loads(out.read_text())
+        raise SystemExit(f"data generation failed ({code}): {err}")
+    gen = json.loads(out.read_text())
+    gen["openblas_core"] = next((ln.split(":", 1)[1].strip()
+                                 for ln in err.splitlines()
+                                 if ln.startswith("Core:")), "unknown")
+    return gen
 
 
 def tree_digest(seq_dir: Path) -> str:
@@ -192,7 +204,8 @@ def main(argv=None) -> int:
             data_dir = work / name / "data"
             data_dir.mkdir(parents=True)
             gen = generate(workload, args.seed, data_dir, env)
-            result["host"].update(numpy=gen["numpy"], blas=gen["blas"])
+            result["host"].update(numpy=gen["numpy"], blas=gen["blas"],
+                                  openblas_core=gen["openblas_core"])
             config = data_dir / "config.json"
             config.write_text(json.dumps(
                 workload.config(args.seed, gen["paths"]), indent=2) + "\n")

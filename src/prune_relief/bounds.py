@@ -70,11 +70,7 @@ def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
 
 
 def _pre_and_post(layer, x):
-    """z and act(z) of ``layer`` on ``x``.
-
-    The rest of the forward cache (a conv layer's patch columns) is dropped
-    on return, before the caller runs the next layer.
-    """
+    """z and act(z) of ``layer`` on ``x``."""
     y, cache = layer.forward(x, with_cache=True)
     return cache[-1], y
 

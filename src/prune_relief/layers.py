@@ -11,10 +11,11 @@ input-channel) kernel, not per tap. ``apply_mask`` takes the layer's boolean
 whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
-what ``backward`` needs; for dense and conv layers its last entry is the
-pre-activation z, which deviation measurement reads. ``backward(cache,
-d_out)`` returns ``(d_input, param_grads)``; dense and conv layers take
-``input_grad=False`` to skip the input gradient and return None in its place.
+what ``backward`` needs; for dense and conv layers it is ``(x, z)``, the
+input and the pre-activation z, which deviation measurement reads.
+``backward(cache, d_out)`` returns ``(d_input, param_grads)``; dense and
+conv layers take ``input_grad=False`` to skip the input gradient and return
+None in its place.
 Layers themselves stay immutable during the forward pass so a frozen network
 can be evaluated from many threads.
 
@@ -27,11 +28,14 @@ batch with :func:`sample_last` when its first layer is spatial, and a
 (N, C*H*W) rows in (c, h, w) feature order, the order of the batch-first
 layout, so dense weights do not depend on the layout.
 
-Column memory: a conv forward with a cache lowers the whole batch, since
-``backward`` reads those columns. Without a cache it lowers one band of
-output rows at a time within ``tensor_ops.COLUMN_BUDGET`` and writes each
-band's activations into the output, so inference holds the same columns
-whatever the batch size, and gives the same bytes as the cached forward.
+Column memory: a conv forward lowers one band of output rows at a time
+within ``tensor_ops.COLUMN_BUDGET``, with or without a cache, so training
+and inference run the same products and give the same bytes on any BLAS
+kernel. With a cache it writes each band's z into one array and keeps it
+with the layer input; ``backward`` lowers that input's whole batch again,
+so only the layer it runs holds whole-batch columns. Without a cache each
+band's activations go into the output, and the forward holds the same
+columns whatever the batch size.
 """
 
 import copy
@@ -300,10 +304,10 @@ class ConvLayer(_MaskedLayer):
         return self.out_channels
 
     def forward(self, x, with_cache=False):
-        """Lower the whole batch when keeping a cache, whose columns the
-        weight gradient reads; without one, lower one band of output rows
-        at a time, each band's columns within ``COLUMN_BUDGET``, and write
-        each band's activations into the preallocated output."""
+        """Lower one band of output rows at a time, each band's columns
+        within ``COLUMN_BUDGET``. With a cache, each band's product goes
+        straight into z, kept with the input for ``backward``; without one,
+        each band's activations go into the preallocated output."""
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer with {self.in_channels} input channels got "
@@ -311,41 +315,38 @@ class ConvLayer(_MaskedLayer):
             )
         r, co, n = self.kernel_size, self.out_channels, x.shape[3]
         ho, wo = conv_output_hw(x.shape[1], x.shape[2], r, self.stride, self.padding)
-        bands = [(0, ho)] if with_cache else \
-            row_bands(ho, wo, n, self.in_channels * r * r * x.itemsize)
-        if len(bands) == 1:
-            cols = im2col(x, r, self.stride, self.padding)
-            z = self._pre_activation(cols).reshape(co, ho, wo, n)
-            y = self.act.f(z)
-            if with_cache:
-                return y, (x.shape, cols, z)
-            return y
         xp = pad_maps(x, self.padding)
         sh = self.stride[0]
-        y = np.empty((co, ho, wo, n), dtype=np.result_type(self.kernels, x))
-        for h0, h1 in bands:
+        kernels = self.kernels.reshape(co, -1)
+        # z with a cache, act(z) without one; a band of output rows is a
+        # run of columns of its (co, ho * wo * n) view
+        out = np.empty((co, ho, wo, n), dtype=np.result_type(self.kernels, x))
+        for h0, h1 in row_bands(ho, wo, n, self.in_channels * r * r * x.itemsize):
             cols = im2col(xp[:, h0 * sh : (h1 - 1) * sh + r], r, self.stride, 0)
-            z = self._pre_activation(cols)
-            y[:, h0:h1] = self.act.f(z).reshape(co, h1 - h0, wo, n)
-        return y
-
-    def _pre_activation(self, cols):
-        z = np.matmul(self.kernels.reshape(self.out_channels, -1), cols)
-        z += self.bias[:, None]
-        return z
+            band = out.reshape(co, -1)[:, h0 * wo * n : h1 * wo * n]
+            z = np.matmul(kernels, cols, out=band if with_cache else None)
+            z += self.bias[:, None]
+            if not with_cache:
+                band[...] = self.act.f(z)
+        if with_cache:
+            return self.act.f(out), (x, out)
+        return out
 
     def backward(self, cache, d_out, input_grad=True):
-        x_shape, cols, z = cache
+        x, z = cache
         dz = (d_out * self.act.df(z)).reshape(self.out_channels, -1)
-        # both products contract over every sample and output position;
-        # cols goes in as a transposed operand, not a copy
+        # both products contract over every sample and output position; the
+        # input's whole-batch columns go in as a transposed operand, not a
+        # copy, and are freed before dcols is built
+        cols = im2col(x, self.kernel_size, self.stride, self.padding)
         dk = (dz @ cols.T).reshape(self.kernels.shape)
+        del cols
         dk *= self.kernel_mask[:, :, None, None]
         db = dz.sum(axis=1) * self.bias_mask
         if not input_grad:
             return None, {"kernels": dk, "bias": db}
         dcols = self.kernels.reshape(self.out_channels, -1).T @ dz
-        dx = col2im(dcols, x_shape, self.kernel_size, self.stride, self.padding)
+        dx = col2im(dcols, x.shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
 
     def params(self) -> dict[str, np.ndarray]:

@@ -9,21 +9,21 @@ zero padding: it lowers patches to (C*r*r, Ho*Wo*N) columns with
 gradient reads the columns as a transposed operand, and :func:`col2im`, the
 adjoint, adds the input gradient's columns back into a (C, H, W, N) map.
 
-Only training keeps a whole batch's columns, which its weight gradient reads.
-Conv work that keeps no backward cache (inference, importance scoring,
-deviation measurement) lowers at most :data:`COLUMN_BUDGET` bytes of columns
-at a time: the inference forward one band of output rows at a time
-(:func:`row_bands`), scoring and measurement one chunk of samples at a time
-(:func:`sample_chunks`). Both give the same bytes as lowering everything at
-once: the parts span whole tiles of :data:`COLUMN_TILE` columns and, at
-LeNet-5's shapes, hundreds of columns or more, and the per-sample reductions
-run in the same order. Dense deviation measurement runs float64 layer pairs
-one chunk of samples at a time (:func:`dense_chunks`), each chunk's rows
-within :data:`ROW_BUDGET`; its chunks start at multiples of
-:data:`SAMPLE_TILE` samples and give the bytes of one product over the
-whole set. Each of these equalities holds on one BLAS thread: a threaded
-product splits its columns or samples among the threads at boundaries of
-its own.
+Only a training step's backward lowers a whole batch, one layer at a time,
+for its weight gradient. Every conv forward, with or without a cache, lowers
+at most :data:`COLUMN_BUDGET` bytes of columns at a time, one band of output
+rows at a time (:func:`row_bands`), so training and inference run the same
+products. Scoring and measurement run in float64 one chunk of samples at a
+time (:func:`sample_chunks`), and on the SkylakeX, Haswell and Sandybridge
+kernels their chunks give the bytes of one product over the whole set: they
+span whole tiles of :data:`COLUMN_TILE` columns and, at LeNet-5's shapes,
+hundreds of columns or more, and the per-sample reductions run in order.
+Dense deviation measurement runs float64 layer pairs one chunk of samples at
+a time (:func:`dense_chunks`), each chunk's rows within :data:`ROW_BUDGET`;
+its chunks start at multiples of :data:`SAMPLE_TILE` samples and give the
+bytes of one product over the whole set. Each of these equalities holds on
+one BLAS thread: a threaded product splits its columns or samples among the
+threads at boundaries of its own.
 """
 
 import math
@@ -63,8 +63,8 @@ def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
 
 
 COLUMN_BUDGET = 4 << 20
-"""Bytes of patch columns that conv work without a backward cache lowers at
-once. A band holds at least one output row and a chunk at least two samples
+"""Bytes of patch columns that a conv forward, scoring or measurement lowers
+at once. A band holds at least one output row and a chunk at least two samples
 (and one tile of columns), so a layer whose smallest part exceeds the budget
 goes over it."""
 
@@ -74,7 +74,8 @@ With OpenBLAS on x86-64, a column keeps its bits in a narrower product when
 the columns before it span whole tiles of 16; the columns of a partial tile
 (8, 12 or an odd count past the last whole one) can come out otherwise.
 Aligned this way, the only partial tile is the last part's, and it holds the
-same columns as the whole product's."""
+same columns as the whole product's. The Haswell float32 kernel keeps them
+at no offset, so a float32 band's bytes there are its own."""
 
 
 def equal_parts(total: int, most: int, unit: int = 1) -> list[tuple[int, int]]:

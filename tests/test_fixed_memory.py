@@ -1,19 +1,20 @@
-"""Work that keeps no backward cache: same bytes, bounded memory.
+"""Conv and dense work in bounded memory, and the bytes it gives.
 
-Inference lowers one band of output rows at a time, and conv scoring and
-conv deviation measurement one chunk of samples at a time, so their column
-memory stays within ``tensor_ops.COLUMN_BUDGET`` whatever the batch or
-pruning-set size. Dense deviation measurement runs one chunk of samples at
-a time within ``tensor_ops.ROW_BUDGET``. The references here are the
-whole-batch computations they replace: the forward with a cache, which
-still lowers the whole batch, and copies of the whole-set conv scoring and
-of the whole-set conv and dense deviation measurement. Results are compared
-with ``.tobytes()``. The equality rests on BLAS giving each output column
-(each output row, for a dense product) the same bits in a narrower product;
-OpenBLAS does for parts that span whole tiles (16 columns, 24 dense rows)
-and are not small, while products a few dozen columns wide, or of at most
-~1200 dense outputs, can differ in the last bits. Under the shipped budget
-the forward bands from N = 193 up on LeNet-5's layers and at N = 1000 on the
+Every conv forward lowers one band of output rows at a time, and conv
+scoring and conv deviation measurement one chunk of samples at a time, so
+their column memory stays within ``tensor_ops.COLUMN_BUDGET`` whatever the
+batch or pruning-set size; a training step's backward lowers one layer's
+whole batch at a time. Dense deviation measurement runs one chunk of
+samples at a time within ``tensor_ops.ROW_BUDGET``. Results are compared
+with ``.tobytes()``. The forward with a cache and the one without share one
+band plan, so they run the same products and ``TestSameBytes`` holds for
+them on every BLAS kernel. The references for scoring and deviation
+measurement are copies of the whole-set computations: their equality rests
+on BLAS giving each output column (each output row, for a dense product)
+the same bits in a narrower product, which OpenBLAS's SkylakeX, Haswell and
+Sandybridge kernels do in float64 for parts that span whole tiles (16
+columns, 24 dense rows) and are not small. Under the shipped budget the
+forward bands from N = 193 up on LeNet-5's layers and at N = 1000 on the
 strided one; a 256 KiB budget makes each layer band or chunk at more of the
 sizes.
 """
@@ -34,6 +35,7 @@ from prune_relief.importance import (_normalize, conv_importance,
 from prune_relief.cli import main
 from prune_relief.model_io import save_model
 from prune_relief.tensor_ops import conv_output_hw, equal_parts, im2col
+from prune_relief.training import forward_backward
 from tests.conftest import mask_pairs, random_dense
 from tests.test_cli import write_config
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
@@ -122,12 +124,19 @@ def whole_set_conv_importance(layer, x):
 
 
 def whole_set_conv_deviation(before, after, x):
-    """Conv deviation measurement over the whole set at once."""
+    """Conv deviation measurement over the whole set at once, each layer's
+    z from one product over every sample's columns."""
     x = np.asarray(x, dtype=np.float64)
+    ho, wo = conv_output_hw(x.shape[1], x.shape[2], before.kernel_size,
+                            before.stride, before.padding)
 
     def pre_and_post(layer):
-        y, cache = layer.astype(np.float64).forward(x, with_cache=True)
-        return cache[-1], y
+        layer = layer.astype(np.float64)
+        cols = im2col(x, layer.kernel_size, layer.stride, layer.padding)
+        z = np.matmul(layer.kernels.reshape(layer.out_channels, -1), cols)
+        z += layer.bias[:, None]
+        z = z.reshape(layer.out_channels, ho, wo, x.shape[3])
+        return z, layer.act.f(z)
 
     def mean_norm(a, b):
         d = a - b
@@ -284,6 +293,15 @@ class TestMemoryBounds:
     def test_network_forward(self, lenet5):
         net, batch = lenet5
         assert traced_peak_mb(lambda: net.forward(batch)) < 130
+
+    def test_training_step(self, lenet5):
+        """A batch-128 step caches each conv layer's input and z, and its
+        backward lowers one layer's columns at a time: ~34 MB. Caching
+        every conv layer's whole-batch columns until backward took 55.6 MB."""
+        net, batch = lenet5
+        labels = np.random.default_rng(7).integers(0, 10, 128)
+        assert traced_peak_mb(
+            lambda: forward_backward(net, batch[:128], labels)) < 42
 
 
 def test_dense_bound_report():
