@@ -17,8 +17,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .activations import ACTIVATIONS, Activation, get_activation
-from .bounds import (bound_report, fc_neuron_bound, measure_deviation,
-                     network_output_bound)
+from .bounds import bound_report, measure_deviation, network_output_bound
 from .config import build_network, load_config, load_dataset, parse_config
 from .datasets import Dataset, load_idx, load_idx_images, load_idx_labels, \
     normalize_pair, synth_dataset

@@ -56,19 +56,6 @@ def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
                     f"are {net.prunable_indices()}")
 
 
-def fc_neuron_bound(s_total, alpha: float, lipschitz: float):
-    """Bound on the mean post-activation deviation of dense or conv targets.
-
-    Conv filters take the same closed form, with deviations in Frobenius norm.
-    """
-    check_alpha(alpha)
-    s = np.asarray(s_total, dtype=np.float64)
-    if np.any(s < 0):
-        raise ValueError("signal totals must be non-negative")
-    out = lipschitz * s * (1.0 - alpha)
-    return float(out) if np.isscalar(s_total) or out.ndim == 0 else out
-
-
 def _pre_and_post(layer, x):
     """z and act(z) of ``layer`` on ``x``."""
     y, cache = layer.forward(x, with_cache=True)

@@ -12,7 +12,7 @@ or ``cnn:<part,...>`` where parts are ``conv<C>k<K>[s<S>][p<P>]``,
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +58,13 @@ def _get(d: dict, path: str, kind, default=...):
     return v
 
 
+def _read_fields(data: dict, section: str, cls, skip=()) -> dict:
+    """The fields of the dataclass ``cls`` not in ``skip``, in declaration
+    order, each read from ``section`` with its declared type and default."""
+    return {f.name: _get(data, f"{section}.{f.name}", f.type, f.default)
+            for f in fields(cls) if f.name not in skip}
+
+
 def _parse_optimizer(data: dict, section: str) -> OptimizerConfig:
     if not isinstance(_get(data, section, dict), dict):
         raise ConfigError(f"config section '{section}' must be an object")
@@ -76,15 +83,11 @@ def _parse_optimizer(data: dict, section: str) -> OptimizerConfig:
                                 _get(item, "to", int),
                                 _get(item, "lr", float)))
     cfg = OptimizerConfig(
-        kind=_get(data, f"{section}.optimizer", str, default="adam"),
-        epochs=epochs,
-        batch_size=_get(data, f"{section}.batch_size", int, default=128),
-        lr_schedule=spans,
-        weight_decay=_get(data, f"{section}.weight_decay", float, default=0.0),
-        momentum=_get(data, f"{section}.momentum", float, default=0.9),
-        beta1=_get(data, f"{section}.beta1", float, default=0.9),
-        beta2=_get(data, f"{section}.beta2", float, default=0.999),
-        eps=_get(data, f"{section}.eps", float, default=1e-8))
+        epochs=epochs, lr_schedule=spans,
+        kind=_get(data, f"{section}.optimizer", str,
+                  default=OptimizerConfig.kind),
+        **_read_fields(data, section, OptimizerConfig,
+                       skip=("kind", "epochs", "lr_schedule")))
     try:
         return cfg.validate()
     except ConfigError as e:
@@ -94,17 +97,7 @@ def _parse_optimizer(data: dict, section: str) -> OptimizerConfig:
 def _parse_prune(data: dict) -> PruneConfig:
     if not isinstance(_get(data, "prune", dict, default={}), dict):
         raise ConfigError("config section 'prune' must be an object")
-    cfg = PruneConfig(
-        alpha_conv=_get(data, "prune.alpha_conv", float, default=0.9),
-        alpha_fc=_get(data, "prune.alpha_fc", float, default=0.95),
-        n_pruning_samples=_get(data, "prune.n_pruning_samples", int,
-                               default=1000),
-        iterations=_get(data, "prune.iterations", int, default=1),
-        retrain_mode=_get(data, "prune.retrain_mode", str, default="reinit"),
-        pruning_set_policy=_get(data, "prune.pruning_set_policy", str,
-                                default="resample"),
-        reinit_draw=_get(data, "prune.reinit_draw", str, default="original"),
-        drop_tolerance=_get(data, "prune.drop_tolerance", float, default=1.0))
+    cfg = PruneConfig(**_read_fields(data, "prune", PruneConfig))
     try:
         return cfg.validate()
     except ConfigError as e:

@@ -79,7 +79,10 @@ def load_idx_images(path) -> np.ndarray:
     if len(body) > need:
         raise FormatError(f"{path} has {len(body) - need} trailing bytes")
     pixels = np.frombuffer(body, dtype=np.uint8).reshape(n, 1, rows, cols)
-    return pixels.astype(np.float32) / np.float32(255.0)
+    # one float32 copy of the split, scaled in place
+    images = pixels.astype(np.float32)
+    images /= np.float32(255.0)
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:

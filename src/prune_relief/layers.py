@@ -1,14 +1,16 @@
 """Layer types: dense, convolutional, max-pooling, flatten.
 
-Dense and conv layers carry pruning masks next to their parameters. The
+Dense and conv layers carry pruning masks next to their parameters, as
+C-contiguous ``bool`` arrays that hold True where an entry is kept. The
 invariant maintained everywhere is that a masked entry holds the value 0.0
 exactly; constructors validate it and ``apply_mask`` zeroes what it masks.
 Masks address (target, contributor) pairs: a target is an output unit or
 filter, a contributor an input unit or input channel, and contributor index
-``fan_in`` is the target's bias. Conv masks have one bit per (filter,
-input-channel) kernel, not per tap. ``apply_mask`` takes the layer's boolean
-(fan_out, fan_in + 1) keep grid, so one call masks every dropped pair of a
-whole layer.
+``fan_in`` is the target's bias. Conv masks have one bit per (filter, input-channel)
+kernel, not per tap; ``param_masks`` lays each bit over its kernel's r x r
+taps, and this module is the only place that does. ``apply_mask`` takes the
+layer's boolean (fan_out, fan_in + 1) keep grid, so one call masks every
+dropped pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
 what ``backward`` needs; for dense and conv layers it is ``(x, z)``, the
@@ -64,8 +66,7 @@ def sample_first(maps: np.ndarray) -> np.ndarray:
 
 
 def _as_param(a, dtype):
-    out = np.array(a, dtype=dtype, order="C", copy=True)
-    return out
+    return np.array(a, dtype=dtype, order="C", copy=True)
 
 
 def _bits(a):
@@ -85,6 +86,13 @@ def _ones_where(hit, dtype):
     return ones
 
 
+def _over(grid, p):
+    """A (targets, contributors) ``grid`` with one length-1 axis for each
+    further axis of the parameter ``p``, so that one entry covers a conv
+    kernel's r x r taps when it broadcasts against ``p``."""
+    return grid.reshape(grid.shape + (1,) * (p.ndim - grid.ndim))
+
+
 def _read_only(a):
     """A view of ``a`` that cannot be written through."""
     v = a.view()
@@ -92,24 +100,54 @@ def _read_only(a):
     return v
 
 
-def _check_mask(mask, shape, name):
-    if mask.shape != shape:
-        raise DimensionError(f"{name} shape {mask.shape} does not match {shape}")
-    if not np.all((mask == 0) | (mask == 1)):
-        raise ValueError(f"{name} must contain only 0/1 entries")
-
-
 class _MaskedLayer:
-    """The mask writer and the copies shared by dense and conv layers.
+    """The masks, the mask writer and the copies shared by dense and conv
+    layers.
 
-    Subclasses list the weight tensor before the bias in both ``params`` and
-    ``stored_masks``, keyed by their attribute names, and define ``fan_in``
-    and ``fan_out``. The weight tensor's leading axes are (targets,
-    contributors), as are the weight mask's. A copy takes the layer's
-    settings and new parameter tensors, and new masks or read-only views of
-    the layer's; whatever it holds of a valid layer is valid, so it skips
-    the constructor's checks.
+    Subclasses name their weight and bias tensors in ``_param_names`` and
+    the masks of those tensors in ``_mask_names``, weight before bias, and
+    define ``fan_in`` and ``fan_out``. The weight tensor's leading axes are
+    (targets, contributors), the shape of the weight mask. A copy takes the
+    layer's settings and new parameter tensors, and new masks or read-only
+    views of the layer's; whatever it holds of a valid layer is valid, so it
+    skips the constructor's checks.
     """
+
+    def _set_masks(self, *masks) -> None:
+        """Store ``masks`` (None keeps every entry) as the layer's bool
+        masks, once each holds only 0/1 entries in the shape of its tensor's
+        (targets, contributors) axes and every parameter it masks is 0."""
+        params = self.params()
+        checked = []
+        for name, mask, p in zip(self._mask_names, masks, params.values()):
+            shape = p.shape[:2]
+            mask = np.ones(shape, dtype=bool) if mask is None \
+                else np.asarray(mask)
+            if mask.shape != shape:
+                raise DimensionError(
+                    f"{name} shape {mask.shape} does not match {shape}")
+            if mask.dtype != bool and not np.all((mask == 0) | (mask == 1)):
+                raise ValueError(f"{name} must contain only 0/1 entries")
+            checked.append(mask.astype(bool, order="C"))
+        for (pname, p), mask in zip(params.items(), checked):
+            if np.any(p[~mask] != 0):
+                noun = "biases" if pname == "bias" else pname
+                raise ValueError(f"masked {noun} must be exactly zero")
+        for name, mask in zip(self._mask_names, checked):
+            setattr(self, name, mask)
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._param_names}
+
+    def stored_masks(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self._mask_names}
+
+    def param_masks(self) -> dict[str, np.ndarray]:
+        """Each parameter's mask as a read-only view in the parameter's
+        shape: a conv mask bit covers its kernel's r x r taps."""
+        return {name: np.broadcast_to(_over(mask, p), p.shape)
+                for (name, p), mask in zip(self.params().items(),
+                                           self.stored_masks().values())}
 
     def clone(self):
         """A copy with its own parameters and masks."""
@@ -144,29 +182,30 @@ class _MaskedLayer:
         """Mask every (target, contributor) pair that the boolean keep grid
         ``keep``, of shape (fan_out, fan_in + 1), holds False.
 
-        A masked conv contributor zeroes a whole kernel. Masking clears every
-        bit of the dropped weights, biases and mask entries, so each holds
-        +0.0, also where it held a negative value or -0.0 before.
+        A masked conv contributor zeroes a whole kernel. Masking clears the
+        dropped mask entries and every bit of the dropped weights and
+        biases, so each holds +0.0, also where it held a negative value or
+        -0.0 before.
         """
         keep = np.asarray(keep)
         shape = (self.fan_out, self.fan_in + 1)
         if keep.shape != shape or keep.dtype != bool:
             raise DimensionError(f"keep grid must be a {shape} boolean array, "
                                  f"got {keep.shape} {keep.dtype}")
-        weights, bias = self.params().values()
-        weight_mask, bias_mask = self.stored_masks().values()
-        ones = _ones_where(keep, _bits(bias).dtype)
-        for a, grid in ((weights, ones[:, :-1]), (weight_mask, ones[:, :-1]),
-                        (bias, ones[:, -1]), (bias_mask, ones[:, -1])):
-            bits = _bits(a)
-            # a conv kernel's taps share their (filter, channel) entry
-            bits &= grid.reshape(grid.shape + (1,) * (a.ndim - grid.ndim))
+        for p, mask, kept in zip(self.params().values(),
+                                 self.stored_masks().values(),
+                                 (keep[:, :-1], keep[:, -1])):
+            mask &= kept
+            bits = _bits(p)
+            bits &= _over(_ones_where(kept, bits.dtype), p)
 
 
 class DenseLayer(_MaskedLayer):
     """Fully connected layer: y = act(W x + b), W of shape (out, in)."""
 
     kind = "dense"
+    _param_names = ("weights", "bias")
+    _mask_names = ("weight_mask", "bias_mask")
 
     def __init__(self, weights, bias, activation="relu", weight_mask=None,
                  bias_mask=None, dtype=np.float32):
@@ -184,18 +223,7 @@ class DenseLayer(_MaskedLayer):
             )
         self.activation = activation
         self.act = get_activation(activation)
-        if weight_mask is None:
-            weight_mask = np.ones_like(self.weights)
-        if bias_mask is None:
-            bias_mask = np.ones_like(self.bias)
-        self.weight_mask = _as_param(weight_mask, dtype)
-        self.bias_mask = _as_param(bias_mask, dtype)
-        _check_mask(self.weight_mask, self.weights.shape, "weight_mask")
-        _check_mask(self.bias_mask, self.bias.shape, "bias_mask")
-        if np.any(self.weights[self.weight_mask == 0] != 0):
-            raise ValueError("masked weights must be exactly zero")
-        if np.any(self.bias[self.bias_mask == 0] != 0):
-            raise ValueError("masked biases must be exactly zero")
+        self._set_masks(weight_mask, bias_mask)
 
     @property
     def fan_in(self) -> int:
@@ -224,15 +252,6 @@ class DenseLayer(_MaskedLayer):
         dx = dz @ self.weights if input_grad else None
         return dx, {"weights": dw, "bias": db}
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weights, "bias": self.bias}
-
-    def param_masks(self) -> dict[str, np.ndarray]:
-        return {"weights": self.weight_mask, "bias": self.bias_mask}
-
-    def stored_masks(self) -> dict[str, np.ndarray]:
-        return {"weight_mask": self.weight_mask, "bias_mask": self.bias_mask}
-
     def output_shape(self, in_shape):
         n = int(np.prod(in_shape))
         if n != self.fan_in:
@@ -251,6 +270,8 @@ class ConvLayer(_MaskedLayer):
     """2-D convolution with square kernels, zero padding, per-filter bias."""
 
     kind = "conv"
+    _param_names = ("kernels", "bias")
+    _mask_names = ("kernel_mask", "bias_mask")
 
     def __init__(self, kernels, bias, activation="relu", stride=(1, 1),
                  padding=(0, 0), kernel_mask=None, bias_mask=None, dtype=np.float32):
@@ -268,19 +289,7 @@ class ConvLayer(_MaskedLayer):
         self.stride, self.padding = check_stride_padding(stride, padding)
         self.activation = activation
         self.act = get_activation(activation)
-        co, ci = self.kernels.shape[:2]
-        if kernel_mask is None:
-            kernel_mask = np.ones((co, ci), dtype=dtype)
-        if bias_mask is None:
-            bias_mask = np.ones(co, dtype=dtype)
-        self.kernel_mask = _as_param(kernel_mask, dtype)
-        self.bias_mask = _as_param(bias_mask, dtype)
-        _check_mask(self.kernel_mask, (co, ci), "kernel_mask")
-        _check_mask(self.bias_mask, (co,), "bias_mask")
-        if np.any(self.kernels[self.kernel_mask == 0] != 0):
-            raise ValueError("masked kernels must be exactly zero")
-        if np.any(self.bias[self.bias_mask == 0] != 0):
-            raise ValueError("masked biases must be exactly zero")
+        self._set_masks(kernel_mask, bias_mask)
 
     @property
     def out_channels(self) -> int:
@@ -341,22 +350,13 @@ class ConvLayer(_MaskedLayer):
         cols = im2col(x, self.kernel_size, self.stride, self.padding)
         dk = (dz @ cols.T).reshape(self.kernels.shape)
         del cols
-        dk *= self.kernel_mask[:, :, None, None]
+        dk *= self.param_masks()["kernels"]
         db = dz.sum(axis=1) * self.bias_mask
         if not input_grad:
             return None, {"kernels": dk, "bias": db}
         dcols = self.kernels.reshape(self.out_channels, -1).T @ dz
         dx = col2im(dcols, x.shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"kernels": self.kernels, "bias": self.bias}
-
-    def param_masks(self) -> dict[str, np.ndarray]:
-        return {"kernels": self.kernel_mask[:, :, None, None], "bias": self.bias_mask}
-
-    def stored_masks(self) -> dict[str, np.ndarray]:
-        return {"kernel_mask": self.kernel_mask, "bias_mask": self.bias_mask}
 
     def output_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:

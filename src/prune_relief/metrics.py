@@ -57,7 +57,7 @@ def masked_flops(net: Network) -> FlopsReport:
         if isinstance(layer, DenseLayer):
             i, o = layer.fan_in, layer.fan_out
             baseline = flops_dense(i, o)
-            unmasked = layer.weight_mask.sum(axis=1).astype(np.int64)
+            unmasked = layer.weight_mask.sum(axis=1, dtype=np.int64)
             masked = int(np.maximum(2 * unmasked - 1, 0).sum())
             entry = {"kind": "dense", "in": i, "out": o,
                      "baseline_flops": baseline, "masked_flops": masked}
@@ -65,9 +65,8 @@ def masked_flops(net: Network) -> FlopsReport:
             _, h, w = in_shape
             k = layer.kernel_size
             baseline = flops_conv(h, w, layer.in_channels, k, layer.out_channels)
-            u = layer.kernel_mask.sum(axis=1).astype(np.int64)
-            bias_bit = layer.bias_mask.astype(np.int64)
-            masked = int((2 * h * w * (u * k * k + bias_bit)).sum())
+            u = layer.kernel_mask.sum(axis=1, dtype=np.int64)
+            masked = int((2 * h * w * (u * k * k + layer.bias_mask)).sum())
             entry = {"kind": "conv", "h": h, "w": w, "c_in": layer.in_channels,
                      "k": k, "c_out": layer.out_channels,
                      "baseline_flops": baseline, "masked_flops": masked}
@@ -130,7 +129,7 @@ def kept_connection_scores(net: Network, scores_map: dict) -> np.ndarray:
             raise ValueError(
                 f"layer {li} scores {scores.scores.shape} do not match its "
                 f"{grid_mask.shape} contributor grid")
-        vals.append(scores.scores[grid_mask > 0])
+        vals.append(scores.scores[grid_mask])
     return np.concatenate(vals) if vals else np.zeros(0)
 
 
@@ -183,10 +182,8 @@ def compression_stats(net: Network, scores_before: dict | None = None,
         params = layer.params()
         if not params:
             continue
-        masks = layer.param_masks()
         lt = sum(p.size for p in params.values())
-        lu = int(sum(np.broadcast_to(masks[name], params[name].shape).sum()
-                     for name in params))
+        lu = sum(int(m.sum()) for m in layer.param_masks().values())
         live = liveness[i]
         per_layer.append({"layer": i, "kind": layer.kind, "total": int(lt),
                           "unmasked": lu,

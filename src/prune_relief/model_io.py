@@ -2,14 +2,15 @@
 
 A checkpoint is a directory holding ``model.json`` (architecture plus a tensor
 manifest) and ``weights.bin`` (raw little-endian float32 parameter blobs in
-manifest order, followed by the masks as uint8 0/1). Every blob records its
-byte offset, length, and CRC32 so loads can reject torn or tampered files.
-A parameter tensor holding NaN or infinity is rejected too, even under a
-valid CRC: no command could give a meaningful result from it. So is a
-layer record no layer can take (a stride or window below 1, a negative
-padding), a size or offset that is no integer (JSON's ``1e400`` is
-infinite) and a layer stack that does not chain from ``input_shape``: every
-malformed checkpoint raises ``FormatError``. Round-tripping a network
+manifest order, followed by the layers' boolean masks as uint8 0/1). Every
+blob records its byte offset, length, and CRC32 so loads can reject torn or
+tampered files. A parameter tensor holding NaN or infinity is rejected too,
+even under a valid CRC: no command could give a meaningful result from it.
+So is a mask byte other than 0 or 1, a layer record no layer can take (a
+stride or window below 1, a negative padding), a size or offset that is no
+integer (JSON's ``1e400`` is infinite) and a layer stack that does not
+chain from ``input_shape``: every malformed checkpoint raises
+``FormatError``. Round-tripping a network
 through save/load is bit-exact.
 """
 
@@ -144,11 +145,10 @@ def _extract(blob: bytes, rec: dict, path: Path) -> np.ndarray:
     if zlib.crc32(raw) != crc:
         raise FormatError(f"tensor {name}: CRC32 mismatch, file is corrupt")
     arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    if kind == _FLOAT:
-        if not np.isfinite(arr).all():
-            raise FormatError(f"tensor {name}: holds non-finite values")
-        return arr.astype(np.float32, copy=True)
-    return arr.copy()
+    if kind == _FLOAT and not np.isfinite(arr).all():
+        raise FormatError(f"tensor {name}: holds non-finite values")
+    # a read-only view of the file's bytes: the layer stores its own copy
+    return arr
 
 
 def load_model(path) -> Network:
@@ -189,8 +189,8 @@ def load_model(path) -> Network:
                     take(f"layers.{i}.weights", (o, n)),
                     take(f"layers.{i}.bias", (o,)),
                     rec["activation"],
-                    take(f"layers.{i}.weight_mask", (o, n)).astype(np.float32),
-                    take(f"layers.{i}.bias_mask", (o,)).astype(np.float32)))
+                    take(f"layers.{i}.weight_mask", (o, n)),
+                    take(f"layers.{i}.bias_mask", (o,))))
             elif kind == "conv":
                 o, n, r = int(rec["out"]), int(rec["in"]), int(rec["kernel"])
                 layers.append(ConvLayer(
@@ -198,8 +198,8 @@ def load_model(path) -> Network:
                     take(f"layers.{i}.bias", (o,)),
                     rec["activation"],
                     tuple(rec["stride"]), tuple(rec["padding"]),
-                    take(f"layers.{i}.kernel_mask", (o, n)).astype(np.float32),
-                    take(f"layers.{i}.bias_mask", (o,)).astype(np.float32)))
+                    take(f"layers.{i}.kernel_mask", (o, n)),
+                    take(f"layers.{i}.bias_mask", (o,))))
             elif kind == "maxpool":
                 layers.append(MaxPool2D(tuple(rec["window"]), tuple(rec["stride"])))
             elif kind == "flatten":

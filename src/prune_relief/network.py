@@ -110,10 +110,10 @@ class Network:
                 continue
             wm, bm = layer.stored_masks().values()
             if layer.act.f(np.zeros(1, dtype=layer.bias.dtype))[0] == 0:
-                inputless = ~((wm != 0).any(axis=1) | (bm != 0))
+                inputless = ~(wm.any(axis=1) | bm)
             else:
                 inputless = none
-            reads = next(iter(self.layers[b].stored_masks().values())) != 0
+            reads = next(iter(self.layers[b].stored_masks().values()))
             reads = reads.reshape(reads.shape[0], layer.fan_out, -1)
             out[a] = Liveness(dead_end=~reads.any(axis=(0, 2)),
                               inputless=inputless)
@@ -133,13 +133,8 @@ class Network:
 
     def num_unmasked(self) -> int:
         # perfbench/checks.py calls this to check every benchmark checkpoint
-        total = 0
-        for layer in self.layers:
-            masks = layer.param_masks()
-            for name in layer.params():
-                total += int(np.broadcast_to(masks[name],
-                                             layer.params()[name].shape).sum())
-        return total
+        return sum(int(m.sum()) for layer in self.layers
+                   for m in layer.param_masks().values())
 
     def clone(self) -> "Network":
         return Network([l.clone() for l in self.layers], self.input_shape,
@@ -190,12 +185,12 @@ class Subnetwork:
         self.net = Network(layers, net.input_shape, net.classes)
 
     def _copied(self):
-        """(network layer, its copy, kept rows, kept columns) of every layer
-        the copy does not share."""
+        """(network layer, its copy, the index of the copy's entries in each
+        parameter) of every layer the copy does not share."""
         for i, (keep_rows, keep_cols) in self.keep.items():
             layer, part = self.full.layers[i], self.net.layers[i]
             if part is not layer:
-                yield layer, part, keep_rows, keep_cols
+                yield layer, part, (np.ix_(keep_rows, keep_cols), keep_rows)
 
     @functools.cached_property
     def _left_out(self) -> list:
@@ -203,14 +198,12 @@ class Subnetwork:
         leaves out: the incoming weights and biases of dead-end targets and
         the outgoing weights of input-less ones."""
         out = []
-        for layer, _, keep_rows, keep_cols in self._copied():
-            for p, mask, kept in zip(layer.params().values(),
-                                     layer.param_masks().values(),
-                                     (keep_rows[:, None] & keep_cols,
-                                      keep_rows)):
-                left_out = (mask != 0) & ~kept.reshape(mask.shape)
-                out.append(
-                    (p, np.flatnonzero(np.broadcast_to(left_out, p.shape))))
+        for layer, _, kept in self._copied():
+            for p, mask, index in zip(layer.params().values(),
+                                      layer.param_masks().values(), kept):
+                left_out = mask.copy()
+                left_out[index] = False
+                out.append((p, np.flatnonzero(left_out)))
         return out
 
     @functools.cached_property
@@ -229,8 +222,7 @@ class Subnetwork:
             for p, idx in self._left_out:
                 p.reshape(-1)[idx] = self.outside[start:start + idx.size]
                 start += idx.size
-        for layer, part, keep_rows, keep_cols in self._copied():
-            for p, q, kept in zip(layer.params().values(),
-                                  part.params().values(),
-                                  (np.ix_(keep_rows, keep_cols), keep_rows)):
-                p[kept] = q
+        for layer, part, kept in self._copied():
+            for p, q, index in zip(layer.params().values(),
+                                   part.params().values(), kept):
+                p[index] = q

@@ -167,14 +167,14 @@ def _restore_surviving(net: Network, source: Network) -> None:
     for li in net.prunable_indices():
         dst = net.layers[li]
         src = source.layers[li]
+        masks = dst.param_masks()
         for name, p in dst.params().items():
             sp = src.params()[name]
             if sp.shape != p.shape:
                 raise ConfigError(
                     f"initial network layer {li} has {name} of shape "
                     f"{sp.shape}, run network has {p.shape}")
-            mask = np.broadcast_to(dst.param_masks()[name], p.shape)
-            p[...] = sp * mask.astype(p.dtype)
+            np.multiply(sp, masks[name], out=p)
 
 
 def draw_pruning_set(train: Dataset, n: int, seed, key: int):

@@ -99,10 +99,9 @@ def assert_every_unmasked_entry_moved(net, before):
     """Masked entries stayed 0; every unmasked one moved, the copy's by data
     and decay, the left-out ones by decay alone."""
     for i in net.prunable_indices():
-        for p, q, mask in zip(net.layers[i].params().values(),
-                              before.layers[i].params().values(),
-                              net.layers[i].param_masks().values()):
-            unmasked = np.broadcast_to(mask, p.shape) != 0
+        for p, q, unmasked in zip(net.layers[i].params().values(),
+                                  before.layers[i].params().values(),
+                                  net.layers[i].param_masks().values()):
             assert not p[~unmasked].any()
             assert (p[unmasked] != q[unmasked]).all()
 

@@ -5,8 +5,8 @@ import pytest
 
 from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           DimensionError, EmptyPruningSetError, Flatten,
-                          Network, bound_report, fc_neuron_bound,
-                          measure_deviation, network_output_bound,
+                          Network, bound_report, measure_deviation,
+                          network_output_bound,
                           sample_last, score_layer)
 from tests.conftest import (count_forwards_and_scores, prune_one_layer,
                             random_dense, small_cnn, small_mlp)
@@ -19,31 +19,6 @@ def leq(measured, bound, tol=1e-9):
     b = np.asarray(bound, dtype=np.float64)
     assert np.all(m <= b + tol + tol * np.abs(b)), (
         f"bound violated: worst excess {(m - b).max()}")
-
-
-class TestClosedForm:
-    def test_hand_value(self):
-        assert fc_neuron_bound(2.0, 0.75, 1.0) == 0.5
-
-    def test_sigmoid_lipschitz(self):
-        assert fc_neuron_bound(2.0, 0.75, 0.25) == 0.125
-
-    def test_vector_signal(self):
-        out = fc_neuron_bound(np.array([2.0, 4.0]), 0.75, 0.5)
-        np.testing.assert_array_equal(out, [0.25, 0.5])
-
-    def test_alpha_one_gives_zero(self):
-        assert fc_neuron_bound(5.0, 1.0, 1.0) == 0.0
-
-    def test_bad_alpha(self):
-        with pytest.raises(ValueError):
-            fc_neuron_bound(1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            fc_neuron_bound(1.0, 1.5, 1.0)
-
-    def test_negative_signal(self):
-        with pytest.raises(ValueError):
-            fc_neuron_bound(-1.0, 0.5, 1.0)
 
 
 class TestHandEqualities:
@@ -63,7 +38,6 @@ class TestHandEqualities:
         delta, big_delta = measure_deviation(layer, pruned.layers[0], x)
         assert delta[0] == 0.5
         assert big_delta[0] == 0.5
-        assert fc_neuron_bound(2.0, 0.75, 1.0) == 0.5
 
     def test_conv_channel_prune(self):
         # 1x1 kernels (3, 1) on a 1x1 map with input (1, 1): S = 4,
@@ -82,7 +56,6 @@ class TestHandEqualities:
                                              sample_last(x))
         assert delta[0] == 1.0
         assert big_delta[0] == 1.0
-        assert fc_neuron_bound(4.0, 0.75, 1.0) == 1.0
 
     def test_network_bound_two_layers(self):
         # pruning the bias of layer 0 changes its output by 0.5, which the
@@ -187,7 +160,8 @@ class TestRandomSatisfaction:
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(delta, s * (1.0 - alpha) if alpha < 1 else s * 0.0)
             leq(big_delta, c * delta)
-            leq(big_delta, fc_neuron_bound(s, alpha, c))
+            # the closed form C * S * (1 - alpha), as kappa >= alpha
+            leq(big_delta, c * s * (1.0 - alpha))
 
     def test_conv_layers(self):
         rng = np.random.default_rng(202)
@@ -211,7 +185,8 @@ class TestRandomSatisfaction:
             c = net.layers[0].act.lipschitz
             leq(delta, s * np.maximum(1.0 - kappa, 0.0))
             leq(big_delta, c * delta)
-            leq(big_delta, fc_neuron_bound(s, alpha, c))
+            # the closed form C * S * (1 - alpha), as kappa >= alpha
+            leq(big_delta, c * s * (1.0 - alpha))
 
     def test_network_bound(self):
         # float64 networks end to end; with matching precision on both sides

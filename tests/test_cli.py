@@ -24,7 +24,7 @@ from prune_relief.pipeline import read_history
 from tests.conftest import (count_forwards_and_scores, mask_pairs,
                             random_conv, random_dense, small_mlp)
 from tests.test_datasets import idx_images_bytes, idx_labels_bytes
-from tests.test_model_io import set_f32
+from tests.test_model_io import set_f32, set_u8
 
 QUICKSTART = Path(__file__).resolve().parents[1] / "configs" / \
     "synthetic_quickstart.json"
@@ -390,6 +390,14 @@ class TestFailureModes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert "tensor layers.1.weights: holds non-finite values" in err
+        assert "Traceback" not in err
+
+    def test_mask_byte_beyond_one_exit_3(self, run, tmp_path, capsys):
+        cfg2, out2 = copy_run(run, tmp_path)
+        set_u8(out2 / "best", "layers.1.weight_mask", 0, 2)
+        assert main(["eval", "--config", str(cfg2)]) == 3
+        err = capsys.readouterr().err
+        assert "weight_mask must contain only 0/1 entries" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.2", "nan"])

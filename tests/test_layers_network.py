@@ -5,7 +5,8 @@ import pytest
 
 from prune_relief import (ConfigError, ConvLayer, DenseLayer, DimensionError,
                           Flatten, MaxPool2D, Network, build_network,
-                          init_params, sample_first, sample_last)
+                          init_params, load_model, sample_first, sample_last,
+                          save_model)
 from tests.conftest import (mask_pairs, random_conv, random_dense, small_cnn,
                             small_mlp)
 
@@ -54,12 +55,27 @@ class TestCopies:
             np.testing.assert_array_equal(p, q)
         for m, n in zip(wide.stored_masks().values(),
                         layer.stored_masks().values()):
-            assert m.dtype == np.float32 and m.tobytes() == n.tobytes()
+            assert m.dtype == bool and m.tobytes() == n.tobytes()
             # the copy shares the masks and cannot write them
             assert np.shares_memory(m, n) and not m.flags.writeable
         back = wide.astype(np.float32)
         assert [p.tobytes() for p in back.params().values()] == \
             [p.tobytes() for p in layer.params().values()]
+
+    def test_masks_are_bool_after_every_copy(self, rng, tmp_path):
+        net = build_network("cnn:conv3k3,pool2,fc5,fc3", (2, 8, 8), 3)
+        init_params(net, 0)
+        for li in net.prunable_indices():
+            mask_pairs(net.layers[li], 1, [0, 2])
+        save_model(net, tmp_path)
+        rows, cols = np.array([0, 1]), np.array([0, 1])
+        for each in (net, load_model(tmp_path), net.clone()):
+            for layer in (each.layers[i] for i in each.prunable_indices()):
+                for part in (layer, layer.take(rows, cols),
+                             layer.astype(np.float64)):
+                    for m in part.stored_masks().values():
+                        assert m.dtype == bool and m.itemsize == 1
+                        assert m.flags["C_CONTIGUOUS"]
 
     def test_take_keeps_the_block(self, rng):
         layer = random_conv(rng, 3, 4, 3)
@@ -140,7 +156,7 @@ class TestMasking:
             np.testing.assert_array_equal(bits[k], old_bits[k])
         for m, k in zip(layer.stored_masks().values(),
                         (keep[:, :-1], keep[:, -1])):
-            assert m.tobytes() == k.astype(np.float32).tobytes()
+            assert m.dtype == bool and m.tobytes() == k.tobytes()
 
     def test_masked_entries_are_exact_zeros(self, rng):
         layer = random_dense(rng, 10, 6)

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and rejection of bad bytes."""
 
+import hashlib
 import json
 import zlib
 
@@ -116,6 +117,42 @@ def set_f32(path, tensor, flat_index, value):
     _corrupt(path, mutate)
 
 
+def set_u8(path, tensor, flat_index, value):
+    """Overwrite one byte of the uint8 ``tensor`` in the checkpoint at
+    ``path`` and fix up the tensor's CRC32."""
+    def mutate(m, b):
+        rec = next(t for t in m["tensors"] if t["name"] == tensor)
+        b[rec["offset"] + flat_index] = value
+        rec["crc32"] = zlib.crc32(
+            bytes(b[rec["offset"]:rec["offset"] + rec["nbytes"]]))
+        return m, b
+    _corrupt(path, mutate)
+
+
+# sha256 of the model.json and weights.bin that save_model writes for the
+# seeded nets of test_checkpoint_bytes_are_pinned
+PINNED_CHECKPOINTS = {
+    "mlp": ("f42388aed6b35536f2eeaec858bb99251b27b448306242c878a5ca1c8a061b15",
+            "2df56f13d9411520a8093fe99ed48385131c75c7621cc7073709c8ac184e0070"),
+    "cnn": ("60ac30fd8e8b03e98cd3869e14465bb660a55ad2ef4f0a0b1c2a4603bddbee87",
+            "15879008ce36b4cf57db274e6953283a1f72ca82487e341703888ae4e15942fc"),
+}
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_checkpoint_bytes_are_pinned(tmp_path, kind):
+    # no matrix product runs, so the bytes do not depend on the BLAS kernel
+    rng = np.random.default_rng(19)
+    net = small_mlp(rng, (6, 5, 3)) if kind == "mlp" else small_cnn(rng)
+    for li in net.prunable_indices():
+        layer = net.layers[li]
+        layer.apply_mask(rng.random((layer.fan_out, layer.fan_in + 1)) < 0.7)
+    save_model(net, tmp_path)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("model.json", "weights.bin"))
+    assert got == PINNED_CHECKPOINTS[kind]
+
+
 class TestRejection:
     @pytest.fixture
     def ckpt(self, rng, tmp_path):
@@ -156,6 +193,18 @@ class TestRejection:
         # invariant can catch it
         set_f32(ckpt, "layers.0.weights", 1, 7.5)  # weights[0, 1] is masked
         with pytest.raises(FormatError, match="masked weights"):
+            load_model(ckpt)
+
+    @pytest.mark.parametrize("tensor", ["layers.0.weight_mask",
+                                        "layers.1.bias_mask"])
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_mask_byte_beyond_one_rejected(self, ckpt, tensor, value):
+        # a valid CRC over a mask entry that is neither 0 nor 1: casting it
+        # to bool would read it as kept
+        set_u8(ckpt, tensor, 0, value)
+        name = tensor.split(".")[-1]
+        with pytest.raises(FormatError,
+                           match=f"{name} must contain only 0/1 entries"):
             load_model(ckpt)
 
     @pytest.mark.parametrize("tensor,value", [

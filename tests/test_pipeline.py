@@ -1,5 +1,6 @@
 """Iterative prune/retrain loop: reports, history files, resume, reinit."""
 
+import copy
 import json
 import re
 
@@ -9,8 +10,9 @@ import pytest
 from prune_relief import (PURPOSE_REINIT, ConfigError, DenseLayer, Flatten,
                           FormatError, IterationReport, LrSpan, Network,
                           OptimizerConfig, PruneConfig, evaluate, history_line,
-                          init_params, iterate, load_model, read_history,
-                          save_model, select_best, synth_dataset)
+                          init_params, iterate, load_model, parse_config,
+                          read_history, save_model, select_best,
+                          synth_dataset)
 from tests.conftest import mask_pairs
 
 F32 = np.float32
@@ -60,6 +62,52 @@ class TestPruneConfigValidation:
         setattr(cfg, field, value)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+MINIMAL_CONFIG = {
+    "model": "mlp:4-3", "dataset": {"kind": "synthetic", "classes": 3},
+    "train": {"epochs": 1, "lr": 0.1}, "retrain": {"epochs": 1, "lr": 0.1},
+    "prune": {}}
+
+# (section, config key, attribute, default, type named in the message)
+DEFAULTED_FIELDS = [
+    ("prune", "alpha_conv", "alpha_conv", 0.9, "float"),
+    ("prune", "alpha_fc", "alpha_fc", 0.95, "float"),
+    ("prune", "n_pruning_samples", "n_pruning_samples", 1000, "int"),
+    ("prune", "iterations", "iterations", 1, "int"),
+    ("prune", "retrain_mode", "retrain_mode", "reinit", "str"),
+    ("prune", "pruning_set_policy", "pruning_set_policy", "resample", "str"),
+    ("prune", "reinit_draw", "reinit_draw", "original", "str"),
+    ("prune", "drop_tolerance", "drop_tolerance", 1.0, "float"),
+] + [(section, *field) for section in ("train", "retrain") for field in [
+    ("optimizer", "kind", "adam", "str"),
+    ("batch_size", "batch_size", 128, "int"),
+    ("weight_decay", "weight_decay", 0.0, "float"),
+    ("momentum", "momentum", 0.9, "float"),
+    ("beta1", "beta1", 0.9, "float"),
+    ("beta2", "beta2", 0.999, "float"),
+    ("eps", "eps", 1e-8, "float"),
+]]
+
+
+class TestConfigFields:
+    @pytest.mark.parametrize("section,key,attr,default,kind", DEFAULTED_FIELDS)
+    def test_omitted_field_takes_the_dataclass_default(self, section, key,
+                                                       attr, default, kind):
+        got = getattr(parse_config(MINIMAL_CONFIG), section)
+        assert getattr(got, attr) == default == getattr(type(got)(), attr)
+        assert type(getattr(got, attr)).__name__ == kind
+
+    @pytest.mark.parametrize("section,key,attr,default,kind", DEFAULTED_FIELDS)
+    @pytest.mark.parametrize("value", [[], None, True], ids=str)
+    def test_wrong_type_names_the_field(self, section, key, attr, default,
+                                        kind, value):
+        data = copy.deepcopy(MINIMAL_CONFIG)
+        data[section][key] = value
+        with pytest.raises(ConfigError) as e:
+            parse_config(data)
+        assert str(e.value) == (f"config field '{section}.{key}' must be "
+                                f"{kind}, got {type(value).__name__}")
 
 
 class TestHistory:
