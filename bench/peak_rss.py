@@ -1,5 +1,5 @@
-"""Per-command peak RSS of the benchmark's CLI sequences, from a launcher
-that never imports NumPy.
+"""Per-command peak RSS and wall time of the benchmark's CLI sequences, from
+a launcher that never imports NumPy.
 
     python3 bench/peak_rss.py --tree parent=PATH --tree change=. \\
         [--workload prune_sweep ...] [--seed 1] [--repeats 3] [--out PATH]
@@ -11,7 +11,10 @@ in a child process that imports ``perfbench/idxgen.py``, and then runs
 ``train -> prune -> report -> scores -> bounds -> eval`` once per tree per
 repeat, alternating which tree goes first. Each command is its own process,
 with BLAS pinned to one thread, and its peak RSS is ``ru_maxrss`` from
-``os.wait4``.
+``os.wait4``. Its wall time runs from just before the launch to the return
+of that ``os.wait4``, so it counts the interpreter's start and exit as well
+as the command's work. Each command's peak RSS and wall seconds are
+recorded per repeat, with their median and range per tree.
 
 A child's ``ru_maxrss`` starts at the peak RSS of the process that launched
 it, so a launcher that has imported NumPy (or generated data) lifts every
@@ -46,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,13 +83,16 @@ print(json.dumps({"paths": {k: str(v) for k, v in paths.items()},
 
 
 def run_child(argv, env, cwd, stdout):
-    """Run ``argv`` to completion; returns (exit code, peak RSS in MB)."""
+    """Run ``argv`` to completion; returns (exit code, peak RSS in MB, wall
+    seconds)."""
     with open(stdout, "wb") as out, open(f"{stdout}.err", "wb") as err:
+        start = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out,
                                 stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss / 1024.0
+    return proc.returncode, usage.ru_maxrss / 1024.0, wall
 
 
 def generate(workload, seed, data_dir, env):
@@ -93,10 +100,10 @@ def generate(workload, seed, data_dir, env):
     the OpenBLAS kernel the child loaded."""
     out = data_dir / "generate.json"
     # OpenBLAS names the kernel it loads on stderr ("Core: Haswell")
-    code, _ = run_child([sys.executable, "-c", GENERATE, str(PERFBENCH),
-                         str(data_dir), str(seed), str(workload.n_train),
-                         str(workload.n_test)],
-                        dict(env, OPENBLAS_VERBOSE="2"), data_dir, out)
+    code, _, _ = run_child([sys.executable, "-c", GENERATE, str(PERFBENCH),
+                            str(data_dir), str(seed), str(workload.n_train),
+                            str(workload.n_test)],
+                           dict(env, OPENBLAS_VERBOSE="2"), data_dir, out)
     err = Path(f"{out}.err").read_text()
     if code:
         raise SystemExit(f"data generation failed ({code}): {err}")
@@ -120,10 +127,11 @@ def tree_digest(seq_dir: Path) -> str:
 
 def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
     """One train..eval sequence in ``seq_dir`` on the sources in ``src``;
-    returns {command: peak RSS MB} and the digest of what it wrote."""
+    returns {command: peak RSS MB}, {command: wall seconds} and the digest
+    of what it wrote."""
     seq_dir.mkdir(parents=True)
     env = dict(env, PYTHONPATH=str(src))
-    rss = {}
+    rss, wall = {}, {}
     for cmd in COMMANDS:
         if cmd == "report":
             args = ["report", "--run", "run"]
@@ -131,25 +139,32 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
             args = [cmd, "--config", str(config), "--out", "run"]
         if cmd == "bounds":
             args += ["--layer", str(workload.bounds_layer)]
-        code, rss[cmd] = run_child([sys.executable, "-m", "prune_relief.cli",
-                                    *args], env, seq_dir,
-                                   seq_dir / f"{cmd}.out")
+        code, rss[cmd], wall[cmd] = run_child(
+            [sys.executable, "-m", "prune_relief.cli", *args], env, seq_dir,
+            seq_dir / f"{cmd}.out")
         if code:
             err = (seq_dir / f"{cmd}.out.err").read_text()
             raise SystemExit(f"{workload.name}: {cmd} on {src} exited "
                              f"{code}:\n{err}")
-    return rss, tree_digest(seq_dir)
+    return rss, wall, tree_digest(seq_dir)
 
 
-def summary(runs: list[dict]) -> dict:
-    """Median, min and max of each command's peak RSS over the repeats."""
+def summary(runs: list[dict], walls: list[dict]) -> dict:
+    """Median, min and max of each command's peak RSS and wall seconds over
+    the repeats."""
     per = {c: [r[c] for r in runs] for c in COMMANDS}
     med = {c: statistics.median(v) for c, v in per.items()}
+    per_wall = {c: [w[c] for w in walls] for c in COMMANDS}
     return {"peak_rss_mb": per, "median_mb": med,
             "range_mb": {c: [min(v), max(v)] for c, v in per.items()},
             "peak_command": max(med, key=med.get),
             "sequence_peak_mb": statistics.median(max(r.values())
-                                                  for r in runs)}
+                                                  for r in runs),
+            "wall_s": per_wall,
+            "median_wall_s": {c: statistics.median(v)
+                              for c, v in per_wall.items()},
+            "range_wall_s": {c: [min(v), max(v)]
+                             for c, v in per_wall.items()}}
 
 
 def cpu_model() -> str:
@@ -210,24 +225,27 @@ def main(argv=None) -> int:
             config.write_text(json.dumps(
                 workload.config(args.seed, gen["paths"]), indent=2) + "\n")
             runs = {label: [] for label in trees}
+            walls = {label: [] for label in trees}
             digests = {label: set() for label in trees}
             order = list(trees.items())
             for rep in range(args.repeats):
                 for t, (label, src) in enumerate(order):
                     # equal-length names: the same environment for each tree
                     seq_dir = work / name / f"r{rep:02d}t{t:02d}"
-                    rss, digest = run_sequence(workload, config, src,
-                                               seq_dir, env)
+                    rss, wall, digest = run_sequence(workload, config, src,
+                                                     seq_dir, env)
                     runs[label].append(rss)
+                    walls[label].append(wall)
                     digests[label].add(digest)
                     shutil.rmtree(seq_dir)
                     print(f"{name} {label} repeat {rep}: " + ", ".join(
-                        f"{c} {v:.1f}" for c, v in rss.items()) + " MB",
-                        flush=True)
+                        f"{c} {v:.1f} MB {wall[c]:.3f} s"
+                        for c, v in rss.items()), flush=True)
                 order.reverse()
             all_digests = set().union(*digests.values())
             result["workloads"][name] = {
-                **{label: {**summary(r), "outputs_sha256": sorted(digests[label])}
+                **{label: {**summary(r, walls[label]),
+                           "outputs_sha256": sorted(digests[label])}
                    for label, r in runs.items()},
                 "outputs_identical": len(all_digests) == 1,
             }
@@ -245,6 +263,8 @@ def main(argv=None) -> int:
             print(f"{name} {label}: peak {s['sequence_peak_mb']:.1f} MB "
                   f"({s['peak_command']}); " + ", ".join(
                       f"{c} {v:.1f}" for c, v in s["median_mb"].items()))
+            print(f"{name} {label}: median wall " + ", ".join(
+                f"{c} {v:.3f} s" for c, v in s["median_wall_s"].items()))
         print(f"{name}: outputs identical across trees: "
               f"{w['outputs_identical']}")
     print(f"wrote {args.out}")

@@ -128,11 +128,11 @@ def read_history(path) -> list[IterationReport]:
     if not path.is_file():
         return []
     reports = []
-    for ln, line in enumerate(path.read_text().splitlines(), 1):
+    for ln, line in enumerate(path.read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = json.loads(line.decode())
             if not isinstance(record, dict):
                 raise ValueError(f"expected a JSON object, got "
                                  f"{type(record).__name__}")

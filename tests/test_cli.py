@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from prune_relief import Flatten, MaxPool2D, Network
-from prune_relief.cli import main
+from prune_relief.cli import build_parser, main
 from prune_relief.model_io import load_model, save_model
 from prune_relief.pipeline import read_history
 from tests.conftest import (count_forwards_and_scores, mask_pairs,
@@ -455,6 +455,19 @@ class TestFailureModes:
         assert f"{history}:2: malformed history line: {key} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["report", "prune"])
+    def test_non_utf8_history_exit_3(self, run, tmp_path, capsys, command):
+        cfg2, out2 = copy_run(run, tmp_path)
+        history = out2 / "history.jsonl"
+        first = history.read_bytes().splitlines()[0]
+        history.write_bytes(first + b"\n\xff\xfe\n")
+        argv = (["report", "--run", str(out2)] if command == "report"
+                else ["prune", "--config", str(cfg2)])
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{history}:2: malformed history line: 'utf-8' codec" in err
+        assert "Traceback" not in err
+
     def test_resumed_checkpoint_unlike_history_exit_3(self, run, tmp_path,
                                                        capsys):
         # the last checkpoint masks one weight more than its history line
@@ -694,16 +707,133 @@ class TestFailureModes:
         assert exc.value.code == 2
 
 
+def child_env(drop=()):
+    """This process's environment, without the variables in ``drop``, for
+    a child Python that imports the package from ``src``."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def cli_child(*args, unbuffered=False, **kwargs):
+    """``python -m prune_relief.cli ARGS`` in its own process. Its stdout is
+    block-buffered, as under a shell, unless ``unbuffered``."""
+    env = child_env(drop=("PYTHONUNBUFFERED",))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "prune_relief.cli", *args],
+                          env=env, **kwargs)
+
+
+class TestProcessExit:
+    """A command run as a program ends with its streams flushed and the
+    exit code ``main`` returned; every other way out of the process is the
+    interpreter's own."""
+
+    def test_eval_into_a_file(self, run, tmp_path, capsys):
+        cfg, _ = run
+        assert main(["eval", "--config", str(cfg)]) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "eval.json"
+        with open(out, "wb") as fh:
+            child = cli_child("eval", "--config", str(cfg), stdout=fh,
+                              stderr=subprocess.PIPE)
+        assert child.returncode == 0, child.stderr
+        text = out.read_text()
+        assert text == expected and text.count("\n") == 1
+        assert set(json.loads(text)) >= {"test_accuracy", "remaining_pct"}
+
+    def test_console_script_entry(self, run):
+        # the console script calls its entry point as ``sys.exit(fn())``
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"prune-relief": "prune_relief.cli:run_and_exit"}
+        cfg, _ = run
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys; from prune_relief.cli import "
+             "run_and_exit; sys.exit(run_and_exit())", "eval", "--config",
+             str(cfg)],
+            env=child_env(drop=("PYTHONUNBUFFERED",)), capture_output=True,
+            text=True)
+        assert child.returncode == 0, child.stderr
+        assert "test_accuracy" in json.loads(child.stdout)
+
+    def test_error_codes(self, run, tmp_path):
+        child = cli_child("train", "--config", str(tmp_path / "nope.json"),
+                          capture_output=True, text=True)
+        assert child.returncode == 2
+        assert child.stderr.startswith("error:") and child.stdout == ""
+        cfg2, out2 = copy_run(run, tmp_path)
+        blob = out2 / "best" / "weights.bin"
+        blob.write_bytes(blob.read_bytes()[:7])
+        child = cli_child("eval", "--config", str(cfg2),
+                          capture_output=True, text=True)
+        assert child.returncode == 3 and "error:" in child.stderr
+
+    def test_usage_error_and_help(self, monkeypatch):
+        child = cli_child("frobnicate", capture_output=True, text=True)
+        assert child.returncode == 2 and "usage:" in child.stderr
+        monkeypatch.setenv("COLUMNS", "80")  # here and in the child
+        child = cli_child("--help", capture_output=True, text=True)
+        assert child.returncode == 0
+        assert child.stdout == build_parser().format_help()
+
+    @pytest.mark.parametrize("unbuffered,code,shape", [
+        (False, 120, "Exception ignored in: <_io.TextIOWrapper"),
+        (True, 1, "Traceback (most recent call last):")])
+    def test_eval_into_a_closed_pipe(self, run, unbuffered, code, shape):
+        # buffered, the JSON line is still in the buffer when eval returns
+        # and only the interpreter's own exit reports the failed flush;
+        # unbuffered, print itself raises inside the command
+        cfg, _ = run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = cli_child("eval", "--config", str(cfg),
+                              unbuffered=unbuffered, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert child.returncode == code
+        assert child.stderr.startswith(shape), child.stderr
+        assert child.stderr.count("BrokenPipeError") == 1
+
+    def test_eval_with_stdout_closed(self, run):
+        # no sys.stdout at all: print writes nothing and nothing is flushed
+        cfg, _ = run
+        child = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m prune_relief.cli eval --config "$1" '
+             ">&-", sys.executable, str(cfg)],
+            env=child_env(drop=("PYTHONUNBUFFERED",)), stderr=subprocess.PIPE,
+            text=True)
+        assert (child.returncode, child.stderr) == (0, "")
+
+    def test_train_and_prune_write_in_process_bytes(self, run, tmp_path):
+        _, out = run
+        cfg2 = write_config(tmp_path / "config.json", out=tmp_path / "run")
+        for command in ("train", "prune"):
+            child = cli_child(command, "--config", str(cfg2),
+                              capture_output=True)
+            assert child.returncode == 0, child.stderr
+        rels = ["history.jsonl"] + sorted(
+            str(p.relative_to(out)) for p in out.rglob("weights.bin"))
+        assert "iterations/iter_02/weights.bin" in rels
+        for rel in rels:
+            assert (tmp_path / "run" / rel).read_bytes() == \
+                (out / rel).read_bytes(), rel
+
+
 @pytest.mark.parametrize("value,expected", [(None, "1"), ("3", "3")])
 def test_import_pins_one_blas_thread(value, expected):
     """Importing the package sets OPENBLAS_NUM_THREADS to 1 when it is
     unset, and leaves a value already set alone."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = child_env(drop=("OPENBLAS_NUM_THREADS",))
     if value is not None:
         env["OPENBLAS_NUM_THREADS"] = value
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     child = subprocess.run(
         [sys.executable, "-c", "import os, prune_relief; "
          "print(os.environ['OPENBLAS_NUM_THREADS'])"],
