@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from .bounds import bound_report, check_prunable
-from .config import (build_network, check_logits, infer_classes, load_config,
-                     load_dataset)
+from .config import (build_network, check_logits, check_seed, infer_classes,
+                     load_config, load_dataset)
 from .errors import ConfigError, FormatError, PruneReliefError, TrainingError
 from .importance import alpha_for, check_alpha, score_network
 from .layers import DenseLayer
@@ -107,7 +107,7 @@ def _run_lock(out_dir: Path):
 def _load_run(args):
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed")
     return cfg
 
 

@@ -58,6 +58,14 @@ def _get(d: dict, path: str, kind, default=...):
     return v
 
 
+def check_seed(seed: int, name: str) -> int:
+    """``seed``, checked: NumPy seeds its generators with integers >= 0.
+    ``name`` is the config field or flag that set it."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _read_fields(data: dict, section: str, cls, skip=()) -> dict:
     """The fields of the dataclass ``cls`` not in ``skip``, in declaration
     order, each read from ``section`` with its declared type and default."""
@@ -129,9 +137,8 @@ def parse_config(data: dict) -> RunConfig:
     else:
         raise ConfigError(f"config field 'dataset.kind' must be 'idx' or "
                           f"'synthetic', got {kind!r}")
-    seed = _get(data, "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError(f"config field 'seed' must be >= 0, got {seed}")
+    seed = check_seed(_get(data, "seed", int, default=0),
+                      "config field 'seed'")
     activation = _get(data, "activation", str, default="relu")
     if activation not in ACTIVATIONS:
         raise ConfigError(f"config field 'activation' must be one of "
@@ -188,7 +195,8 @@ def load_dataset(cfg: RunConfig, train: bool = True,
         classes = _get(raw, "dataset.classes", int)
         dim = _get(raw, "dataset.dim", int, default=16)
         spread = _get(raw, "dataset.spread", float, default=6.0)
-        dseed = _get(raw, "dataset.seed", int, default=cfg.seed)
+        dseed = check_seed(_get(raw, "dataset.seed", int, default=cfg.seed),
+                           "config field 'dataset.seed'")
         # a split is drawn as one float64 (n, dim) array, whose byte count
         # must fit NumPy's index type
         most = np.iinfo(np.intp).max // 8

@@ -29,11 +29,12 @@ from .layers import (PRUNABLE_KINDS, SPATIAL_KINDS, Flatten, sample_first,
 
 @dataclass
 class Liveness:
-    """Which targets of one prunable layer the live subnetwork drops: one
-    bool per target in each field."""
+    """The targets of one prunable layer that the live subnetwork drops, one
+    bool each, and its block: the next prunable layer's inputs per target."""
 
     dead_end: np.ndarray
     inputless: np.ndarray
+    block: int
 
     @property
     def live(self) -> np.ndarray:
@@ -89,16 +90,16 @@ class Network:
         return [i for i, l in enumerate(self.layers) if l.kind in PRUNABLE_KINDS]
 
     def liveness(self) -> dict[int, Liveness]:
-        """Dead-end and input-less targets of every prunable layer.
+        """Dead-end and input-less targets and block of each prunable layer.
 
-        A prunable layer's targets feed the next prunable layer through any
-        pools and a Flatten, which keep channels apart: a conv channel
-        becomes one block of the next dense layer's inputs. A target is
-        dead-end when no unmasked weight of the next prunable layer reads
+        A target feeds a block of the next prunable layer's inputs, through
+        any pools and a Flatten, which keep channels apart: a conv channel's
+        pooled H·W features behind a Flatten, one input otherwise. A target
+        is dead-end when no unmasked weight of the next prunable layer reads
         it. It is input-less when its incoming weights and its bias are all
         masked and its activation maps 0 to 0, so it outputs exactly 0;
         with any other activation (sigmoid) it outputs a constant and
-        stays. The last prunable layer's targets are the logits and stay.
+        stays. The last layer's targets are the logits: they stay (block 1).
         """
         prunable = self.prunable_indices()
         out = {}
@@ -106,17 +107,18 @@ class Network:
             layer = self.layers[a]
             none = np.zeros(layer.fan_out, dtype=bool)
             if b is None:
-                out[a] = Liveness(dead_end=none, inputless=none)
+                out[a] = Liveness(dead_end=none, inputless=none, block=1)
                 continue
             wm, bm = layer.stored_masks().values()
             if layer.act.f(np.zeros(1, dtype=layer.bias.dtype))[0] == 0:
                 inputless = ~(wm.any(axis=1) | bm)
             else:
                 inputless = none
+            block = self.layers[b].fan_in // layer.fan_out
             reads = next(iter(self.layers[b].stored_masks().values()))
-            reads = reads.reshape(reads.shape[0], layer.fan_out, -1)
+            reads = reads.reshape(reads.shape[0], layer.fan_out, block)
             out[a] = Liveness(dead_end=~reads.any(axis=(0, 2)),
-                              inputless=inputless)
+                              inputless=inputless, block=block)
         return out
 
     def layer_input_shapes(self) -> list[tuple]:
@@ -163,7 +165,7 @@ class Subnetwork:
         self.keep = {}
         liveness = net.liveness()
         layers = []
-        prev = None  # kept targets of the previous prunable layer
+        prev = None  # (kept targets, block) of the previous prunable layer
         for i, layer in enumerate(net.layers):
             if i not in liveness:
                 layers.append(layer)
@@ -171,11 +173,9 @@ class Subnetwork:
             keep_rows = liveness[i].live
             if not keep_rows.any():
                 keep_rows[0] = True
-            if prev is None:
-                keep_cols = np.ones(layer.fan_in, dtype=bool)
-            else:  # each previous target feeds a block of inputs
-                keep_cols = np.repeat(prev, layer.fan_in // prev.size)
-            prev = keep_rows
+            keep_cols = np.ones(layer.fan_in, dtype=bool) if prev is None \
+                else np.repeat(*prev)
+            prev = keep_rows, liveness[i].block
             self.keep[i] = keep_rows, keep_cols
             if keep_rows.all() and keep_cols.all():
                 layers.append(layer)  # drops nothing: shared, not copied

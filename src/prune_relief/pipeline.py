@@ -21,7 +21,8 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ConfigError, FormatError
 from .importance import check_alpha, prune_pass
-from .metrics import compression_stats, masked_flops, score_stats
+from .metrics import (compression_stats, kept_connection_scores,
+                      masked_flops, score_stats)
 from .model_io import load_model, save_model, write_json
 from .network import Network
 from .optimizers import OptimizerConfig, summarize
@@ -271,9 +272,8 @@ def iterate(net: Network, train_ds: Dataset, test_ds: Dataset,
         del batch
         # only the kept scores' statistics outlive the pass, so the score
         # grids and keep masks are freed before the statistics are taken
-        kept = np.concatenate(
-            [scores.scores[sel.keep] for scores, sel in selected.values()]) \
-            if selected else np.zeros(0)
+        kept = kept_connection_scores(
+            net, {li: scores for li, (scores, _) in selected.items()})
         del selected
         stats = score_stats(kept)
         del kept

@@ -70,10 +70,6 @@ def mask_pairs(layer, targets, contributors):
     layer.apply_mask(keep)
 
 
-def next_prunable(net, a):
-    return next(i for i in net.prunable_indices() if i > a)
-
-
 def cut_units(rng, net, share=0.3):
     """Mask a random third of every prunable layer's contributors, then cut
     whole hidden targets: some lose every outgoing weight (dead-end), some
@@ -82,9 +78,9 @@ def cut_units(rng, net, share=0.3):
         layer = net.layers[li]
         drop = rng.random((layer.fan_out, layer.fan_in + 1)) < share
         layer.apply_mask(~drop)
-    for a in net.prunable_indices()[:-1]:
-        layer, nxt = net.layers[a], net.layers[next_prunable(net, a)]
-        per = nxt.fan_in // layer.fan_out
+    prunable, liveness = net.prunable_indices(), net.liveness()
+    for a, b in zip(prunable, prunable[1:]):
+        layer, nxt, per = net.layers[a], net.layers[b], liveness[a].block
         order = rng.permutation(layer.fan_out)
         k = max(layer.fan_out // 4, 1)
         for u in order[:k]:  # dead-end

@@ -320,6 +320,25 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("where,named", [
+        ("config", "'seed'"), ("flag", "--seed"), ("dataset", "'dataset.seed'")])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, where, named):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
+        data = json.loads(cfg.read_text())
+        argv = ["train", "--config", str(cfg)]
+        if where == "config":
+            data["seed"] = -1
+        elif where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            data["dataset"]["seed"] = -5
+        cfg.write_text(json.dumps(data))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{named} must be >= 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "model").exists()
+
     def test_no_out_directory(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json")
         assert main(["train", "--config", str(cfg)]) == 2

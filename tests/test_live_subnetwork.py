@@ -108,8 +108,9 @@ class TestLiveness:
     def test_conv_channels_through_pool_and_flatten(self):
         net = small_cnn(np.random.default_rng(1), in_shape=(2, 6, 6), c_mid=3,
                         k=3, classes=2)
-        conv, fc = net.layers[0], net.layers[3]
-        per = fc.fan_in // conv.fan_out  # 2x2 pooled map per channel
+        fc = net.layers[3]
+        per = net.liveness()[0].block  # 2x2 pooled map per channel
+        assert per == 4
         # channel 1's feature block is unread except one column: still live
         mask_pairs(fc, np.arange(2)[:, None],
                    np.arange(per, 2 * per - 1)[None, :])
@@ -122,6 +123,21 @@ class TestLiveness:
         assert kept(sub, 3)[1] == list(range(2 * per))
         assert sub.net.layers[0].kernels.shape == (2, 2, 3, 3)
         assert sub.net.layers[3].weights.shape == (2, 2 * per)
+
+    def test_lenet5_blocks_and_a_channel_between_convs(self):
+        net = build_network("lenet5", (1, 28, 28), 10)
+        # conv 1 -> pool -> conv 2, conv 2 -> 4x4 pool -> Flatten -> fc 1,
+        # fc 1 -> fc 2, and the logits
+        assert {i: v.block for i, v in net.liveness().items()} == \
+            {0: 1, 2: 16, 5: 1, 6: 1}
+        conv2 = net.layers[2]
+        mask_pairs(conv2, np.arange(conv2.fan_out)[:, None], [[3]])
+        live = net.liveness()[0]
+        assert np.flatnonzero(live.dead_end).tolist() == [3]
+        assert not live.inputless.any()
+        sub = Subnetwork(net)
+        assert sub.net.layers[0].kernels.shape == (19, 1, 5, 5)
+        assert sub.net.layers[2].kernels.shape == (50, 19, 5, 5)
 
     def test_sigmoid_targets_without_inputs_stay(self):
         net = small_mlp(np.random.default_rng(2), (4, 5, 3), "sigmoid")
