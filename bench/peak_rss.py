@@ -13,8 +13,13 @@ repeat, alternating which tree goes first. Each command is its own process,
 with BLAS pinned to one thread, and its peak RSS is ``ru_maxrss`` from
 ``os.wait4``. Its wall time runs from just before the launch to the return
 of that ``os.wait4``, so it counts the interpreter's start and exit as well
-as the command's work. Each command's peak RSS and wall seconds are
-recorded per repeat, with their median and range per tree.
+as the command's work. On a shared host those seconds swing by 20-60% as
+other tenants come and go, so, as ``perfbench/run.py`` does, the script
+runs ``perfbench/reference.py`` (a fixed task of ~0.18 s) before each
+command and after the last, and also records each command's wall time at
+the reference speed: times ``REF_S`` over the mean of the two reference
+runs around it. Each command's peak RSS and raw and scaled wall seconds
+are recorded per repeat, with their median and range per tree.
 
 A child's ``ru_maxrss`` starts at the peak RSS of the process that launched
 it, so a launcher that has imported NumPy (or generated data) lifts every
@@ -54,6 +59,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+REFERENCE = PERFBENCH / "reference.py"
+# reference.py's wall time on an uncontended host, as in perfbench/run.py
+# (which this launcher cannot import: it imports NumPy)
+REF_S = 0.18
 sys.path.insert(0, str(PERFBENCH))
 
 from workloads import WORKLOADS  # noqa: E402  (dataclasses only, no NumPy)
@@ -125,14 +134,30 @@ def tree_digest(seq_dir: Path) -> str:
     return h.hexdigest()
 
 
+def run_reference(ref_dir: Path, i: int, env) -> float:
+    """Run reference.py once in ``ref_dir``; returns its wall seconds."""
+    out = ref_dir / f"ref{i}.out"
+    code, _, wall = run_child([sys.executable, str(REFERENCE)], env, ref_dir,
+                              out)
+    if code:
+        raise SystemExit(f"reference.py exited {code}:\n"
+                         f"{Path(f'{out}.err').read_text()}")
+    return wall
+
+
 def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
-    """One train..eval sequence in ``seq_dir`` on the sources in ``src``;
-    returns {command: peak RSS MB}, {command: wall seconds} and the digest
-    of what it wrote."""
+    """One train..eval sequence in ``seq_dir`` on the sources in ``src``,
+    with a reference run before each command and after the last; returns
+    {command: peak RSS MB}, {command: wall seconds}, {command: wall seconds
+    at reference speed} and the digest of what the commands wrote."""
     seq_dir.mkdir(parents=True)
-    env = dict(env, PYTHONPATH=str(src))
-    rss, wall = {}, {}
+    # the reference runs write next to the sequence, outside its digest
+    ref_dir = seq_dir.with_name(f"{seq_dir.name}-ref")
+    ref_dir.mkdir()
+    cmd_env = dict(env, PYTHONPATH=str(src))
+    rss, wall, refs = {}, {}, []
     for cmd in COMMANDS:
+        refs.append(run_reference(ref_dir, len(refs), env))
         if cmd == "report":
             args = ["report", "--run", "run"]
         else:
@@ -140,21 +165,26 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
         if cmd == "bounds":
             args += ["--layer", str(workload.bounds_layer)]
         code, rss[cmd], wall[cmd] = run_child(
-            [sys.executable, "-m", "prune_relief.cli", *args], env, seq_dir,
-            seq_dir / f"{cmd}.out")
+            [sys.executable, "-m", "prune_relief.cli", *args], cmd_env,
+            seq_dir, seq_dir / f"{cmd}.out")
         if code:
             err = (seq_dir / f"{cmd}.out.err").read_text()
             raise SystemExit(f"{workload.name}: {cmd} on {src} exited "
                              f"{code}:\n{err}")
-    return rss, wall, tree_digest(seq_dir)
+    refs.append(run_reference(ref_dir, len(refs), env))
+    shutil.rmtree(ref_dir)
+    scaled = {c: wall[c] * REF_S / ((refs[i] + refs[i + 1]) / 2)
+              for i, c in enumerate(COMMANDS)}
+    return rss, wall, scaled, tree_digest(seq_dir)
 
 
-def summary(runs: list[dict], walls: list[dict]) -> dict:
-    """Median, min and max of each command's peak RSS and wall seconds over
-    the repeats."""
+def summary(runs: list[dict], walls: list[dict], scaled: list[dict]) -> dict:
+    """Median, min and max of each command's peak RSS and raw and scaled
+    wall seconds over the repeats."""
     per = {c: [r[c] for r in runs] for c in COMMANDS}
     med = {c: statistics.median(v) for c, v in per.items()}
     per_wall = {c: [w[c] for w in walls] for c in COMMANDS}
+    per_scaled = {c: [w[c] for w in scaled] for c in COMMANDS}
     return {"peak_rss_mb": per, "median_mb": med,
             "range_mb": {c: [min(v), max(v)] for c, v in per.items()},
             "peak_command": max(med, key=med.get),
@@ -164,7 +194,12 @@ def summary(runs: list[dict], walls: list[dict]) -> dict:
             "median_wall_s": {c: statistics.median(v)
                               for c, v in per_wall.items()},
             "range_wall_s": {c: [min(v), max(v)]
-                             for c, v in per_wall.items()}}
+                             for c, v in per_wall.items()},
+            "wall_scaled_s": per_scaled,
+            "median_wall_scaled_s": {c: statistics.median(v)
+                                     for c, v in per_scaled.items()},
+            "range_wall_scaled_s": {c: [min(v), max(v)]
+                                    for c, v in per_scaled.items()}}
 
 
 def cpu_model() -> str:
@@ -226,25 +261,27 @@ def main(argv=None) -> int:
                 workload.config(args.seed, gen["paths"]), indent=2) + "\n")
             runs = {label: [] for label in trees}
             walls = {label: [] for label in trees}
+            scaled = {label: [] for label in trees}
             digests = {label: set() for label in trees}
             order = list(trees.items())
             for rep in range(args.repeats):
                 for t, (label, src) in enumerate(order):
                     # equal-length names: the same environment for each tree
                     seq_dir = work / name / f"r{rep:02d}t{t:02d}"
-                    rss, wall, digest = run_sequence(workload, config, src,
-                                                     seq_dir, env)
+                    rss, wall, at_ref, digest = run_sequence(
+                        workload, config, src, seq_dir, env)
                     runs[label].append(rss)
                     walls[label].append(wall)
+                    scaled[label].append(at_ref)
                     digests[label].add(digest)
                     shutil.rmtree(seq_dir)
                     print(f"{name} {label} repeat {rep}: " + ", ".join(
-                        f"{c} {v:.1f} MB {wall[c]:.3f} s"
-                        for c, v in rss.items()), flush=True)
+                        f"{c} {v:.1f} MB {wall[c]:.3f} s ({at_ref[c]:.3f} "
+                        f"scaled)" for c, v in rss.items()), flush=True)
                 order.reverse()
             all_digests = set().union(*digests.values())
             result["workloads"][name] = {
-                **{label: {**summary(r, walls[label]),
+                **{label: {**summary(r, walls[label], scaled[label]),
                            "outputs_sha256": sorted(digests[label])}
                    for label, r in runs.items()},
                 "outputs_identical": len(all_digests) == 1,
@@ -265,6 +302,9 @@ def main(argv=None) -> int:
                       f"{c} {v:.1f}" for c, v in s["median_mb"].items()))
             print(f"{name} {label}: median wall " + ", ".join(
                 f"{c} {v:.3f} s" for c, v in s["median_wall_s"].items()))
+            print(f"{name} {label}: median wall at reference speed " +
+                  ", ".join(f"{c} {v:.3f} s"
+                            for c, v in s["median_wall_scaled_s"].items()))
         print(f"{name}: outputs identical across trees: "
               f"{w['outputs_identical']}")
     print(f"wrote {args.out}")

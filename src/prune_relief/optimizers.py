@@ -10,10 +10,15 @@ parameter and its moments stay ±0 no matter how many steps run. This needs
 the pruning fixed for the optimizer's life: the pipeline prunes between
 ``train`` calls, and each builds a new one.
 
-Each step is fused: it runs in place on the parameter and its state,
-writing its temporaries into two scratch buffers shaped like the parameter,
-and performs the same float operations in the same order as the textbook
-expressions in the step docstrings, so it gives the same bytes.
+Each step is fused: it runs in place on the parameter and its state, and
+performs the same float operations in the same order as the textbook
+expressions in the step docstrings, so it gives the same bytes. It walks
+each tensor in blocks of ``BLOCK`` entries and runs every pass of a block
+before it moves on, so the block's slices of the parameter, its state and
+the gradient stay in cache across the passes (Adam makes 16, SGD 6); each
+operation is elementwise, so the blocks give the bytes of one whole-tensor
+pass. The temporaries go into a scratch pair of ``min(BLOCK, largest
+tensor)`` entries that every tensor of an ``Optimizer`` shares.
 """
 
 from dataclasses import dataclass, field
@@ -54,6 +59,14 @@ class OptimizerConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # beta1 or beta2 of 1 makes Adam's bias-corrected update 0/0, and
+        # an eps of 0 does so on every entry whose gradient is 0
+        for name in ("momentum", "beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
         if not self.lr_schedule:
             raise ConfigError("lr_schedule must not be empty")
         expect = 1
@@ -80,21 +93,54 @@ class OptimizerConfig:
         raise ConfigError(f"epoch {epoch} outside the lr schedule")
 
 
+# Entries per block of a step. An Adam block touches six float32 slices of
+# 128 KiB (parameter, gradient, two moments, scratch pair): 768 KiB, inside
+# a 1 MiB L2 cache. On a 2-vCPU Xeon with 2 MiB of L2 per core, an Adam
+# step over LeNet-300-100's tensors took 0.94 ms at 32K entries, 0.90 at
+# 64K, 1.46 at 8K (per-call overhead) and 1.07 unblocked; LeNet-5's 1.5,
+# 1.5, 2.0 and 2.0 ms. 32K keeps the gain where L2 is 1 MiB.
+BLOCK = 32768
+
+
+def _flat(a):
+    """A 1-D view of the C-contiguous array ``a``; the step writes through
+    it."""
+    if not a.flags.c_contiguous:
+        raise ValueError("optimizer tensors must be C-contiguous")
+    return a.reshape(-1)
+
+
+def _blocks(grad, *tensors, scratch):
+    """Yield, block by block, the slice of ``grad`` (or the scalar ``grad``
+    itself), of each of ``tensors`` and of each scratch buffer."""
+    flat = [_flat(a) for a in tensors]
+    dense = np.ndim(grad) > 0
+    if dense:
+        grad = np.ravel(grad)
+    n = flat[0].size
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        yield (grad[start:stop] if dense else grad,
+               *(a[start:stop] for a in flat),
+               *(s[:stop - start] for s in scratch))
+
+
 def sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0, *,
              scratch):
     """One SGD/momentum update, in place on ``param`` and ``velocity``.
 
     g = grad + weight_decay * param;
     velocity = momentum * velocity + g; param -= lr * velocity.
-    ``scratch`` is a one-buffer sequence shaped like ``param``.
+    ``scratch`` is a one-buffer sequence of at least
+    ``min(BLOCK, param.size)`` entries of ``param``'s dtype.
     """
-    (g,) = scratch
-    np.multiply(param, weight_decay, out=g)
-    np.add(grad, g, out=g)
-    velocity *= momentum
-    velocity += g
-    np.multiply(velocity, lr, out=g)
-    param -= g
+    for grad_b, p, vel, g in _blocks(grad, param, velocity, scratch=scratch):
+        np.multiply(p, weight_decay, out=g)
+        np.add(grad_b, g, out=g)
+        vel *= momentum
+        vel += g
+        np.multiply(vel, lr, out=g)
+        p -= g
     return param, velocity
 
 
@@ -105,35 +151,39 @@ def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
     g = grad + weight_decay * param;
     m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
     param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps).
-    ``scratch`` is a two-buffer sequence shaped like ``param``.
+    ``scratch`` is a two-buffer sequence of at least
+    ``min(BLOCK, param.size)`` entries each, of ``param``'s dtype.
     """
-    g, tmp = scratch
-    np.multiply(param, weight_decay, out=g)
-    np.add(grad, g, out=g)
-    m *= beta1
-    np.multiply(g, 1 - beta1, out=tmp)
-    m += tmp
-    v *= beta2
-    np.multiply(g, g, out=tmp)
-    tmp *= 1 - beta2
-    v += tmp
-    update = g  # g is spent; its buffer takes the update
-    np.divide(m, 1 - beta1 ** step, out=update)
-    update *= lr
-    np.divide(v, 1 - beta2 ** step, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += eps
-    update /= tmp
-    param -= update
+    for grad_b, p, m_b, v_b, g, tmp in _blocks(grad, param, m, v,
+                                               scratch=scratch):
+        np.multiply(p, weight_decay, out=g)
+        np.add(grad_b, g, out=g)
+        m_b *= beta1
+        np.multiply(g, 1 - beta1, out=tmp)
+        m_b += tmp
+        v_b *= beta2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1 - beta2
+        v_b += tmp
+        update = g  # g is spent; its buffer takes the update
+        np.divide(m_b, 1 - beta1 ** step, out=update)
+        update *= lr
+        np.divide(v_b, 1 - beta2 ** step, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        update /= tmp
+        p -= update
     return param, m, v
 
 
 class Optimizer:
-    """Steps a flat list of tensors, each with its own moments.
+    """Steps a flat list of C-contiguous tensors of one dtype, each with its
+    own moments.
 
     ``apply`` takes one gradient per tensor, in the same order: an array
     shaped like the tensor, or a scalar such as 0.0 for entries that see no
-    data and take weight decay alone.
+    data and take weight decay alone. Every tensor's step writes its
+    temporaries into the one shared ``scratch`` list.
     """
 
     def __init__(self, params, cfg: OptimizerConfig):
@@ -141,14 +191,19 @@ class Optimizer:
         self.cfg = cfg
         self.step_count = 0
         self.params = list(params)
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"optimizer tensors must share one dtype, got "
+                             f"{sorted(map(str, dtypes))}")
+        size = min(BLOCK, max((p.size for p in self.params), default=0))
+        dtype = dtypes.pop() if dtypes else np.float32
         if cfg.kind == "sgd":
-            self.states = [{"velocity": np.zeros_like(p),
-                            "scratch": [np.empty_like(p)]}
-                           for p in self.params]
+            self.states = [{"velocity": np.zeros_like(p)} for p in self.params]
+            self.scratch = [np.empty(size, dtype)]
         else:
-            self.states = [{"m": np.zeros_like(p), "v": np.zeros_like(p),
-                            "scratch": [np.empty_like(p), np.empty_like(p)]}
+            self.states = [{"m": np.zeros_like(p), "v": np.zeros_like(p)}
                            for p in self.params]
+            self.scratch = [np.empty(size, dtype), np.empty(size, dtype)]
 
     def apply(self, grads, lr: float) -> None:
         self.step_count += 1
@@ -158,12 +213,11 @@ class Optimizer:
             if cfg.kind == "sgd":
                 sgd_step(p, grad, state["velocity"], lr,
                          weight_decay=cfg.weight_decay, momentum=cfg.momentum,
-                         scratch=state["scratch"])
+                         scratch=self.scratch)
             else:
                 adam_step(p, grad, state["m"], state["v"], self.step_count,
                           lr, weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                          beta2=cfg.beta2, eps=cfg.eps,
-                          scratch=state["scratch"])
+                          beta2=cfg.beta2, eps=cfg.eps, scratch=self.scratch)
 
 
 def summarize(cfg: OptimizerConfig, step_count: int) -> dict:

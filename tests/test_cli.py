@@ -650,6 +650,28 @@ class TestFailureModes:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
+    # each of these used to train: Adam to a NaN loss (exit 4), SGD with a
+    # negative momentum to exit 0
+    @pytest.mark.parametrize("optimizer,field,value,rule", [
+        ("adam", "beta1", 1.0, "in [0, 1)"),
+        ("adam", "beta2", 1.0, "in [0, 1)"),
+        ("adam", "eps", 0.0, "> 0"),
+        ("sgd", "momentum", -5.0, "in [0, 1)")],
+        ids=["beta1", "beta2", "eps", "momentum"])
+    def test_optimizer_setting_out_of_range_exit_2(self, tmp_path, capsys,
+                                                   optimizer, field, value,
+                                                   rule):
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run")
+        data = json.loads(cfg.read_text())
+        data["train"].update(optimizer=optimizer, **{field: value})
+        cfg.write_text(json.dumps(data))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"section 'train': {field} must be {rule}, got {value}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     # no array holds 10**400 values; 2**61 samples of 16 values overflow
     # the byte count although each number fits an int64
     @pytest.mark.parametrize("field,value", [

@@ -76,17 +76,17 @@ PINNED = {
         },
         "lenet5": {
             "history.jsonl":
-                "200ea99816a230318747822ca1836fd896b23743e38c87f25b9cc3ac2dc9205f",
+                "a2ec655151292af542f0a5d857bc9c9ebb22c3359644fb3f673a5842ce00ee8f",
             "best/weights.bin":
-                "ea40396d33b5e5f3dca0a7ac4b4d59edfc6dbed7ef21b2aa1ad847078c46af71",
+                "81cb32db9c295e622baeb59a84d0698350f174068cb196a2b323a7a7b42ff1d9",
             "initial/weights.bin":
                 "f28d5510b4a3abe4dd9e65b75a5837bb8468134546f963bf0fb07365cf1b97ab",
             "iterations/iter_01/weights.bin":
-                "8acb66981561810cfc72b11fa0bfb623f1bac3760623fa8f32c273229685736e",
+                "7938b655652f75230b64718e8704848b2981f0b7943ebcc667e522a1fa7a0c5f",
             "iterations/iter_02/weights.bin":
-                "ea40396d33b5e5f3dca0a7ac4b4d59edfc6dbed7ef21b2aa1ad847078c46af71",
+                "81cb32db9c295e622baeb59a84d0698350f174068cb196a2b323a7a7b42ff1d9",
             "model/weights.bin":
-                "0e8d05edfd49c1439a08ec940c57b6d16b1a4f310ac19a4487e8c5608bfc8138",
+                "e4325eafc6ff19c1a3ffb24ad832573005327aaf969d100e7a1e2ccaa5c6bf8f",
         },
     },
     ("scipy-openblas 0.3.31.188.0", "Sandybridge"): {

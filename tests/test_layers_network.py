@@ -158,6 +158,24 @@ class TestMasking:
                         (keep[:, :-1], keep[:, -1])):
             assert m.dtype == bool and m.tobytes() == k.tobytes()
 
+    def test_dense_weight_gradient_masks_only_dropped_entries(self, rng):
+        layer = random_dense(rng, 6, 4, activation="identity")
+        x = rng.standard_normal((9, 6)).astype(np.float32)
+        x[:, 0] = -0.0  # a column of signed-zero products
+        d_out = rng.standard_normal((9, 4)).astype(np.float32)
+        d_out[3, 2] = np.nan
+        raw = d_out.T @ x
+        # every entry kept: dW has the bytes of the product itself
+        _, grads = layer.backward((x, x @ layer.weights.T), d_out)
+        assert grads["weights"].tobytes() == raw.tobytes()
+        # one dropped pair: that entry alone becomes ±0, as the masked
+        # product gives it
+        mask_pairs(layer, 1, [2])
+        _, grads = layer.backward((x, x @ layer.weights.T), d_out)
+        dw = grads["weights"]
+        assert dw[1, 2] == 0 and np.signbit(dw[1, 2]) == np.signbit(raw[1, 2])
+        assert dw.tobytes() == (raw * layer.weight_mask).tobytes()
+
     def test_masked_entries_are_exact_zeros(self, rng):
         layer = random_dense(rng, 10, 6)
         mask_pairs(layer, 3, [1, 4, 7, 10])

@@ -1,11 +1,13 @@
 """Optimizer step math and schedule validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from prune_relief import (ConfigError, LrSpan, Optimizer, OptimizerConfig,
                           adam_step, sgd_step)
-from prune_relief.optimizers import summarize
+from prune_relief.optimizers import BLOCK, summarize
 from tests.conftest import mask_pairs, small_cnn, small_mlp, tensors
 
 
@@ -14,9 +16,9 @@ def arr(*vals):
 
 
 def buffers(p, count):
-    """``count`` scratch buffers shaped like ``p``: one for an SGD step, two
-    for an Adam step."""
-    return [np.empty_like(p) for _ in range(count)]
+    """``count`` scratch buffers of one block of ``p``: one for an SGD step,
+    two for an Adam step."""
+    return [np.empty(min(BLOCK, p.size), p.dtype) for _ in range(count)]
 
 
 class TestSgdStep:
@@ -131,6 +133,26 @@ class TestSchedule:
                               lr_schedule=[LrSpan(1, 1, 1e-3)])
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+class TestSettingRanges:
+    """beta1, beta2 and momentum in [0, 1); eps > 0. Both kinds check all
+    four, whichever the step reads."""
+
+    @pytest.mark.parametrize("field", ["beta1", "beta2", "momentum"])
+    def test_unit_interval_fields(self, field):
+        for ok in (0.0, 0.5, 0.999999):
+            OptimizerConfig(**{field: ok}).validate()
+        for bad in (1.0, 1.5, -1e-9, -5.0):
+            with pytest.raises(ConfigError,
+                               match=rf"^{field} must be in \[0, 1\), got "):
+                OptimizerConfig(**{field: bad}).validate()
+
+    def test_eps(self):
+        OptimizerConfig(eps=1e-30).validate()
+        for bad in (0.0, -0.0, -1e-8):
+            with pytest.raises(ConfigError, match=r"^eps must be > 0, got "):
+                OptimizerConfig(eps=bad).validate()
 
 
 def backward_like_grads(rng, net, signed_zeros=False):
@@ -266,3 +288,80 @@ class TestFusedStepsMatchReference:
             else:
                 assert got["m"].tobytes() == a.tobytes()
                 assert got["v"].tobytes() == b.tobytes()
+
+
+class TestBlockedSteps:
+    """Steps that walk a tensor in blocks of ``BLOCK`` entries give the
+    bytes of the textbook whole-tensor step."""
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_thirty_steps_over_blocks_bytes(self, kind):
+        rng = np.random.default_rng(3)
+        # more than two blocks, the last one partial
+        big = rng.standard_normal((2 * BLOCK // 96 + 5, 96)).astype(np.float32)
+        assert big.size > 2 * BLOCK and big.size % BLOCK
+        # masked entries hold zeros of either sign, as backward leaves them
+        mask = rng.random(big.shape) < 0.7
+        big[~mask] = np.where(rng.random(big.shape) < 0.5, 0.0, -0.0)[~mask]
+        # the packed entries a live subnetwork leaves out: stepped with the
+        # scalar gradient 0.0, so they take weight decay alone
+        outside = rng.standard_normal(BLOCK + 17).astype(np.float32)
+        bias = rng.standard_normal(7).astype(np.float32)
+        params = [big, outside, bias]
+        ref = [p.copy() for p in params]
+        cfg = OptimizerConfig(kind=kind, epochs=1, weight_decay=5e-4,
+                              lr_schedule=[LrSpan(1, 1, 1e-2)])
+        opt = Optimizer(params, cfg)
+        state = [[np.zeros_like(p), np.zeros_like(p)] for p in ref]
+        masks = [mask, None, None]
+        for step in range(1, 31):
+            g_big = rng.standard_normal(big.shape).astype(np.float32)
+            g_big[rng.random(big.shape) < 0.05] = -0.0
+            grads = [g_big * mask, 0.0,
+                     rng.standard_normal(bias.shape).astype(np.float32)]
+            opt.apply(grads, lr=1e-2)
+            for p, g, m, (a, b) in zip(ref, grads, masks, state):
+                if kind == "sgd":
+                    ref_sgd_step(p, g, a, 1e-2, 5e-4, cfg.momentum, mask=m)
+                else:
+                    ref_adam_step(p, g, a, b, step, 1e-2, 5e-4, cfg.beta1,
+                                  cfg.beta2, cfg.eps, mask=m)
+            assert [p.tobytes() for p in params] == \
+                [p.tobytes() for p in ref], step
+        assert np.signbit(big[~mask]).any()
+        for got, (a, b) in zip(opt.states, state, strict=True):
+            if kind == "sgd":
+                assert got["velocity"].tobytes() == a.tobytes()
+            else:
+                assert got["m"].tobytes() == a.tobytes()
+                assert got["v"].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam"])
+    def test_no_scratch_the_size_of_a_parameter(self, kind):
+        big = np.ones(4 * BLOCK + 1, np.float32)
+        small = np.ones(10, np.float32)
+        cfg = OptimizerConfig(kind=kind, weight_decay=1e-4)
+        opt = Optimizer([big, small], cfg)
+        # one shared pair (one buffer for SGD) of one block, and per tensor
+        # only its moments
+        assert [s.size for s in opt.scratch] == [BLOCK] * (1 if kind == "sgd"
+                                                           else 2)
+        names = {"velocity"} if kind == "sgd" else {"m", "v"}
+        assert all(set(st) == names for st in opt.states)
+        assert Optimizer([small], cfg).scratch[0].size == 10
+        grads = [np.full_like(big, 0.5), np.full_like(small, 0.5)]
+        tracemalloc.start()
+        try:
+            opt.apply(grads, lr=1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < big.nbytes // 4
+
+    def test_tensors_it_cannot_step_in_place_rejected(self):
+        cfg = OptimizerConfig()
+        with pytest.raises(ValueError, match="one dtype"):
+            Optimizer([np.zeros(3, np.float32), np.zeros(3)], cfg)
+        w = np.zeros((4, 4), np.float32)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            Optimizer([w.T], cfg).apply([np.ones((4, 4), np.float32)], 1e-3)
