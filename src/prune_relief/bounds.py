@@ -18,16 +18,19 @@ layers). Pruning the last layer degenerates to (1 - alpha) * S(L).
 ``bound_report`` does the pass-start work once: one forward of the pruning
 set keeps the pruned layer's input and the logits, and one scoring of that
 layer gives the masks and the signal totals S(l) that every bound takes. The
-deviations are measured on the same kept input. ``measure_deviation`` runs
-both layers of a pair through their own ``forward``, so the measured layer
-is the one the network evaluates, on float64 copies made once per pair.
+deviations are measured on the same kept input. A layer whose tail is not
+all dense gets no network bound, so its report runs only the layers before
+it, and none for layer 0. ``measure_deviation`` runs both layers of a pair
+through their own ``forward``, so the measured layer is the one the network
+evaluates, on float64 copies made once per pair.
 The copies share the layers' masks as read-only views (``astype``); only
 ``clone``, which the pruned network is made with, copies them.
 
 Both kinds of pair run one chunk of samples at a time, so the measurement
 holds the same memory whatever the pruning-set size: a conv chunk's patch
-columns fit ``tensor_ops.COLUMN_BUDGET``, and so do a dense chunk's input
-rows, z and act(z) of both layers and their difference
+columns, z and act(z) of both layers and their difference fit
+``tensor_ops.COLUMN_BUDGET``, and a dense chunk's input rows, z and act(z)
+of both layers and their difference fit ``tensor_ops.ROW_BUDGET``
 (``tensor_ops.dense_chunks``). Only the per-sample deviations, one float64
 value per sample and target for each of the two fields, grow with the set.
 The chunks give the bytes of the whole set in one product: conv chunks span
@@ -97,7 +100,10 @@ def measure_deviation(before, after, inputs):
         raise EmptyPruningSetError("deviation measurement needs samples")
     if conv:
         co, ho, wo = out_shape
-        column_bytes = before.in_channels * before.kernel_size ** 2 * 8
+        # a column's float64 patch and, per filter, z and act(z) of both
+        # layers and one difference
+        column_bytes = (before.in_channels * before.kernel_size ** 2
+                        + 5 * co) * 8
         chunks = sample_chunks(n, ho * wo, column_bytes)
         shape, deviation = (co, n), _frobenius
     else:
@@ -129,6 +135,11 @@ def _frobenius(a, b):
     return np.sqrt(d.sum(axis=(1, 2)))
 
 
+def _dense_tail(net: Network, layer_index: int) -> bool:
+    """Whether every layer from ``layer_index`` to the output is dense."""
+    return all(isinstance(l, DenseLayer) for l in net.layers[layer_index:])
+
+
 def network_output_bound(net: Network, layer_index: int, alpha: float,
                          s_total, kept_mass=None) -> np.ndarray:
     """Per-logit bound on the mean output change from pruning one dense layer.
@@ -141,7 +152,7 @@ def network_output_bound(net: Network, layer_index: int, alpha: float,
     """
     check_prunable(net, layer_index)
     tail = net.layers[layer_index:]
-    if any(not isinstance(l, DenseLayer) for l in tail):
+    if not _dense_tail(net, layer_index):
         kinds = [l.kind for l in tail]
         raise CapabilityError(
             f"network output bounds need an all-dense tail from the pruned "
@@ -181,8 +192,12 @@ def bound_report(net: Network, layer_index: int, alpha: float,
     """
     batch = _as_input_batch(pruning_set)
     check_prunable(net, layer_index)
-    logits, kept = net.forward(batch, keep=[layer_index])
-    inputs = kept[layer_index]
+    if _dense_tail(net, layer_index):
+        logits, kept = net.forward(batch, keep=[layer_index])
+        inputs = kept[layer_index]
+    else:
+        # no network bound to measure against: run only the layers before
+        inputs = net.layer_input(batch, layer_index)
     before = net.layers[layer_index]
     pruned_net = net.clone()
     scores = score_layer(before, inputs)

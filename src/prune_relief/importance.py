@@ -12,8 +12,8 @@ masks the rest.
 pruning set once, keeping only the inputs of the prunable layers, and scores
 each layer from its kept input, so every layer sees the activations of the
 same pass-start network. Pruning passes and the CLI's report and score
-exports go through it; a bound report's one forward keeps the logits and its
-layer's input.
+exports go through it; a bound report's one forward keeps its layer's input,
+and the logits only when they feed a network bound.
 
 Selection and masking work on a whole layer at once: ``select_kept`` takes
 the layer's (targets, contributors + 1) score matrix and returns a boolean
@@ -46,9 +46,10 @@ own stride and padding):
 where (*) is the layer's convolution applied to the absolute input channel
 with the absolute kernel. Score accumulation runs in float64 regardless of
 the network dtype. The conv numerators take one input channel and one chunk
-of samples at a time, whose columns fit ``tensor_ops.COLUMN_BUDGET``: each
-sample's norms go into one (filters, samples) array and the mean over
-samples is taken once, so the scores are the bytes a whole-set pass gives.
+of samples at a time, whose columns and float64 (filters, columns) maps
+together fit ``tensor_ops.COLUMN_BUDGET``: each sample's norms go into one
+(filters, samples) array and the mean over samples is taken once, so the
+scores are the bytes a whole-set pass gives.
 """
 
 from dataclasses import dataclass
@@ -161,8 +162,9 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     norms = np.empty((co, n), dtype=np.float64)
     # one float64 product per input channel and chunk of samples, over that
     # channel's columns only: the columns of every channel and sample at
-    # once would take 256 MB for LeNet-5's second conv at 1000 samples
-    chunks = sample_chunks(n, ho * wo, r * r * 8)
+    # once would take 256 MB for LeNet-5's second conv at 1000 samples. A
+    # chunk's budget counts its columns and the (Co, columns) maps
+    chunks = sample_chunks(n, ho * wo, (r * r + co) * 8)
     for i in range(ci):
         ki = khat[:, i].reshape(co, -1)
         for s0, s1 in chunks:

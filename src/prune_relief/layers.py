@@ -37,7 +37,9 @@ kernel. With a cache it writes each band's z into one array and keeps it
 with the layer input; ``backward`` lowers that input's whole batch again,
 so only the layer it runs holds whole-batch columns. Without a cache each
 band's activations go into the output, and the forward holds the same
-columns whatever the batch size.
+columns whatever the batch size. Given the ``MaxPool2D`` that follows it,
+a forward without a cache pools each band as soon as it exists and holds
+only the pooled maps, never the conv's whole output.
 """
 
 import copy
@@ -316,31 +318,47 @@ class ConvLayer(_MaskedLayer):
     def fan_out(self) -> int:
         return self.out_channels
 
-    def forward(self, x, with_cache=False):
+    def forward(self, x, with_cache=False, pool=None):
         """Lower one band of output rows at a time, each band's columns
         within ``COLUMN_BUDGET``. With a cache, each band's product goes
         straight into z, kept with the input for ``backward``; without one,
-        each band's activations go into the preallocated output."""
+        each band's activations go into the preallocated output.
+
+        ``pool``, a :class:`MaxPool2D` and only without a cache, gives the
+        pool's output instead: each band's activations are pooled as soon
+        as they exist, by the pool's own forward, so the bytes are those of
+        the two layers run one after the other."""
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer with {self.in_channels} input channels got "
                 f"(C, H, W, N) maps of shape {x.shape}"
             )
+        if with_cache and pool is not None:
+            raise ValueError("a conv forward with a cache cannot pool")
         r, co, n = self.kernel_size, self.out_channels, x.shape[3]
         ho, wo = conv_output_hw(x.shape[1], x.shape[2], r, self.stride, self.padding)
         xp = pad_maps(x, self.padding)
         sh = self.stride[0]
         kernels = self.kernels.reshape(co, -1)
-        # z with a cache, act(z) without one; a band of output rows is a
-        # run of columns of its (co, ho * wo * n) view
-        out = np.empty((co, ho, wo, n), dtype=np.result_type(self.kernels, x))
+        # z with a cache, act(z) without one, or the pooled act(z)
+        shape = (co, ho, wo) if pool is None else pool.output_shape((co, ho, wo))
+        out = np.empty((*shape, n), dtype=np.result_type(self.kernels, x))
+        pooled = None if pool is None else _PooledRows(pool, out)
+        # a band of output rows is a run of columns of the (co, ho * wo * n)
+        # view
+        rows = out.reshape(co, -1)
         for h0, h1 in row_bands(ho, wo, n, self.in_channels * r * r * x.itemsize):
+            band = np.s_[:, h0 * wo * n : h1 * wo * n]
+            # the band's columns are freed once the product is made, before
+            # the next band's are lowered
             cols = im2col(xp[:, h0 * sh : (h1 - 1) * sh + r], r, self.stride, 0)
-            band = out.reshape(co, -1)[:, h0 * wo * n : h1 * wo * n]
-            z = np.matmul(kernels, cols, out=band if with_cache else None)
+            z = np.matmul(kernels, cols, out=rows[band] if with_cache else None)
+            del cols
             z += self.bias[:, None]
-            if not with_cache:
-                band[...] = self.act.f(z)
+            if pooled is not None:
+                pooled.add(self.act.f(z).reshape(co, h1 - h0, wo, n), h0)
+            elif not with_cache:
+                rows[band] = self.act.f(z)
         if with_cache:
             return self.act.f(out), (x, out)
         return out
@@ -463,6 +481,43 @@ class MaxPool2D(_ParameterFree):
         if h < wh or w < ww:
             raise DimensionError(f"pool window {self.window} larger than map {h}x{w}")
         return (c, (h - wh) // self.stride[0] + 1, (w - ww) // self.stride[1] + 1)
+
+
+class _PooledRows:
+    """Max-pools (C, H, W, N) maps that arrive as bands of rows, top to
+    bottom, into the preallocated pooled maps ``out``.
+
+    A band's rows go to ``pool.forward`` with the rows carried over from
+    earlier bands, as soon as they complete one or more windows; the rows a
+    later window still reads, fewer than one window, are carried over to
+    the next band. Rows that no window reads are dropped.
+    """
+
+    def __init__(self, pool, out):
+        self.pool, self.out = pool, out
+        self.done = 0  # pooled rows written
+        self.held = None  # the rows from the next window's first one on
+
+    def add(self, band, h0) -> None:
+        """Take ``band``, the map rows from row ``h0`` on."""
+        wh, sh = self.pool.window[0], self.pool.stride[0]
+        h1 = h0 + band.shape[1]
+        top = self.done * sh
+        # the rows [top, h1): rows above h0 are held only while a window
+        # still reads them, so top >= h0 when nothing is held
+        if self.held is not None:
+            band = np.concatenate((self.held, band), axis=1)
+        else:
+            band = band[:, top - h0 :]
+        stop = min(self.out.shape[1], (h1 - wh) // sh + 1)
+        if stop > self.done:
+            last = (stop - 1) * sh + wh
+            self.out[:, self.done : stop] = self.pool.forward(band[:, : last - top])
+            self.done = stop
+        rest = self.done * sh
+        self.held = None
+        if self.done < self.out.shape[1] and rest < h1:
+            self.held = band[:, rest - top :].copy()
 
 
 class Flatten(_ParameterFree):

@@ -69,22 +69,43 @@ class Network:
         returns ``(logits, inputs)`` where ``inputs`` maps each named index
         to that layer's input, in the layer's layout. The computed values
         are the same either way; every input not named is freed once the
-        next layer has run.
+        next layer has run. A conv layer and the max pool after it run as
+        one step, the pool on each band of the conv's output as it is made
+        (``ConvLayer.forward``), unless ``keep`` names the pool: only then
+        is the conv's whole output held.
         """
         wanted = set() if keep is None else set(keep)
         bad = sorted(wanted - set(range(len(self.layers))))
         if bad:
             raise IndexError(f"no layers {bad} in a network of "
                              f"{len(self.layers)} layers")
-        x = self.first_layer_input(batch)
-        inputs = {}
-        for i, layer in enumerate(self.layers):
-            if i in wanted:
-                inputs[i] = x
-            x = layer.forward(x)
+        x, inputs = self._run(self.first_layer_input(batch), len(self.layers),
+                              wanted)
         if self.layers[-1].kind in SPATIAL_KINDS:
             x = sample_first(x)
         return x if keep is None else (x, inputs)
+
+    def layer_input(self, batch, index: int) -> np.ndarray:
+        """Layer ``index``'s input for the batch, in the layer's layout,
+        from the layers before it alone."""
+        x, _ = self._run(self.first_layer_input(batch), index, set())
+        return x
+
+    def _run(self, x, stop: int, wanted: set):
+        """Run layers [0, stop) on ``x`` in the first layer's layout; return
+        the last output and the inputs of the ``wanted`` layers."""
+        inputs = {}
+        steps = enumerate(self.layers[:stop])
+        for i, layer in steps:
+            if i in wanted:
+                inputs[i] = x
+            if (layer.kind == "conv" and i + 1 < stop and i + 1 not in wanted
+                    and self.layers[i + 1].kind == "maxpool"):
+                # the pool's step runs inside the conv's band loop
+                x = layer.forward(x, pool=next(steps)[1])
+            else:
+                x = layer.forward(x)
+        return x, inputs
 
     def prunable_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in PRUNABLE_KINDS]

@@ -14,7 +14,8 @@ for its weight gradient. Every conv forward, with or without a cache, lowers
 at most :data:`COLUMN_BUDGET` bytes of columns at a time, one band of output
 rows at a time (:func:`row_bands`), so training and inference run the same
 products. Scoring and measurement run in float64 one chunk of samples at a
-time (:func:`sample_chunks`), and on the SkylakeX, Haswell and Sandybridge
+time (:func:`sample_chunks`), each chunk's columns and float64 maps within
+:data:`COLUMN_BUDGET`, and on the SkylakeX, Haswell and Sandybridge
 kernels their chunks give the bytes of one product over the whole set: they
 span whole tiles of :data:`COLUMN_TILE` columns and, at LeNet-5's shapes,
 hundreds of columns or more, and the per-sample reductions run in order.
@@ -63,10 +64,17 @@ def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
 
 
 COLUMN_BUDGET = 4 << 20
-"""Bytes of patch columns that a conv forward, scoring or measurement lowers
-at once. A band holds at least one output row and a chunk at least two samples
-(and one tile of columns), so a layer whose smallest part exceeds the budget
-goes over it."""
+"""Bytes that a conv forward's band or a scoring or measurement chunk holds
+at once. A band counts its patch columns only, of C*r*r entries each; its
+z and activations take C_out entries per column (0.8 times the columns at
+LeNet-5's first conv, 0.1 at its second), and a pooled forward carries
+fewer than one window's rows of them from band to band. A chunk counts its
+patch columns and the float64 maps it makes of them: per filter, one map
+for scoring, and z and act(z) of both layers and their difference for
+measurement (0.8 and 2 times the columns when scoring LeNet-5's two convs,
+4 and 0.5 times when measuring them). A band holds at least one output row
+and a chunk at least two samples (and one tile of columns), so a layer
+whose smallest part exceeds the budget goes over it."""
 
 COLUMN_TILE = 16
 """Every band or chunk but the last spans a multiple of this many columns.
@@ -107,7 +115,8 @@ def row_bands(ho: int, wo: int, n: int, column_bytes: int) -> list[tuple[int, in
 
 def sample_chunks(n: int, positions: int, column_bytes: int) -> list[tuple[int, int]]:
     """Chunks [s0, s1) of ``n`` samples with ``positions`` output positions
-    each whose columns, ``column_bytes`` each, fit :data:`COLUMN_BUDGET`.
+    each that fit :data:`COLUMN_BUDGET` at ``column_bytes`` per column: its
+    patch and what the chunk's products make of it.
 
     Each chunk holds at least two samples when n >= 2: NumPy sums a lone
     sample's (targets, positions, 1) map pairwise along the positions, but a

@@ -281,11 +281,13 @@ class TestBoundReport:
 
     @pytest.mark.parametrize("build,x_shape,layer,forwards", [
         (lambda rng: small_mlp(rng, (6, 5, 4, 3)), (10, 6), 1, 2),
-        (lambda rng: small_cnn(rng), (4, 2, 6, 6), 0, 1)])
+        (lambda rng: small_cnn(rng), (4, 2, 6, 6), 0, 0)])
     def test_pass_start_work_runs_once(self, rng, monkeypatch, build, x_shape,
                                        layer, forwards):
-        # one forward and one scoring of the pruned layer; an all-dense
-        # tail adds the pruned copy's forward for the logits
+        # one scoring of the pruned layer; an all-dense tail adds one
+        # forward that keeps the logits and the pruned copy's forward,
+        # while any other layer reads its input from the layers before it
+        # alone (none for layer 0), with no whole-network forward
         net = build(rng)
         x = rng.standard_normal(x_shape).astype(F32)
         calls = count_forwards_and_scores(monkeypatch)

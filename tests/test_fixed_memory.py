@@ -4,9 +4,10 @@ Every conv forward lowers one band of output rows at a time, and conv
 scoring and conv deviation measurement one chunk of samples at a time, so
 their column memory stays within ``tensor_ops.COLUMN_BUDGET`` whatever the
 batch or pruning-set size; a training step's backward lowers one layer's
-whole batch at a time. Dense deviation measurement runs one chunk of
-samples at a time within ``tensor_ops.ROW_BUDGET``. Results are compared
-with ``.tobytes()``. The forward with a cache and the one without share one
+whole batch at a time. A forward without a cache pools each band of a
+conv that a max pool follows as soon as the band is made. Dense deviation
+measurement runs one chunk of samples at a time within
+``tensor_ops.ROW_BUDGET``. Results are compared with ``.tobytes()``. The forward with a cache and the one without share one
 band plan, so they run the same products and ``TestSameBytes`` holds for
 them on every BLAS kernel. The references for scoring and deviation
 measurement are copies of the whole-set computations: their equality rests
@@ -16,7 +17,8 @@ Sandybridge kernels do in float64 for parts that span whole tiles (16
 columns, 24 dense rows) and are not small. Under the shipped budget the
 forward bands from N = 193 up on LeNet-5's layers and at N = 1000 on the
 strided one; a 256 KiB budget makes each layer band or chunk at more of the
-sizes.
+sizes, and a budget of one byte bands every forward as finely as whole
+column tiles allow, one row at a time wherever that is one tile.
 """
 
 import os
@@ -26,8 +28,8 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConvLayer, DenseLayer, Flatten, ImportanceScores,
-                          Network, build_network, export_importance_csv,
-                          init_params)
+                          MaxPool2D, Network, build_network,
+                          export_importance_csv, init_params)
 from prune_relief import tensor_ops
 from prune_relief.bounds import bound_report, measure_deviation
 from prune_relief.importance import (_normalize, conv_importance,
@@ -172,6 +174,24 @@ def budget(request, monkeypatch):
         monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
 
 
+@pytest.fixture(params=["shipped", "256KiB", "one-row"])
+def band_budget(request, monkeypatch):
+    """The column budgets of ``budget``, and one under which every conv
+    forward bands one output row at a time, or the fewest rows that span
+    whole column tiles."""
+    if request.param == "256KiB":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
+    elif request.param == "one-row":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1)
+
+
+# (window, stride) of a max pool after the conv: adjacent, overlapping,
+# gapped and one-element windows; with the convs' 24-, 8- and 7-row outputs
+# some leave their last rows unread
+POOLS = {"no_pool": None, "pool2s2": (2, 2), "pool3s2": (3, 2),
+         "pool2s3": (2, 3), "pool1s1": (1, 1)}
+
+
 @pytest.fixture(params=["shipped", "256KiB"])
 def row_budget(request, monkeypatch):
     """The shipped dense row budget, and a smaller one under which every
@@ -206,13 +226,24 @@ class TestEqualParts:
 
 
 class TestSameBytes:
+    @pytest.mark.parametrize("pool", list(POOLS))
     @pytest.mark.parametrize("name", list(CONVS))
     @pytest.mark.parametrize("n", SIZES)
-    def test_inference_forward_matches_cached_forward(self, budget, name, n):
+    def test_inference_forward_matches_cached_forward(self, band_budget, name,
+                                                      n, pool):
+        """The forward without a cache, alone or pooling each band as it is
+        made, gives the bytes of the cached forward and, after it, the
+        pool's own forward over the whole maps."""
         layer = make_conv(name)
         x = make_maps(name, n)
         cached, _ = layer.forward(x, with_cache=True)
-        blocked = layer.forward(x)
+        if POOLS[pool] is None:
+            blocked = layer.forward(x)
+        else:
+            window, stride = POOLS[pool]
+            pool_layer = MaxPool2D((window, window), (stride, stride))
+            cached = pool_layer.forward(cached)
+            blocked = layer.forward(x, pool=pool_layer)
         assert blocked.shape == cached.shape and blocked.dtype == cached.dtype
         assert blocked.tobytes() == cached.tobytes()
 
@@ -253,10 +284,19 @@ class TestSameBytes:
         net = init_params(build_network("lenet5", (1, 28, 28), 10), 3)
         batch = np.random.default_rng(4).random((n, 1, 28, 28),
                                                 dtype=np.float32)
+        # each conv and its pool run as one step, unless the pool's input
+        # is kept: then the conv's whole output is held and returned
         a = net.first_layer_input(batch)
-        for layer in net.layers:
+        cached = []
+        for i, layer in enumerate(net.layers):
+            cached.append(a)
+            assert net.layer_input(batch, i).tobytes() == a.tobytes(), i
             a, _ = layer.forward(a, with_cache=True)
         assert net.forward(batch).tobytes() == a.tobytes()
+        logits, kept = net.forward(batch, keep=[1, 2])
+        assert logits.tobytes() == a.tobytes()
+        for i in (1, 2):
+            assert kept[i].tobytes() == cached[i].tobytes(), i
 
 
 def traced_peak_mb(fn):
@@ -272,8 +312,14 @@ class TestMemoryBounds:
     """LeNet-5 at the paper's 1000 pruning samples. Lowering whole batches
     took ~500 MB for the report and ~210 MB for the forward; keeping every
     layer's input for scoring, ~107 MB for the report and for scoring. What
-    scoring keeps now, the inputs of layers 0, 2, 5 and 6, is ~20 MB; the
-    rest of the peak is the forward's own, at the first pool layer."""
+    scoring keeps now, the inputs of layers 0, 2, 5 and 6, is ~20 MB.
+    Holding the first conv's whole 46 MB output while its pool ran, the
+    forward peaked at 72 MB and scoring and a conv-0 report at 75 MB.
+    Pooling each band as it is made, the forward peaks at ~36 MB, at the
+    second conv's one-row band of columns (16 MB) beside its 11.5 MB
+    input, and scoring at ~39 MB. A conv layer's report runs only the
+    layers before it and chunks its deviations by all they hold: ~12 MB at
+    conv 0, ~25 MB at conv 2."""
 
     @pytest.fixture(scope="class")
     def lenet5(self):
@@ -284,15 +330,19 @@ class TestMemoryBounds:
 
     def test_conv0_bound_report(self, lenet5):
         net, batch = lenet5
-        assert traced_peak_mb(lambda: bound_report(net, 0, 0.9, batch)) < 95
+        assert traced_peak_mb(lambda: bound_report(net, 0, 0.9, batch)) < 16
+
+    def test_conv2_bound_report(self, lenet5):
+        net, batch = lenet5
+        assert traced_peak_mb(lambda: bound_report(net, 2, 0.9, batch)) < 30
 
     def test_score_network(self, lenet5):
         net, batch = lenet5
-        assert traced_peak_mb(lambda: score_network(net, batch)) < 95
+        assert traced_peak_mb(lambda: score_network(net, batch)) < 48
 
     def test_network_forward(self, lenet5):
         net, batch = lenet5
-        assert traced_peak_mb(lambda: net.forward(batch)) < 130
+        assert traced_peak_mb(lambda: net.forward(batch)) < 45
 
     def test_training_step(self, lenet5):
         """A batch-128 step caches each conv layer's input and z, and its
@@ -405,7 +455,6 @@ def test_max_pool_inference_keeps_no_argmax():
     """Without a cache the pool builds only its output, one mask of hits
     and one bit buffer: 2.25 outputs. Recording the argmax and allocating
     each tap's temporaries took 3.5."""
-    from prune_relief import MaxPool2D
     x = np.maximum(np.random.default_rng(7).standard_normal(
         (20, 24, 24, 200), dtype=np.float32), 0)
     pool = MaxPool2D((2, 2))
