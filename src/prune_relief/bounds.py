@@ -61,8 +61,8 @@ def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
 
 def _pre_and_post(layer, x):
     """z and act(z) of ``layer`` on ``x``."""
-    y, cache = layer.forward(x, with_cache=True)
-    return cache[-1], y
+    y, (_, z) = layer.forward(x, with_cache=True)
+    return z, y
 
 
 def measure_deviation(before, after, inputs):

@@ -14,7 +14,9 @@ dropped pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
 what ``backward`` needs; for dense and conv layers it is ``(x, z)``, the
-input and the pre-activation z, which deviation measurement reads.
+input and the pre-activation z, which deviation measurement reads. A conv
+that trains as one step with the max pool after it keeps None for z, and
+that pool's backward gives its dz (``training.forward_backward``).
 ``backward(cache, d_out)`` returns ``(d_input, param_grads)``; dense and
 conv layers take ``input_grad=False`` to skip the input gradient and return
 None in its place.
@@ -34,12 +36,15 @@ Column memory: a conv forward lowers one band of output rows at a time
 within ``tensor_ops.COLUMN_BUDGET``, with or without a cache, so training
 and inference run the same products and give the same bytes on any BLAS
 kernel. With a cache it writes each band's z into one array and keeps it
-with the layer input; ``backward`` lowers that input's whole batch again,
-so only the layer it runs holds whole-batch columns. Without a cache each
-band's activations go into the output, and the forward holds the same
-columns whatever the batch size. Given the ``MaxPool2D`` that follows it,
-a forward without a cache pools each band as soon as it exists and holds
-only the pooled maps, never the conv's whole output.
+with the layer input, or, for a conv that trains with its pool, overwrites
+it with act(z) and keeps only the input; ``backward`` lowers that input's
+whole batch again, so only the layer it runs holds whole-batch columns.
+Without a cache each band's activations go into the output, and the
+forward holds the same columns whatever the batch size. Given the
+``MaxPool2D`` that follows it, a forward without a cache pools each band
+as soon as it exists and holds only the pooled maps, never the conv's whole
+output; for ReLU and the identity it pools the bands' products and adds the
+bias and applies the activation on the pooled maps alone.
 """
 
 import copy
@@ -318,16 +323,24 @@ class ConvLayer(_MaskedLayer):
     def fan_out(self) -> int:
         return self.out_channels
 
-    def forward(self, x, with_cache=False, pool=None):
+    def forward(self, x, with_cache=False, pool=None, keep_z=True):
         """Lower one band of output rows at a time, each band's columns
         within ``COLUMN_BUDGET``. With a cache, each band's product goes
         straight into z, kept with the input for ``backward``; without one,
         each band's activations go into the preallocated output.
 
+        ``keep_z=False``, with a cache, is for a conv that trains as one
+        step with the max pool after it (``training.forward_backward``):
+        the activation then overwrites z, and the cache holds None for z.
+
         ``pool``, a :class:`MaxPool2D` and only without a cache, gives the
         pool's output instead: each band's activations are pooled as soon
         as they exist, by the pool's own forward, so the bytes are those of
-        the two layers run one after the other."""
+        the two layers run one after the other. For an activation that
+        ``pools_first`` (ReLU, identity) the bands' products are pooled
+        before the bias and the activation, which then run once, on the
+        pooled maps: adding the bias with rounding and the activation are
+        both monotone, so max commutes with them, bit for bit."""
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer with {self.in_channels} input channels got "
@@ -340,10 +353,11 @@ class ConvLayer(_MaskedLayer):
         xp = pad_maps(x, self.padding)
         sh = self.stride[0]
         kernels = self.kernels.reshape(co, -1)
-        # z with a cache, act(z) without one, or the pooled act(z)
+        # z with a cache, act(z) without one, or the pooled maps
         shape = (co, ho, wo) if pool is None else pool.output_shape((co, ho, wo))
         out = np.empty((*shape, n), dtype=np.result_type(self.kernels, x))
         pooled = None if pool is None else _PooledRows(pool, out)
+        pool_first = pooled is not None and self.act.pools_first
         # a band of output rows is a run of columns of the (co, ho * wo * n)
         # view
         rows = out.reshape(co, -1)
@@ -354,18 +368,29 @@ class ConvLayer(_MaskedLayer):
             cols = im2col(xp[:, h0 * sh : (h1 - 1) * sh + r], r, self.stride, 0)
             z = np.matmul(kernels, cols, out=rows[band] if with_cache else None)
             del cols
+            if pool_first:
+                pooled.add(z.reshape(co, h1 - h0, wo, n), h0)
+                continue
             z += self.bias[:, None]
             if pooled is not None:
                 pooled.add(self.act.f(z).reshape(co, h1 - h0, wo, n), h0)
             elif not with_cache:
                 rows[band] = self.act.f(z)
+        if pool_first:
+            out += self.bias[:, None, None, None]
+            return self.act.f(out, out=out)
         if with_cache:
-            return self.act.f(out), (x, out)
+            if keep_z:
+                return self.act.f(out), (x, out)
+            return self.act.f(out, out=out), (x, None)
         return out
 
     def backward(self, cache, d_out, input_grad=True):
+        """A cache without z (``forward(keep_z=False)``) takes ``d_out`` as
+        dz, which the backward of the max pool after the conv made."""
         x, z = cache
-        dz = (d_out * self.act.df(z)).reshape(self.out_channels, -1)
+        dz = d_out if z is None else d_out * self.act.df(z)
+        dz = dz.reshape(self.out_channels, -1)
         # both products contract over every sample and output position; the
         # input's whole-batch columns go in untransposed and are freed
         # before dcols is built. cols @ dz.T is dk transposed; OpenBLAS runs
@@ -374,7 +399,10 @@ class ConvLayer(_MaskedLayer):
         cols = im2col(x, self.kernel_size, self.stride, self.padding)
         dk = (cols @ dz.T).T.reshape(self.kernels.shape)
         del cols
-        dk *= self.param_masks()["kernels"]
+        # as in DenseLayer.backward, only a mask that drops a kernel
+        # changes dk
+        if not self.kernel_mask.all():
+            dk *= self.param_masks()["kernels"]
         db = dz.sum(axis=1) * self.bias_mask
         if not input_grad:
             return None, {"kernels": dk, "bias": db}
@@ -418,6 +446,12 @@ class MaxPool2D(_ParameterFree):
             stride = self.window
         self.stride, _ = check_stride_padding(stride, (0, 0))
 
+    @property
+    def tiles(self) -> bool:
+        """No two windows overlap: the stride is at least the window on
+        both axes."""
+        return all(s >= w for s, w in zip(self.stride, self.window))
+
     def _taps(self, ho, wo):
         """Yield (k, rows, cols): tap k = q * ww + t and the slices of axes 1
         and 2 picking element (q, t) of every window."""
@@ -456,16 +490,48 @@ class MaxPool2D(_ParameterFree):
                 # is where(hit, k, arg)
                 np.maximum(arg, hit * arg.dtype.type(k), out=arg)
         if with_cache:
-            return y, (x.shape, arg)
+            return y, (x.shape, arg, y)
         return y
 
-    def backward(self, cache, d_out):
-        x_shape, arg = cache
+    def backward(self, cache, d_out, act=None):
+        """Route each window's gradient to the input element it picked,
+        +0.0 to every other element.
+
+        Where windows overlap, an input element adds up the gradients of
+        its windows onto 0.0. Where they do not (``tiles``), it gets
+        ``0 + g`` of its one window, made once per window and written in
+        place. ``act``, the activation of the conv before a pool that
+        tiles, makes the result that conv's dz: each window's ``0 + g`` is
+        multiplied by the derivative at its max, ``act.dfy`` of the pooled
+        output, before it is routed. That gives the bytes of multiplying the
+        routed gradient by ``act.df(z)`` over the conv's whole map wherever
+        z is not NaN: +0.0 times the derivative at any other z is +0.0."""
+        x_shape, arg, y = cache
+        ho, wo = arg.shape[1:3]
+        if self.tiles:
+            g = 0 + d_out
+            if act is not None:
+                g = g * act.dfy(y)
+            # windows that cover the map leave no element to zero
+            covered = self.stride == self.window and \
+                (ho * self.stride[0], wo * self.stride[1]) == x_shape[1:3]
+            dx = (np.empty if covered else np.zeros)(x_shape, dtype=g.dtype)
+            g_bits, dx_bits = _bits(g), _bits(dx)
+            hit = np.empty(arg.shape, dtype=bool)
+            for k, rows, cols in self._taps(ho, wo):
+                # g's bits where the window picked tap k, else +0.0, as the
+                # forward selects: multiplied by the hit, without a branch
+                np.multiply(g_bits, np.equal(arg, k, out=hit),
+                            out=dx_bits[:, rows, cols])
+            return dx, {}
+        if act is not None:
+            raise ValueError("only a pool whose windows do not overlap can "
+                             "give the conv's dz")
         dx = np.zeros(x_shape, dtype=d_out.dtype)
         g_bits = _bits(d_out)
-        # taps in reverse: where windows overlap, an input element then
-        # receives its gradients in the row-major order of the windows
-        for k, rows, cols in reversed(list(self._taps(*arg.shape[1:3]))):
+        # taps in reverse: an input element then receives its gradients in
+        # the row-major order of the windows
+        for k, rows, cols in reversed(list(self._taps(ho, wo))):
             routed = g_bits & _ones_where(arg == k, g_bits.dtype)  # else +0.0
             dx[:, rows, cols] += routed.view(d_out.dtype)
         return dx, {}

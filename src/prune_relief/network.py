@@ -99,13 +99,22 @@ class Network:
         for i, layer in steps:
             if i in wanted:
                 inputs[i] = x
-            if (layer.kind == "conv" and i + 1 < stop and i + 1 not in wanted
-                    and self.layers[i + 1].kind == "maxpool"):
+            if (i + 1 < stop and i + 1 not in wanted
+                    and self.pool_after(i) is not None):
                 # the pool's step runs inside the conv's band loop
                 x = layer.forward(x, pool=next(steps)[1])
             else:
                 x = layer.forward(x)
         return x, inputs
+
+    def pool_after(self, index: int):
+        """The max pool right after layer ``index`` when that layer is a
+        conv, else None: ``forward`` and training run such a pair as one
+        step."""
+        if (self.layers[index].kind == "conv" and index + 1 < len(self.layers)
+                and self.layers[index + 1].kind == "maxpool"):
+            return self.layers[index + 1]
+        return None
 
     def prunable_indices(self) -> list[int]:
         return [i for i, l in enumerate(self.layers) if l.kind in PRUNABLE_KINDS]

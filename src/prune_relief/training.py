@@ -61,18 +61,38 @@ def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
     The backward pass stops at the first layer with parameters: it builds
     only its parameter gradients, since no one reads the gradient of the
     input batch, and the layers before it get ``{}``.
+
+    A conv and the max pool after it (``Network.pool_after``) train as one
+    step when the pool's windows do not overlap and the conv's activation
+    has a derivative in terms of its output (``Activation.dfy``). The conv
+    then keeps no z, and the pool's backward gives the conv's dz, with the
+    derivative taken at the pooled output: the full-size ``act.df(z)``,
+    the product with it and the pool's accumulation into its input
+    gradient are not made. Each layer still runs its own ``forward`` and
+    ``backward``, and the step gives the bytes of the unpaired one wherever
+    z is not NaN (``MaxPool2D.backward``).
     """
     a = net.first_layer_input(x)
+    paired = {i for i, layer in enumerate(net.layers)
+              if (pool := net.pool_after(i)) is not None and pool.tiles
+              and layer.act.dfy is not None}
     caches = []
-    for layer in net.layers:
-        a, cache = layer.forward(a, with_cache=True)
+    for i, layer in enumerate(net.layers):
+        if i in paired:
+            a, cache = layer.forward(a, with_cache=True, keep_z=False)
+        else:
+            a, cache = layer.forward(a, with_cache=True)
         caches.append(cache)
     loss, d = softmax_cross_entropy(a, labels)
     correct = int(np.sum(a.argmax(axis=1) == labels))
     first = next(i for i, layer in enumerate(net.layers) if layer.params())
     grads = [{} for _ in net.layers]
     for i in range(len(net.layers) - 1, first, -1):
-        d, grads[i] = net.layers[i].backward(caches[i], d)
+        if i - 1 in paired:
+            d, grads[i] = net.layers[i].backward(caches[i], d,
+                                                 act=net.layers[i - 1].act)
+        else:
+            d, grads[i] = net.layers[i].backward(caches[i], d)
     _, grads[first] = net.layers[first].backward(caches[first], d,
                                                  input_grad=False)
     return loss, grads, correct

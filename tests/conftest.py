@@ -18,7 +18,7 @@ import pytest  # noqa: E402
 
 from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
                           bounds, importance, score_network, select_kept,
-                          softmax_cross_entropy)
+                          softmax_cross_entropy, tensor_ops)
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -172,3 +172,14 @@ def count_forwards_and_scores(monkeypatch) -> dict:
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture(params=["shipped", "256KiB", "one-row"])
+def band_budget(request, monkeypatch):
+    """The shipped column budget, a 256 KiB one, and one under which every
+    conv forward bands one output row at a time, or the fewest rows that
+    span whole column tiles."""
+    if request.param == "256KiB":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
+    elif request.param == "one-row":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1)

@@ -1,5 +1,7 @@
 """Deviation bounds: hand equalities, validation, and random satisfaction."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           Network, bound_report, measure_deviation,
                           network_output_bound,
                           sample_last, score_layer)
+from prune_relief.activations import get_activation
+from prune_relief.bounds import _pre_and_post
 from tests.conftest import (count_forwards_and_scores, prune_one_layer,
-                            random_dense, small_cnn, small_mlp)
+                            random_conv, random_dense, small_cnn, small_mlp)
 
 F32 = np.float32
 
@@ -133,6 +137,21 @@ class TestMeasurement:
         with pytest.raises(DimensionError):
             measure_deviation(Flatten(), Flatten(), rng.standard_normal((2, 6)))
 
+
+    def test_pre_activation_is_the_layers_own_product(self, rng):
+        dense = random_dense(rng, 6, 4)
+        x = rng.standard_normal((5, 6)).astype(F32)
+        z, y = _pre_and_post(dense, x)
+        assert z.tobytes() == (x @ dense.weights.T + dense.bias).tobytes()
+        assert y.tobytes() == dense.forward(x).tobytes()
+        conv = random_conv(rng, 2, 3, 3)
+        maps = rng.standard_normal((2, 7, 7, 4)).astype(F32)
+        z, y = _pre_and_post(conv, maps)
+        # the same layer with the identity activation outputs its z
+        linear = copy.copy(conv)
+        linear.act = get_activation("identity")
+        assert z.tobytes() == linear.forward(maps).tobytes()
+        assert y.tobytes() == conv.forward(maps).tobytes()
 
 ALPHAS = (0.5, 0.7, 0.9, 0.95, 1.0)
 ACTS = ("relu", "elu", "sigmoid", "tanh", "identity")

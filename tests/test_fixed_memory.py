@@ -174,17 +174,6 @@ def budget(request, monkeypatch):
         monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
 
 
-@pytest.fixture(params=["shipped", "256KiB", "one-row"])
-def band_budget(request, monkeypatch):
-    """The column budgets of ``budget``, and one under which every conv
-    forward bands one output row at a time, or the fewest rows that span
-    whole column tiles."""
-    if request.param == "256KiB":
-        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
-    elif request.param == "one-row":
-        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1)
-
-
 # (window, stride) of a max pool after the conv: adjacent, overlapping,
 # gapped and one-element windows; with the convs' 24-, 8- and 7-row outputs
 # some leave their last rows unread

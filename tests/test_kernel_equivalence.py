@@ -7,15 +7,22 @@ over each window, ``np.add.at`` for the gradient) bit for bit, signed zeros
 included, and so must ``col2im``, which adds the same taps in the same order.
 The convolution's products accumulate in another order than any reference,
 so its forward and backward passes are compared with a float64 per-sample
-oracle to a tolerance set from float32 rounding.
+oracle to a tolerance set from float32 rounding. A conv and the max pool
+after it, which training and inference run as one step, are compared with
+the two layers run one after the other, bit for bit.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from prune_relief import ConvLayer, MaxPool2D, im2col, sample_first, sample_last
+from prune_relief import (ACTIVATIONS, ConvLayer, Flatten, MaxPool2D, Network,
+                          im2col, sample_first, sample_last, training)
 from prune_relief.tensor_ops import check_stride_padding, col2im, conv_output_hw
-from tests.conftest import mask_pairs
+from tests.conftest import mask_pairs, random_conv
 
 
 def ref_pool_forward(x, window, stride):
@@ -152,14 +159,18 @@ class TestMaxPoolMatchesArgmax:
         assert y.tobytes() == np.float32(-0.0).tobytes()
         np.testing.assert_array_equal(dx[0, 0], [[2.0, 0.0], [0.0, 0.0]])
 
-    def test_non_finite_gradient_reaches_only_the_max(self, rng):
+    @pytest.mark.parametrize("window,stride", [((3, 3), (2, 2)),
+                                               ((2, 2), (2, 2))])
+    def test_non_finite_gradient_reaches_only_the_max(self, rng, window,
+                                                      stride):
         x = relu_maps(rng, (2, 2, 9, 9))
-        y_ref, arg_ref = ref_pool_forward(x, (3, 3), (2, 2))
+        y_ref, arg_ref = ref_pool_forward(x, window, stride)
         d_out = rng.standard_normal(y_ref.shape).astype(np.float32)
         d_out[0, 0, 1, 1] = np.inf
         d_out[1, 1, 2, 0] = -np.inf
-        _, dx = pool_nchw(MaxPool2D((3, 3), (2, 2)), x, d_out)
-        same_bytes(dx, ref_pool_backward(x.shape, arg_ref, d_out, (3, 3), (2, 2)))
+        _, dx = pool_nchw(MaxPool2D(window, stride), x, d_out)
+        same_bytes(dx, ref_pool_backward(x.shape, arg_ref, d_out, window,
+                                         stride))
         assert not np.isnan(dx).any()
 
     def test_float64_maps(self, rng):
@@ -227,3 +238,106 @@ class TestConvBackwardMatchesPerSample:
         lhs = float(np.sum(cols * c))
         rhs = float(np.sum(x * col2im(c, x.shape, r, stride, padding)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# (window, stride) of the pool after a conv: windows that tile the map, that
+# leave gaps, one-element windows, and overlapping ones, which train unpaired
+PAIR_POOLS = [((2, 2), (2, 2)), ((2, 2), (3, 3)), ((1, 1), (1, 1)),
+              ((3, 3), (2, 2))]
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+
+
+@st.composite
+def conv_pool_stacks(draw):
+    """A network of one or two conv -> max pool stages and a Flatten, whose
+    flattened pooled maps are the logits, with masked kernel pairs and
+    possibly an all-masked filter, and its input batch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    activation = draw(st.sampled_from(sorted(ACTIVATIONS)))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(3, 12)),
+             draw(st.integers(3, 12)))
+    layers, cur = [], shape
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 3))
+        assume(cur[1] >= k and cur[2] >= k)
+        conv = random_conv(rng, cur[0], draw(st.integers(1, 3)), k,
+                           activation)
+        keep = rng.random((conv.fan_out, conv.fan_in + 1)) < 0.7
+        if draw(st.booleans()):
+            keep[rng.integers(conv.fan_out)] = False  # an all-masked filter
+        conv.apply_mask(keep)
+        pool = MaxPool2D(*draw(st.sampled_from(PAIR_POOLS)))
+        cur = conv.output_shape(cur)
+        assume(cur[1] >= pool.window[0] and cur[2] >= pool.window[1])
+        cur = pool.output_shape(cur)
+        layers += [conv, pool]
+    net = Network(layers + [Flatten()], shape, int(np.prod(cur)))
+    n = draw(st.sampled_from([1, 7, 193, 257]))
+    x = signed_zeros(rng, rng.standard_normal((n, *shape)), 0.1)
+    return net, x.astype(np.float32), rng
+
+
+def unpaired_step(net, x, labels, d):
+    """Loss and gradients with every layer's own forward and backward run
+    alone, and ``d`` as the gradient of the logits."""
+    a = net.first_layer_input(x)
+    caches = []
+    for layer in net.layers:
+        a, cache = layer.forward(a, with_cache=True)
+        caches.append(cache)
+    loss, _ = training.softmax_cross_entropy(a, labels)
+    grads = [{} for _ in net.layers]
+    for i in range(len(net.layers) - 1, 0, -1):
+        d, grads[i] = net.layers[i].backward(caches[i], d)
+    _, grads[0] = net.layers[0].backward(caches[0], d, input_grad=False)
+    return loss, grads
+
+
+class TestConvPoolPairs:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(stack=conv_pool_stacks())
+    def test_pair_gives_the_bytes_of_its_layers(self, band_budget, stack):
+        net, x, rng = stack
+        n = x.shape[0]
+        labels = rng.integers(0, net.classes, n)
+        # a gradient of the logits with signed zeros, infinities and NaN
+        d = rng.standard_normal((n, net.classes)).astype(np.float32)
+        hit = rng.random(d.shape) < 0.3
+        d[hit] = rng.choice(SPECIALS, int(hit.sum()))
+        loss_of = training.softmax_cross_entropy
+
+        def loss_and_d(logits, labels):
+            return loss_of(logits, labels)[0], d
+
+        # the special values make inf - inf and 0 * inf on the way back
+        with np.errstate(invalid="ignore"):
+            want_loss, want = unpaired_step(net, x, labels, d)
+            with mock.patch.object(training, "softmax_cross_entropy",
+                                   loss_and_d):
+                loss, grads, _ = training.forward_backward(net, x, labels)
+        assert loss == want_loss or np.isnan(loss) and np.isnan(want_loss)
+        for got, ref in zip(grads, want):
+            assert got.keys() == ref.keys()
+            for name in got:
+                same_bytes(got[name], ref[name])
+
+        a = net.first_layer_input(x)
+        for layer in net.layers:
+            a = layer.forward(a)
+        same_bytes(net.forward(x), a)
+
+        # the first pair's own dz, before the products sum it: the pool's
+        # backward given the activation, against routing first and
+        # multiplying by act.df(z) over the whole map
+        conv, pool = net.layers[:2]
+        if pool.tiles and conv.act.dfy is not None:
+            y, (_, z) = conv.forward(net.first_layer_input(x),
+                                     with_cache=True)
+            pooled, cache = pool.forward(y, with_cache=True)
+            g = rng.choice(SPECIALS, pooled.shape)
+            finite = rng.random(g.shape) < 0.5
+            g[finite] = rng.standard_normal(int(finite.sum()))
+            with np.errstate(invalid="ignore"):
+                want_dz = pool.backward(cache, g)[0] * conv.act.df(z)
+                same_bytes(pool.backward(cache, g, act=conv.act)[0], want_dz)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prune_relief import (ConfigError, ConvLayer, DenseLayer, DimensionError,
-                          Flatten, MaxPool2D, Network, build_network,
+                          Flatten, MaxPool2D, Network, build_network, im2col,
                           init_params, load_model, sample_first, sample_last,
                           save_model)
 from tests.conftest import (mask_pairs, random_conv, random_dense, small_cnn,
@@ -175,6 +175,35 @@ class TestMasking:
         dw = grads["weights"]
         assert dw[1, 2] == 0 and np.signbit(dw[1, 2]) == np.signbit(raw[1, 2])
         assert dw.tobytes() == (raw * layer.weight_mask).tobytes()
+
+    def test_conv_kernel_gradient_masks_only_dropped_pairs(self, rng):
+        layer = random_conv(rng, 2, 3, 2, activation="identity")
+        x = rng.standard_normal((2, 5, 5, 4)).astype(np.float32)
+        x[1] = -0.0  # an input channel of signed-zero products
+        d_out = rng.standard_normal((3, 4, 4, 4)).astype(np.float32)
+        d_out[2, 1, 1, 0] = np.nan  # every tap of filter 2 reads it
+        cols = im2col(x, 2, (1, 1), (0, 0))
+        raw = (cols @ d_out.reshape(3, -1).T).T.reshape(layer.kernels.shape)
+        assert np.isnan(raw[2]).all()
+        # every pair kept: dK has the bytes of the product itself. The
+        # product's sums give +0.0 for signed-zero products, so the rule
+        # that the skipped multiply relied on is checked on its own too:
+        # x * True is x, NaN and -0.0 included
+        _, grads = layer.backward(layer.forward(x, with_cache=True)[1], d_out)
+        assert grads["kernels"].tobytes() == raw.tobytes()
+        special = np.array([np.nan, -0.0, -np.inf, 1.5], np.float32)
+        assert (special * np.ones(4, bool)).tobytes() == special.tobytes()
+        # one dropped pair: its kernel's taps alone become ±0, the sign of
+        # the product's
+        mask_pairs(layer, 0, [0])
+        _, grads = layer.backward(layer.forward(x, with_cache=True)[1], d_out)
+        dk = grads["kernels"]
+        assert not dk[0, 0].any()
+        np.testing.assert_array_equal(np.signbit(dk[0, 0]),
+                                      np.signbit(raw[0, 0]))
+        kept = np.ones(dk.shape, dtype=bool)
+        kept[0, 0] = False
+        assert dk[kept].tobytes() == raw[kept].tobytes()
 
     def test_masked_entries_are_exact_zeros(self, rng):
         layer = random_dense(rng, 10, 6)
