@@ -4,10 +4,11 @@ a launcher that never imports NumPy.
     python3 bench/peak_rss.py --tree parent=PATH --tree change=. \\
         [--workload prune_sweep ...] [--seed 1] [--repeats 3] [--out PATH]
 
-Each ``--tree LABEL=PATH`` names a repository checkout; its ``src`` is what
-the commands import. For every workload of ``perfbench/workloads.py`` (all
-three by default) the script writes the workload's seeded IDX files once,
-in a child process that imports ``perfbench/idxgen.py``, and then runs
+Each ``--tree LABEL=PATH`` names a repository checkout; its ``src``, copied
+into the work directory, is what the commands import. For every workload of
+``perfbench/workloads.py`` (all three by default) the script writes the
+workload's seeded IDX files once, in a child process that imports
+``perfbench/idxgen.py``, and then runs
 ``train -> prune -> report -> scores -> bounds -> eval`` once per tree per
 repeat, alternating which tree goes first. Each command is its own process,
 with BLAS pinned to one thread, and its peak RSS is ``ru_maxrss`` from
@@ -30,10 +31,12 @@ loaded; its own peak is recorded next to the commands'.
 Every sequence runs in its own directory under a private work directory
 (``--work``, by default a fresh temporary directory, removed at the end),
 with paths of the same length for every tree, so two runs of the script do
-not collide and the trees see the same environment. The script also hashes
-everything the six commands write (the run directory and each command's
-standard output) and records, per workload, whether all trees wrote the
-same bytes.
+not collide and the trees see the same environment. For the same reason each
+tree's ``src`` is copied to ``t00/src``, ``t01/src``, ... there: a command's
+peak RSS moves by up to ~2 MB with the length of the path it imports its
+sources from. The script also hashes everything the six commands write (the
+run directory and each command's standard output) and records, per workload,
+whether all trees wrote the same bytes.
 
 The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
 (by default ``bench/BENCH_peak_rss.json``). The host block also names the
@@ -249,6 +252,10 @@ def main(argv=None) -> int:
               "commands": list(COMMANDS), "trees": list(trees),
               "workloads": {}}
     try:
+        trees = {label: shutil.copytree(
+                     src, work / f"t{t:02d}" / "src",
+                     ignore=shutil.ignore_patterns("__pycache__"))
+                 for t, (label, src) in enumerate(trees.items())}
         for name in names:
             workload = WORKLOADS[name]
             data_dir = work / name / "data"

@@ -2,14 +2,15 @@
 
 Each activation is a frozen record so layers can be serialized by name.
 ``f(z, out=None)`` is act(z), written into ``out`` when given, which may be
-``z`` itself. ``df`` is the derivative with respect to the pre-activation
-input; the ReLU derivative at exactly zero uses the conventional subgradient
-0. ``dfy``, where an activation has one, is the same derivative as a
-function of the output y = act(z): ReLU ``y > 0``, identity 1, tanh
-``1 - y*y``, sigmoid ``y*(1 - y)``, each the bytes of ``df(z)`` for every z
-that is not NaN. ELU has none: ``expm1(z) + 1`` is not ``exp(z)`` bit for
-bit. A conv that trains with the max pool after it takes its derivative at
-the pooled output with ``dfy`` (``training.forward_backward``).
+``z`` itself. ``df(y)`` is the derivative with respect to the
+pre-activation, as a function of the output y = act(z): ReLU ``y > 0``
+(the conventional subgradient 0 at z = 0), ELU 1 where ``y > 0`` and
+``y + 1`` elsewhere, identity 1, tanh ``1 - y*y``, sigmoid ``y*(1 - y)``.
+So a layer keeps only its output for the backward pass, and a conv that
+trains with the max pool after it takes the derivative at the pooled
+output (``training.forward_backward``). For every activation but ELU,
+``df(f(z))`` has the bytes of the textbook derivative of z wherever z is
+not NaN; ELU's ``y + 1`` is ``exp(z)`` to within 2.5e-7 in float32.
 
 ``pools_first`` marks the activations that are exactly monotone in floating
 point, ReLU (which maps both zeros to +0.0) and the identity: max pooling
@@ -31,7 +32,6 @@ class Activation:
     f: Callable[..., np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     lipschitz: float
-    dfy: Callable[[np.ndarray], np.ndarray] | None = None
     pools_first: bool = False
 
 
@@ -47,8 +47,8 @@ def _relu(z, out=None):
     return np.maximum(z, 0, out=out)
 
 
-def _relu_df(z):
-    return (z > 0).astype(z.dtype)
+def _relu_df(y):
+    return (y > 0).astype(y.dtype)
 
 
 def _elu(z, out=None):
@@ -57,9 +57,9 @@ def _elu(z, out=None):
     return _into(out, y.astype(z.dtype, copy=False))
 
 
-def _elu_df(z):
-    out = np.where(z > 0, 1.0, np.exp(np.minimum(z, 0)))
-    return out.astype(z.dtype, copy=False)
+def _elu_df(y):
+    # y + 1 is exp(z) where z <= 0, up to expm1's rounding
+    return np.where(y > 0, 1, y + 1)
 
 
 def _sigmoid(z, out=None):
@@ -73,19 +73,11 @@ def _sigmoid(z, out=None):
     return out
 
 
-def _sigmoid_df(z):
-    return _sigmoid_dfy(_sigmoid(z))
-
-
-def _sigmoid_dfy(s):
+def _sigmoid_df(s):
     return s * (1 - s)
 
 
-def _tanh_df(z):
-    return _tanh_dfy(np.tanh(z))
-
-
-def _tanh_dfy(t):
+def _tanh_df(t):
     return 1 - t * t
 
 
@@ -93,18 +85,16 @@ def _identity(z, out=None):
     return z if out is z else _into(out, z)
 
 
-def _identity_df(z):
-    return np.ones_like(z)
+def _identity_df(y):
+    return np.ones_like(y)
 
 
 ACTIVATIONS = {
-    "relu": Activation("relu", _relu, _relu_df, 1.0, _relu_df, True),
+    "relu": Activation("relu", _relu, _relu_df, 1.0, True),
     "elu": Activation("elu", _elu, _elu_df, 1.0),
-    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_df, 0.25,
-                          _sigmoid_dfy),
-    "tanh": Activation("tanh", np.tanh, _tanh_df, 1.0, _tanh_dfy),
-    "identity": Activation("identity", _identity, _identity_df, 1.0,
-                           _identity_df, True),
+    "sigmoid": Activation("sigmoid", _sigmoid, _sigmoid_df, 0.25),
+    "tanh": Activation("tanh", np.tanh, _tanh_df, 1.0),
+    "identity": Activation("identity", _identity, _identity_df, 1.0, True),
 }
 
 

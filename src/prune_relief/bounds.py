@@ -22,7 +22,8 @@ deviations are measured on the same kept input. A layer whose tail is not
 all dense gets no network bound, so its report runs only the layers before
 it, and none for layer 0. ``measure_deviation`` runs both layers of a pair
 through their own ``forward``, so the measured layer is the one the network
-evaluates, on float64 copies made once per pair.
+evaluates, on float64 copies made once per pair; z is that forward's output
+with the identity activation.
 The copies share the layers' masks as read-only views (``astype``); only
 ``clone``, which the pruned network is made with, copies them.
 
@@ -43,8 +44,11 @@ against measurements at 1e-5 tolerances should not inherit float32
 accumulation noise from the network dtype.
 """
 
+import copy
+
 import numpy as np
 
+from .activations import get_activation
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
 from .importance import _as_input_batch, _mask_layer, check_alpha, score_layer
 from .layers import ConvLayer, DenseLayer
@@ -60,9 +64,12 @@ def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
 
 
 def _pre_and_post(layer, x):
-    """z and act(z) of ``layer`` on ``x``."""
-    y, (_, z) = layer.forward(x, with_cache=True)
-    return z, y
+    """z and act(z) of ``layer`` on ``x``; z is the output of the layer's
+    own ``forward`` run with the identity activation."""
+    linear = copy.copy(layer)
+    linear.act = get_activation("identity")
+    z = linear.forward(x)
+    return z, layer.act.f(z)
 
 
 def measure_deviation(before, after, inputs):

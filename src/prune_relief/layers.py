@@ -13,10 +13,11 @@ layer's boolean (fan_out, fan_in + 1) keep grid, so one call masks every
 dropped pair of a whole layer.
 
 ``forward(x, with_cache=True)`` returns ``(output, cache)`` where the cache is
-what ``backward`` needs; for dense and conv layers it is ``(x, z)``, the
-input and the pre-activation z, which deviation measurement reads. A conv
-that trains as one step with the max pool after it keeps None for z, and
-that pool's backward gives its dz (``training.forward_backward``).
+what ``backward`` needs; for dense and conv layers it is ``(x, y)``, the
+input and the output itself: the activation overwrites z in place and its
+derivative is taken at y (``Activation.df``). A conv that trains as one
+step with the max pool after it gets None for y, and that pool's backward
+gives its dz (``training.forward_backward``).
 ``backward(cache, d_out)`` returns ``(d_input, param_grads)``; dense and
 conv layers take ``input_grad=False`` to skip the input gradient and return
 None in its place.
@@ -35,16 +36,15 @@ layout, so dense weights do not depend on the layout.
 Column memory: a conv forward lowers one band of output rows at a time
 within ``tensor_ops.COLUMN_BUDGET``, with or without a cache, so training
 and inference run the same products and give the same bytes on any BLAS
-kernel. With a cache it writes each band's z into one array and keeps it
-with the layer input, or, for a conv that trains with its pool, overwrites
-it with act(z) and keeps only the input; ``backward`` lowers that input's
-whole batch again, so only the layer it runs holds whole-batch columns.
-Without a cache each band's activations go into the output, and the
-forward holds the same columns whatever the batch size. Given the
-``MaxPool2D`` that follows it, a forward without a cache pools each band
-as soon as it exists and holds only the pooled maps, never the conv's whole
-output; for ReLU and the identity it pools the bands' products and adds the
-bias and applies the activation on the pooled maps alone.
+kernel, and it holds the same columns whatever the batch size. Each band's
+product goes into the output, where the bias and the activation are applied
+in place; with a cache the output is kept with the layer input, and
+``backward`` lowers that input's whole batch again, so only the layer it
+runs holds whole-batch columns. Given the ``MaxPool2D`` that follows it, a
+forward without a cache pools each band as soon as it exists and holds only
+the pooled maps, never the conv's whole output; for ReLU and the identity it
+pools the bands' products and adds the bias and applies the activation on
+the pooled maps alone.
 """
 
 import copy
@@ -246,14 +246,14 @@ class DenseLayer(_MaskedLayer):
                 f"dense layer with fan-in {self.fan_in} got batch of shape {x.shape}"
             )
         z = x @ self.weights.T + self.bias
-        y = self.act.f(z)
+        y = self.act.f(z, out=z)
         if with_cache:
-            return y, (x, z)
+            return y, (x, y)
         return y
 
     def backward(self, cache, d_out, input_grad=True):
-        x, z = cache
-        dz = d_out * self.act.df(z)
+        x, y = cache
+        dz = d_out * self.act.df(y)
         dw = dz.T @ x
         # x * True is x, bit for bit: only a mask that drops an entry
         # changes dw
@@ -323,15 +323,12 @@ class ConvLayer(_MaskedLayer):
     def fan_out(self) -> int:
         return self.out_channels
 
-    def forward(self, x, with_cache=False, pool=None, keep_z=True):
+    def forward(self, x, with_cache=False, pool=None):
         """Lower one band of output rows at a time, each band's columns
-        within ``COLUMN_BUDGET``. With a cache, each band's product goes
-        straight into z, kept with the input for ``backward``; without one,
-        each band's activations go into the preallocated output.
-
-        ``keep_z=False``, with a cache, is for a conv that trains as one
-        step with the max pool after it (``training.forward_backward``):
-        the activation then overwrites z, and the cache holds None for z.
+        within ``COLUMN_BUDGET``. Each band's product goes straight into
+        the preallocated output, where the bias and the activation are
+        applied in place; with a cache the output is also kept with the
+        input for ``backward``.
 
         ``pool``, a :class:`MaxPool2D` and only without a cache, gives the
         pool's output instead: each band's activations are pooled as soon
@@ -353,7 +350,7 @@ class ConvLayer(_MaskedLayer):
         xp = pad_maps(x, self.padding)
         sh = self.stride[0]
         kernels = self.kernels.reshape(co, -1)
-        # z with a cache, act(z) without one, or the pooled maps
+        # act(z), or the pooled maps
         shape = (co, ho, wo) if pool is None else pool.output_shape((co, ho, wo))
         out = np.empty((*shape, n), dtype=np.result_type(self.kernels, x))
         pooled = None if pool is None else _PooledRows(pool, out)
@@ -366,30 +363,28 @@ class ConvLayer(_MaskedLayer):
             # the band's columns are freed once the product is made, before
             # the next band's are lowered
             cols = im2col(xp[:, h0 * sh : (h1 - 1) * sh + r], r, self.stride, 0)
-            z = np.matmul(kernels, cols, out=rows[band] if with_cache else None)
+            z = np.matmul(kernels, cols,
+                          out=rows[band] if pooled is None else None)
             del cols
             if pool_first:
                 pooled.add(z.reshape(co, h1 - h0, wo, n), h0)
                 continue
             z += self.bias[:, None]
+            self.act.f(z, out=z)
             if pooled is not None:
-                pooled.add(self.act.f(z).reshape(co, h1 - h0, wo, n), h0)
-            elif not with_cache:
-                rows[band] = self.act.f(z)
+                pooled.add(z.reshape(co, h1 - h0, wo, n), h0)
         if pool_first:
             out += self.bias[:, None, None, None]
             return self.act.f(out, out=out)
         if with_cache:
-            if keep_z:
-                return self.act.f(out), (x, out)
-            return self.act.f(out, out=out), (x, None)
+            return out, (x, out)
         return out
 
     def backward(self, cache, d_out, input_grad=True):
-        """A cache without z (``forward(keep_z=False)``) takes ``d_out`` as
-        dz, which the backward of the max pool after the conv made."""
-        x, z = cache
-        dz = d_out if z is None else d_out * self.act.df(z)
+        """A cache with None for y takes ``d_out`` as dz, which the backward
+        of the max pool after the conv made (``training.forward_backward``)."""
+        x, y = cache
+        dz = d_out if y is None else d_out * self.act.df(y)
         dz = dz.reshape(self.out_channels, -1)
         # both products contract over every sample and output position; the
         # input's whole-batch columns go in untransposed and are freed
@@ -502,16 +497,17 @@ class MaxPool2D(_ParameterFree):
         ``0 + g`` of its one window, made once per window and written in
         place. ``act``, the activation of the conv before a pool that
         tiles, makes the result that conv's dz: each window's ``0 + g`` is
-        multiplied by the derivative at its max, ``act.dfy`` of the pooled
+        multiplied by the derivative at its max, ``act.df`` of the pooled
         output, before it is routed. That gives the bytes of multiplying the
-        routed gradient by ``act.df(z)`` over the conv's whole map wherever
-        z is not NaN: +0.0 times the derivative at any other z is +0.0."""
+        routed gradient by ``act.df`` of the conv's whole output wherever
+        that is not NaN: +0.0 times the derivative at any other output, a
+        finite value of at least 0, is +0.0."""
         x_shape, arg, y = cache
         ho, wo = arg.shape[1:3]
         if self.tiles:
             g = 0 + d_out
             if act is not None:
-                g = g * act.dfy(y)
+                g = g * act.df(y)
             # windows that cover the map leave no element to zero
             covered = self.stride == self.window and \
                 (ho * self.stride[0], wo * self.stride[1]) == x_shape[1:3]

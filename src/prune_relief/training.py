@@ -63,25 +63,23 @@ def forward_backward(net: Network, x: np.ndarray, labels: np.ndarray):
     input batch, and the layers before it get ``{}``.
 
     A conv and the max pool after it (``Network.pool_after``) train as one
-    step when the pool's windows do not overlap and the conv's activation
-    has a derivative in terms of its output (``Activation.dfy``). The conv
-    then keeps no z, and the pool's backward gives the conv's dz, with the
-    derivative taken at the pooled output: the full-size ``act.df(z)``,
-    the product with it and the pool's accumulation into its input
-    gradient are not made. Each layer still runs its own ``forward`` and
-    ``backward``, and the step gives the bytes of the unpaired one wherever
-    z is not NaN (``MaxPool2D.backward``).
+    step when the pool's windows do not overlap. The conv's cache then holds
+    None for its output, and the pool's backward gives the conv's dz, with
+    the derivative taken at the pooled output (``Activation.df``): the
+    full-size derivative map, the product with it and the pool's
+    accumulation into its input gradient are not made. Each layer still
+    runs its own ``forward`` and ``backward``, and the step gives the bytes
+    of the unpaired one wherever the conv's output is not NaN
+    (``MaxPool2D.backward``).
     """
     a = net.first_layer_input(x)
-    paired = {i for i, layer in enumerate(net.layers)
-              if (pool := net.pool_after(i)) is not None and pool.tiles
-              and layer.act.dfy is not None}
+    paired = {i for i in range(len(net.layers))
+              if (pool := net.pool_after(i)) is not None and pool.tiles}
     caches = []
     for i, layer in enumerate(net.layers):
+        a, cache = layer.forward(a, with_cache=True)
         if i in paired:
-            a, cache = layer.forward(a, with_cache=True, keep_z=False)
-        else:
-            a, cache = layer.forward(a, with_cache=True)
+            cache = (cache[0], None)
         caches.append(cache)
     loss, d = softmax_cross_entropy(a, labels)
     correct = int(np.sum(a.argmax(axis=1) == labels))

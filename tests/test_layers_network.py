@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from prune_relief import (ConfigError, ConvLayer, DenseLayer, DimensionError,
-                          Flatten, MaxPool2D, Network, build_network, im2col,
-                          init_params, load_model, sample_first, sample_last,
-                          save_model)
+from prune_relief import (ACTIVATIONS, ConfigError, ConvLayer, DenseLayer,
+                          DimensionError, Flatten, MaxPool2D, Network,
+                          build_network, im2col, init_params, load_model,
+                          sample_first, sample_last, save_model)
 from tests.conftest import (mask_pairs, random_conv, random_dense, small_cnn,
                             small_mlp)
 
@@ -260,6 +260,25 @@ class TestMasking:
         np.testing.assert_array_equal(out[2], np.zeros((5, 5, 5), np.float32))
         # other filters unaffected by the dead one
         assert np.any(out[0] != 0)
+
+
+class TestCaches:
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_cache_holds_the_input_and_the_output_itself(
+            self, rng, band_budget, kind, activation):
+        """A dense or conv cache is (x, y) with y the returned array: the
+        activation overwrote z, and no other copy is held."""
+        if kind == "dense":
+            layer, x = random_dense(rng, 5, 4, activation), \
+                rng.standard_normal((3, 5))
+        else:
+            layer, x = random_conv(rng, 2, 3, 3, activation), \
+                rng.standard_normal((2, 9, 7, 4))
+        x = x.astype(np.float32)
+        y, cache = layer.forward(x, with_cache=True)
+        assert len(cache) == 2 and cache[0] is x and cache[1] is y
+        assert y.tobytes() == layer.forward(x).tobytes()
 
 
 class TestPoolFlatten:
