@@ -2,25 +2,34 @@
 a launcher that never imports NumPy.
 
     python3 bench/peak_rss.py --tree parent=PATH --tree change=. \\
-        [--workload prune_sweep ...] [--seed 1] [--repeats 3] [--out PATH]
+        [--workload prune_sweep ...] [--seed 1 ...] [--repeats 3] [--out PATH]
 
 Each ``--tree LABEL=PATH`` names a repository checkout; its ``src``, copied
 into the work directory, is what the commands import. For every workload of
-``perfbench/workloads.py`` (all three by default) the script writes the
-workload's seeded IDX files once, in a child process that imports
-``perfbench/idxgen.py``, and then runs
-``train -> prune -> report -> scores -> bounds -> eval`` once per tree per
-repeat, alternating which tree goes first. Each command is its own process,
-with BLAS pinned to one thread, and its peak RSS is ``ru_maxrss`` from
-``os.wait4``. Its wall time runs from just before the launch to the return
-of that ``os.wait4``, so it counts the interpreter's start and exit as well
-as the command's work. On a shared host those seconds swing by 20-60% as
+``perfbench/workloads.py`` (all three by default) and every ``--seed``
+(repeatable; 1 by default) the script writes the workload's seeded IDX
+files once, in a child process that imports ``perfbench/idxgen.py``, and
+then runs ``train -> prune -> report -> scores -> bounds -> eval`` with that
+seed once per tree per repeat, alternating which tree goes first. Each
+command is its own process, with BLAS pinned to one thread, and its peak
+RSS is ``ru_maxrss`` from ``os.wait4``. Its wall time runs from just
+before the launch to the return of that ``os.wait4``, so it counts the
+interpreter's start and exit as well as the command's work. On a shared host those seconds swing by 20-60% as
 other tenants come and go, so, as ``perfbench/run.py`` does, the script
 runs ``perfbench/reference.py`` (a fixed task of ~0.18 s) before each
 command and after the last, and also records each command's wall time at
 the reference speed: times ``REF_S`` over the mean of the two reference
 runs around it. Each command's peak RSS and raw and scaled wall seconds
-are recorded per repeat, with their median and range per tree.
+are recorded per sequence (seeds times repeats), with their median and
+range per tree.
+
+Each sequence's quality is recorded too: the post-retrain accuracy and the
+remaining percentage of the last history line, as
+``perfbench/checks.final_state`` reads them (``final_accuracy`` and
+``remaining_pct`` in the benchmark). Per tree the result gives them per
+seed with their mean, standard deviation and range over the seeds, so a
+change that moves bits on purpose can show that quality stays within the
+spread across seeds.
 
 A child's ``ru_maxrss`` starts at the peak RSS of the process that launched
 it, so a launcher that has imported NumPy (or generated data) lifts every
@@ -36,7 +45,7 @@ tree's ``src`` is copied to ``t00/src``, ``t01/src``, ... there: a command's
 peak RSS moves by up to ~2 MB with the length of the path it imports its
 sources from. The script also hashes everything the six commands write (the
 run directory and each command's standard output) and records, per workload,
-whether all trees wrote the same bytes.
+whether all trees wrote the same bytes for every seed.
 
 The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
 (by default ``bench/BENCH_peak_rss.json``). The host block also names the
@@ -68,6 +77,7 @@ REFERENCE = PERFBENCH / "reference.py"
 REF_S = 0.18
 sys.path.insert(0, str(PERFBENCH))
 
+from checks import final_state  # noqa: E402  (standard library only)
 from workloads import WORKLOADS  # noqa: E402  (dataclasses only, no NumPy)
 
 COMMANDS = ("train", "prune", "report", "scores", "bounds", "eval")
@@ -152,7 +162,8 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
     """One train..eval sequence in ``seq_dir`` on the sources in ``src``,
     with a reference run before each command and after the last; returns
     {command: peak RSS MB}, {command: wall seconds}, {command: wall seconds
-    at reference speed} and the digest of what the commands wrote."""
+    at reference speed}, the digest of what the commands wrote and the
+    run's final (accuracy, remaining %)."""
     seq_dir.mkdir(parents=True)
     # the reference runs write next to the sequence, outside its digest
     ref_dir = seq_dir.with_name(f"{seq_dir.name}-ref")
@@ -178,7 +189,11 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
     shutil.rmtree(ref_dir)
     scaled = {c: wall[c] * REF_S / ((refs[i] + refs[i + 1]) / 2)
               for i, c in enumerate(COMMANDS)}
-    return rss, wall, scaled, tree_digest(seq_dir)
+    final = final_state(seq_dir / "run")
+    if final is None:
+        raise SystemExit(f"{workload.name}: no final state in the history "
+                         f"of {seq_dir / 'run'}")
+    return rss, wall, scaled, tree_digest(seq_dir), final
 
 
 def summary(runs: list[dict], walls: list[dict], scaled: list[dict]) -> dict:
@@ -203,6 +218,22 @@ def summary(runs: list[dict], walls: list[dict], scaled: list[dict]) -> dict:
                                      for c, v in per_scaled.items()},
             "range_wall_scaled_s": {c: [min(v), max(v)]
                                     for c, v in per_scaled.items()}}
+
+
+def quality(finals: dict) -> dict:
+    """Per seed, and mean, standard deviation and range over the seeds, of
+    each final-state field; ``finals`` maps seed -> [(accuracy, remaining
+    %) per repeat], which a fixed seed makes equal."""
+    out = {}
+    for i, key in enumerate(("final_accuracy", "remaining_pct")):
+        per_seed = {seed: statistics.median(f[i] for f in runs)
+                    for seed, runs in finals.items()}
+        values = list(per_seed.values())
+        out[key] = {"per_seed": per_seed, "mean": statistics.fmean(values),
+                    "stdev": statistics.stdev(values) if len(values) > 1
+                    else 0.0,
+                    "range": [min(values), max(values)]}
+    return out
 
 
 def cpu_model() -> str:
@@ -230,7 +261,8 @@ def main(argv=None) -> int:
                    help="LABEL=PATH of a checkout to measure; repeatable")
     p.add_argument("--workload", action="append", choices=list(WORKLOADS),
                    help="workload to run; repeatable (default: all)")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, action="append",
+                   help="data and run seed; repeatable (default: 1)")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--work", help="parent of the private work directory "
                                   "(default: the system's temporary one)")
@@ -240,6 +272,9 @@ def main(argv=None) -> int:
     if len(trees) != len(args.tree):
         p.error("tree labels must be distinct")
     names = args.workload or list(WORKLOADS)
+    seeds = args.seed or [1]
+    if len(set(seeds)) != len(seeds):
+        p.error("seeds must be distinct")
 
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
@@ -248,7 +283,7 @@ def main(argv=None) -> int:
                        "nproc": len(os.sched_getaffinity(0)),
                        "python": platform.python_version(),
                        "blas_threads": 1},
-              "seed": args.seed, "repeats": args.repeats,
+              "seeds": seeds, "repeats": args.repeats,
               "commands": list(COMMANDS), "trees": list(trees),
               "workloads": {}}
     try:
@@ -258,40 +293,53 @@ def main(argv=None) -> int:
                  for t, (label, src) in enumerate(trees.items())}
         for name in names:
             workload = WORKLOADS[name]
-            data_dir = work / name / "data"
-            data_dir.mkdir(parents=True)
-            gen = generate(workload, args.seed, data_dir, env)
-            result["host"].update(numpy=gen["numpy"], blas=gen["blas"],
-                                  openblas_core=gen["openblas_core"])
-            config = data_dir / "config.json"
-            config.write_text(json.dumps(
-                workload.config(args.seed, gen["paths"]), indent=2) + "\n")
             runs = {label: [] for label in trees}
             walls = {label: [] for label in trees}
             scaled = {label: [] for label in trees}
-            digests = {label: set() for label in trees}
+            digests = {label: {seed: set() for seed in seeds}
+                       for label in trees}
+            finals = {label: {seed: [] for seed in seeds} for label in trees}
             order = list(trees.items())
-            for rep in range(args.repeats):
-                for t, (label, src) in enumerate(order):
-                    # equal-length names: the same environment for each tree
-                    seq_dir = work / name / f"r{rep:02d}t{t:02d}"
-                    rss, wall, at_ref, digest = run_sequence(
-                        workload, config, src, seq_dir, env)
-                    runs[label].append(rss)
-                    walls[label].append(wall)
-                    scaled[label].append(at_ref)
-                    digests[label].add(digest)
-                    shutil.rmtree(seq_dir)
-                    print(f"{name} {label} repeat {rep}: " + ", ".join(
-                        f"{c} {v:.1f} MB {wall[c]:.3f} s ({at_ref[c]:.3f} "
-                        f"scaled)" for c, v in rss.items()), flush=True)
-                order.reverse()
-            all_digests = set().union(*digests.values())
+            for seed in seeds:
+                # one data directory name for every seed: the same paths
+                data_dir = work / name / "data"
+                data_dir.mkdir(parents=True)
+                gen = generate(workload, seed, data_dir, env)
+                result["host"].update(numpy=gen["numpy"], blas=gen["blas"],
+                                      openblas_core=gen["openblas_core"])
+                config = data_dir / "config.json"
+                config.write_text(json.dumps(
+                    workload.config(seed, gen["paths"]), indent=2) + "\n")
+                for rep in range(args.repeats):
+                    for t, (label, src) in enumerate(order):
+                        # equal-length names: the same environment for
+                        # each tree
+                        seq_dir = work / name / f"r{rep:02d}t{t:02d}"
+                        rss, wall, at_ref, digest, final = run_sequence(
+                            workload, config, src, seq_dir, env)
+                        runs[label].append(rss)
+                        walls[label].append(wall)
+                        scaled[label].append(at_ref)
+                        digests[label][seed].add(digest)
+                        finals[label][seed].append(final)
+                        shutil.rmtree(seq_dir)
+                        print(f"{name} {label} seed {seed} repeat {rep}: "
+                              f"accuracy {final[0]:.4f}, remaining "
+                              f"{final[1]:.2f}%; " + ", ".join(
+                                  f"{c} {v:.1f} MB {wall[c]:.3f} s "
+                                  f"({at_ref[c]:.3f} scaled)"
+                                  for c, v in rss.items()), flush=True)
+                    order.reverse()
+                shutil.rmtree(data_dir)
             result["workloads"][name] = {
                 **{label: {**summary(r, walls[label], scaled[label]),
-                           "outputs_sha256": sorted(digests[label])}
+                           **quality(finals[label]),
+                           "outputs_sha256": sorted(
+                               set().union(*digests[label].values()))}
                    for label, r in runs.items()},
-                "outputs_identical": len(all_digests) == 1,
+                "outputs_identical": all(
+                    len(set().union(*(d[seed] for d in digests.values())))
+                    == 1 for seed in seeds),
             }
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -312,6 +360,11 @@ def main(argv=None) -> int:
             print(f"{name} {label}: median wall at reference speed " +
                   ", ".join(f"{c} {v:.3f} s"
                             for c, v in s["median_wall_scaled_s"].items()))
+            print(f"{name} {label}: over {len(seeds)} seeds final accuracy "
+                  f"{s['final_accuracy']['mean']:.4f} "
+                  f"(sd {s['final_accuracy']['stdev']:.4f}), remaining "
+                  f"{s['remaining_pct']['mean']:.2f}% "
+                  f"(sd {s['remaining_pct']['stdev']:.2f})")
         print(f"{name}: outputs identical across trees: "
               f"{w['outputs_identical']}")
     print(f"wrote {args.out}")

@@ -2,7 +2,7 @@
 more source trees in one process.
 
     python3 bench/step.py --tree parent=PATH --tree change=. \\
-        [--repeats 20] [--steps 5] [--seed 1] [--out PATH]
+        [--repeats 20] [--steps 5] [--seed 1] [--moved-bits] [--out PATH]
 
 Each ``--tree LABEL=PATH`` names a repository checkout (by default only
 ``change=.``). Its ``src/prune_relief`` is loaded as a package of its own,
@@ -30,6 +30,10 @@ forward and backward and of the optimizer step, with the quartiles of the
 step. With two or more trees it also counts the repeats in which each tree's
 median step beat the first tree's, and asserts that every tree ends with
 the first tree's parameter bytes: a change that moves a bit fails here.
+With ``--moved-bits`` (for a change that moves bits on purpose, such as a
+new float order in a step) it records, per tree after the first, whether
+the bytes matched in ``params_identical`` and goes on; without it every
+entry there is true.
 
 The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
 (by default ``bench/BENCH_step.json``).
@@ -222,12 +226,15 @@ def run_case(trees, clock, model, batch, sparsity, args):
             label: sum(t < b for t, b in zip(per_repeat[label]["step"], base))
             for label in labels[1:]}
         want = steppers[labels[0]].param_bytes()
-        for label in labels[1:]:
-            if steppers[label].param_bytes() != want:
+        out["params_identical"] = {
+            label: steppers[label].param_bytes() == want
+            for label in labels[1:]}
+        for label, same in out["params_identical"].items():
+            if not (same or args.moved_bits):
                 raise SystemExit(f"{model} {sparsity} batch {batch}: tree "
                                  f"{label} trained other bytes than "
-                                 f"{labels[0]}")
-        out["params_identical"] = True
+                                 f"{labels[0]} (pass --moved-bits if that "
+                                 f"is intended)")
     return out
 
 
@@ -240,6 +247,9 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--case", action="append", choices=list(CASES),
                    help="a case to run (repeatable; default all)")
+    p.add_argument("--moved-bits", action="store_true",
+                   help="record trees that train other parameter bytes "
+                        "than the first instead of stopping")
     p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_step.json"))
     args = p.parse_args(argv)
     specs = [t.split("=", 1) for t in (args.tree or ["change=."])]
@@ -249,7 +259,7 @@ def main(argv=None) -> int:
 
     result = {"host": host(), "trees": list(trees),
               "repeats": args.repeats, "steps": args.steps,
-              "seed": args.seed, "cases": {}}
+              "seed": args.seed, "moved_bits": args.moved_bits, "cases": {}}
     for name in args.case or CASES:
         case = run_case(trees, clock, *CASES[name], args)
         result["cases"][name] = case
@@ -258,6 +268,9 @@ def main(argv=None) -> int:
         wins = case.get("faster_than_" + specs[0][0], {})
         line += "".join(f"; {label} faster in {k}/{args.repeats}"
                         for label, k in wins.items())
+        line += "".join(f"; {label} trained other bytes"
+                        for label, same in case.get("params_identical",
+                                                    {}).items() if not same)
         print(f"{name}: {line}")
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -8,19 +8,31 @@ exactly 0 as well (layers enforce it) and an ``Optimizer``'s moments start
 at 0, so the entry's effective gradient and update are ±0, and the
 parameter and its moments stay ±0 no matter how many steps run. This needs
 the pruning fixed for the optimizer's life: the pipeline prunes between
-``train`` calls, and each builds a new one.
+``train`` calls, and each builds a new one, so every retrain starts from
+zero moments (Adam) or zero velocity (SGD).
+
+Adam runs in the "efficient version" of Kingma & Ba, "Adam: A Method for
+Stochastic Optimization" (2015), end of Section 2: both bias corrections
+are folded into one step size and one epsilon per step, computed as Python
+floats, and the moments are kept scaled so that their updates need no
+``1 - beta`` factor (``adam_step`` gives the expressions). In real
+arithmetic this is the textbook update; in float32 it rounds differently,
+so its bytes differ from the textbook form's on purpose, and the run
+fingerprints in ``tests/test_fingerprint.py`` are this form's.
 
 Each step is fused: it runs in place on the parameter and its state, and
-performs the same float operations in the same order as the textbook
+performs the same float operations in the same order as the whole-tensor
 expressions in the step docstrings, so it gives the same bytes. It walks
 each tensor in blocks of ``BLOCK`` entries and runs every pass of a block
 before it moves on, so the block's slices of the parameter, its state and
-the gradient stay in cache across the passes (Adam makes 16, SGD 6); each
-operation is elementwise, so the blocks give the bytes of one whole-tensor
-pass. The temporaries go into a scratch pair of ``min(BLOCK, largest
-tensor)`` entries that every tensor of an ``Optimizer`` shares.
+the gradient stay in cache across the passes (Adam makes 12 with one
+divide and one square root, SGD 6); each operation is elementwise, so the
+blocks give the bytes of one whole-tensor pass. The temporaries go into a
+scratch pair of ``min(BLOCK, largest tensor)`` entries that every tensor of
+an ``Optimizer`` shares.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +69,12 @@ class OptimizerConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        # beta1 or beta2 of 1 makes Adam's bias-corrected update 0/0, and
-        # an eps of 0 does so on every entry whose gradient is 0
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and >= 0, got "
+                              f"{self.weight_decay}")
+        # beta1 or beta2 of 1 makes Adam's bias corrections divide by 0,
+        # and an eps of 0 makes the update 0/0 on every entry whose
+        # gradient is 0
         for name in ("momentum", "beta1", "beta2"):
             value = getattr(self, name)
             if not 0 <= value < 1:
@@ -78,8 +92,9 @@ class OptimizerConfig:
             if span.last_epoch < span.first_epoch:
                 raise ConfigError(f"lr_schedule span [{span.first_epoch}, "
                                   f"{span.last_epoch}] is empty")
-            if span.lr <= 0:
-                raise ConfigError(f"learning rate must be > 0, got {span.lr}")
+            if not (math.isfinite(span.lr) and span.lr > 0):
+                raise ConfigError(f"learning rate (lr) must be finite and "
+                                  f"> 0, got {span.lr}")
             expect = span.last_epoch + 1
         if expect != self.epochs + 1:
             raise ConfigError(f"lr_schedule covers epochs 1..{expect - 1} but "
@@ -148,29 +163,38 @@ def adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
               beta1=0.9, beta2=0.999, eps=1e-8, *, scratch):
     """One Adam update (bias-corrected), in place on ``param``, ``m``, ``v``.
 
+    ``m`` and ``v`` hold the textbook moments scaled by ``1 / (1 - beta1)``
+    and ``1 / (1 - beta2)``. With r = sqrt((1 - beta2**step) / (1 - beta2)),
+    step_size = lr * (1 - beta1) / (1 - beta1**step) * r and eps_t = eps * r:
+
     g = grad + weight_decay * param;
-    m = beta1 * m + (1 - beta1) * g; v = beta2 * v + (1 - beta2) * g * g;
-    param -= lr * (m / (1 - beta1**step)) / (sqrt(v / (1 - beta2**step)) + eps).
+    m = beta1 * m + g; v = beta2 * v + g * g;
+    param -= step_size * m / (sqrt(v) + eps_t).
+
+    This is Kingma & Ba's efficient form of the textbook step
+    ``param -= lr * m_hat / (sqrt(v_hat) + eps)``: 12 passes with one
+    divide and one square root instead of 16 with three divides.
     ``scratch`` is a two-buffer sequence of at least
     ``min(BLOCK, param.size)`` entries each, of ``param``'s dtype.
     """
+    # Python floats (``** 0.5``, not np.sqrt): a NumPy float64 scalar would
+    # make every float32 pass below compute in float64
+    r = ((1 - beta2 ** step) / (1 - beta2)) ** 0.5
+    step_size = lr * (1 - beta1) / (1 - beta1 ** step) * r
+    eps_t = eps * r
     for grad_b, p, m_b, v_b, g, tmp in _blocks(grad, param, m, v,
                                                scratch=scratch):
         np.multiply(p, weight_decay, out=g)
         np.add(grad_b, g, out=g)
         m_b *= beta1
-        np.multiply(g, 1 - beta1, out=tmp)
-        m_b += tmp
+        m_b += g
         v_b *= beta2
         np.multiply(g, g, out=tmp)
-        tmp *= 1 - beta2
         v_b += tmp
         update = g  # g is spent; its buffer takes the update
-        np.divide(m_b, 1 - beta1 ** step, out=update)
-        update *= lr
-        np.divide(v_b, 1 - beta2 ** step, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
+        np.multiply(m_b, step_size, out=update)
+        np.sqrt(v_b, out=tmp)
+        tmp += eps_t
         update /= tmp
         p -= update
     return param, m, v

@@ -32,91 +32,91 @@ PINNED = {
     ("scipy-openblas 0.3.31.188.0", "SkylakeX"): {
         "lenet300100": {
             "history.jsonl":
-                "4d8571024543bf7ebd120789c32cb6f1de8d4f44a9534190d71883e758478564",
+                "1edb0c89543c9b7bc4c9dca77315d5558d03ddbb0e1d1f53fd002f6fd9a31fa7",
             "best/weights.bin":
-                "520204d3ab0f1cf4a15f74019ecad56e309e7db5d8e517606bab9fb3f91a7f91",
+                "ab374a45845257ee50099f84f1634c91e7f203bf88dd428917276e30c705af45",
             "initial/weights.bin":
                 "182bc337622a6e1cdd422508a256a570d74ac0ea86713c05a080584e4dc49c96",
             "iterations/iter_01/weights.bin":
-                "7805a9717c421945e15955f5b4d4c27b31318cc2c988997651dc450bb2f33cbe",
+                "117b5f84a9dff7d6e9e29faf87c49354181e32f009c8cad05f22d6702c4aa83e",
             "iterations/iter_02/weights.bin":
-                "520204d3ab0f1cf4a15f74019ecad56e309e7db5d8e517606bab9fb3f91a7f91",
+                "ab374a45845257ee50099f84f1634c91e7f203bf88dd428917276e30c705af45",
             "model/weights.bin":
-                "b6c3e65135ed9ae8ad797677f5bbad2ee94ede15eec884e5a1dc057d0cb26708",
+                "98a2a7978882bd87973d550c16f24682baa518e890ade0c73e7155b0161c0de2",
         },
         "lenet5": {
             "history.jsonl":
-                "217d55991711ddf680dd3aa7492afd1a9a3d200e58b2e14b2cad8919b644fb49",
+                "04dcf3c99530ba202c5771891f96ddbb4d1bcb34916a9f56b4be4fbe518f5843",
             "best/weights.bin":
-                "2dda8affdbd7e300e8f7868006c81d6c8c55d1163be2d47f6893b6ea0d6bc6cd",
+                "0ca7cbcf58a8c23c4611eebc6d6457cc8aa91fb36817e7b89eb5faf9ec70beae",
             "initial/weights.bin":
                 "f28d5510b4a3abe4dd9e65b75a5837bb8468134546f963bf0fb07365cf1b97ab",
             "iterations/iter_01/weights.bin":
-                "59d6f6cd1a650a4e9e6273cbf6fa21a2171b5fc7badb2d4b5d4ce4139bada5d5",
+                "3590c089a400959c5b348cb8d6402743922522da39668a95ff1d7de7d4c37aa3",
             "iterations/iter_02/weights.bin":
-                "2dda8affdbd7e300e8f7868006c81d6c8c55d1163be2d47f6893b6ea0d6bc6cd",
+                "0ca7cbcf58a8c23c4611eebc6d6457cc8aa91fb36817e7b89eb5faf9ec70beae",
             "model/weights.bin":
-                "35c253dbd070bcaa18b03ae1e22bcfeea6717612e90be05b7cc070effe6b3622",
+                "ee913aff4e9c7a65c0d77c5ec84d72131e981adf909a4f982548d72836e4a174",
         },
     },
     ("scipy-openblas 0.3.31.188.0", "Haswell"): {
         "lenet300100": {
             "history.jsonl":
-                "a212b40300f49a784f654f418cd76130e5a809df46490e09329531af80710de2",
+                "27aed1b03314865bb1a5a7821123bd0b362dd201e863e576b92b732a8636d444",
             "best/weights.bin":
-                "72159d6f052d6d22c0a9a4a04d19540f3422a62727645418fabcb13ff0ec192f",
+                "6790817fb933f8f2a207952450076f9fff5935ac72bae032245eac6695bedd07",
             "initial/weights.bin":
                 "182bc337622a6e1cdd422508a256a570d74ac0ea86713c05a080584e4dc49c96",
             "iterations/iter_01/weights.bin":
-                "b57535dee2556871e58f9c247de9dc24c3baac32807f3d612484053b43650e8f",
+                "00e8fa2f02a6d670f71a77d0d4db9c00e7116edf43df48592480e329a6591e45",
             "iterations/iter_02/weights.bin":
-                "72159d6f052d6d22c0a9a4a04d19540f3422a62727645418fabcb13ff0ec192f",
+                "6790817fb933f8f2a207952450076f9fff5935ac72bae032245eac6695bedd07",
             "model/weights.bin":
-                "2ab1119f221a09b13c7b533cae5127df0b09569f81b05b85c622ea41504a6876",
+                "8388b9b098557d36dc78e40b2c7a3af70156e72cee41551d23a679cb09dee881",
         },
         "lenet5": {
             "history.jsonl":
-                "a2ec655151292af542f0a5d857bc9c9ebb22c3359644fb3f673a5842ce00ee8f",
+                "4a44da0e7e2213b6bd808bcf71ba804f2df6c4dc91bcc1e2d3b3a29e1f8d5c8b",
             "best/weights.bin":
-                "81cb32db9c295e622baeb59a84d0698350f174068cb196a2b323a7a7b42ff1d9",
+                "ba846e4109981f8ff19af4ce47e586aa8d044767a5d3b6dbe94a64094242634c",
             "initial/weights.bin":
                 "f28d5510b4a3abe4dd9e65b75a5837bb8468134546f963bf0fb07365cf1b97ab",
             "iterations/iter_01/weights.bin":
-                "7938b655652f75230b64718e8704848b2981f0b7943ebcc667e522a1fa7a0c5f",
+                "16539fa0e1621c93772ff0a6b2eff766c0ea450af6d2594f4d46d1d89d7b8239",
             "iterations/iter_02/weights.bin":
-                "81cb32db9c295e622baeb59a84d0698350f174068cb196a2b323a7a7b42ff1d9",
+                "ba846e4109981f8ff19af4ce47e586aa8d044767a5d3b6dbe94a64094242634c",
             "model/weights.bin":
-                "e4325eafc6ff19c1a3ffb24ad832573005327aaf969d100e7a1e2ccaa5c6bf8f",
+                "394d1170a45d4d374fbae21060ee6c8a27f16ac418d20f05a4f879d350396ce9",
         },
     },
     ("scipy-openblas 0.3.31.188.0", "Sandybridge"): {
         "lenet300100": {
             "history.jsonl":
-                "2c2c93488292b46cea9e2d616e337120668ba27138f6d899067959bff675c780",
+                "88a905bd2ac4e4f7e43a92f716d3d8c455d6dc6c7f5b09023eec6a9ed14bf6c0",
             "best/weights.bin":
-                "a6dd373408963e359ce29a24662fe58d115b8601deb6c67d1bf2cb0f2140425d",
+                "335152cf94a3b8f4641d53c29706f306dd59a5c9117778b2e3a96f53d31344e2",
             "initial/weights.bin":
                 "182bc337622a6e1cdd422508a256a570d74ac0ea86713c05a080584e4dc49c96",
             "iterations/iter_01/weights.bin":
-                "9681bdd499d37440dc5a923ef7e7ff9eccb0add905921de174d89b02fad806a4",
+                "acc0f2fb8c861de1fefe68429a6a1e1b3e967a310c72775450d3538640c0ead3",
             "iterations/iter_02/weights.bin":
-                "a6dd373408963e359ce29a24662fe58d115b8601deb6c67d1bf2cb0f2140425d",
+                "335152cf94a3b8f4641d53c29706f306dd59a5c9117778b2e3a96f53d31344e2",
             "model/weights.bin":
-                "75feee146b0df8e958c75354e3e032f5bd9dcacc345bf0238ed1ed566739dba5",
+                "c8561f7fad0a12ceaef41e807320b4ec24ee946b6b9b437f84769f0555f3a0eb",
         },
         "lenet5": {
             "history.jsonl":
-                "423fd9509ea867ed56099b6a1f952496f1480d1f86c88a655ec389fd84837151",
+                "a249144abb8223f0778282a51d6979f24527cfcf45ea5c97dcdfc6b4f86b30de",
             "best/weights.bin":
-                "c1292ade5aa9d34b6bdd210517129bf1c52f34ede1c67dff87ad32bd42740af4",
+                "25d2ddff90743a4129a7c285d65a36de9e3eedf49388175841cd50b49635f0f8",
             "initial/weights.bin":
                 "f28d5510b4a3abe4dd9e65b75a5837bb8468134546f963bf0fb07365cf1b97ab",
             "iterations/iter_01/weights.bin":
-                "635d2a512812393e3069f33c87e4b4d7fdb9e37e3bbedb454361e1fceff2b6a8",
+                "627fb70634ee9e428df50d2abaa800a277fd6b044a00786b7f6df491d3658b9e",
             "iterations/iter_02/weights.bin":
-                "c1292ade5aa9d34b6bdd210517129bf1c52f34ede1c67dff87ad32bd42740af4",
+                "25d2ddff90743a4129a7c285d65a36de9e3eedf49388175841cd50b49635f0f8",
             "model/weights.bin":
-                "6f264de173a992922902a4d791e3e8cacb12576273408ae31e0d04fa088543de",
+                "17591b38e47c51dadf6ade2185a90a0c6372056a92e1b3e66cafa22eabf248fb",
         },
     },
 }

@@ -96,11 +96,42 @@ class TestAdamStep:
         assert w[1] != 1.0
 
     def test_moments_update(self):
+        # the stored moments are m / (1 - beta1) and v / (1 - beta2): the
+        # textbook 0.2 and 0.004 of a first gradient of 2
         w = arr(1.0)
         m, v = arr(0.0), arr(0.0)
         adam_step(w, arr(2.0), m, v, step=1, lr=1e-3, scratch=buffers(w, 2))
-        assert m[0] == pytest.approx(0.2, rel=1e-5)
-        assert v[0] == pytest.approx(0.004, rel=1e-4)
+        assert m[0] == 2.0
+        assert v[0] == 4.0
+
+    def test_matches_textbook_expressions_in_float64(self):
+        """Kingma & Ba's efficient form is the textbook update in real
+        arithmetic, so in float64 the two stay within rounding of each
+        other over a run with weight decay, an lr change and a tensor
+        stepped with the scalar gradient 0.0."""
+        rng = np.random.default_rng(11)
+        params = [rng.standard_normal((13, 7)), rng.standard_normal(29)]
+        ref = [p.copy() for p in params]
+        cfg = OptimizerConfig(kind="adam", epochs=2, weight_decay=5e-4,
+                              lr_schedule=[LrSpan(1, 1, 1e-2),
+                                           LrSpan(2, 2, 1e-3)])
+        opt = Optimizer(params, cfg)
+        state = [[np.zeros_like(p), np.zeros_like(p)] for p in ref]
+        for step in range(1, 301):
+            lr = cfg.lr_at(1 if step <= 150 else 2)
+            grads = [rng.standard_normal(params[0].shape), 0.0]
+            opt.apply(grads, lr)
+            for p, g, (m, v) in zip(ref, grads, state):
+                textbook_adam_step(p, g, m, v, step, lr, cfg.weight_decay,
+                                   cfg.beta1, cfg.beta2, cfg.eps)
+        for got, want in zip(params, ref):
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for got, (m, v) in zip(opt.states, state):
+            np.testing.assert_allclose(got["m"] * (1 - cfg.beta1), m,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got["v"] * (1 - cfg.beta2), v,
+                                       rtol=1e-12, atol=0)
 
 
 class TestSchedule:
@@ -128,6 +159,15 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_nonfinite_lr_rejected(self, bad):
+        cfg = OptimizerConfig(epochs=2, lr_schedule=[LrSpan(1, 1, 1e-3),
+                                                     LrSpan(2, 2, bad)])
+        with pytest.raises(ConfigError, match=r"^learning rate \(lr\) must "
+                                              r"be finite and > 0, got "):
+            cfg.validate()
+
     def test_unknown_kind_rejected(self):
         cfg = OptimizerConfig(kind="rmsprop", epochs=1,
                               lr_schedule=[LrSpan(1, 1, 1e-3)])
@@ -147,6 +187,14 @@ class TestSettingRanges:
             with pytest.raises(ConfigError,
                                match=rf"^{field} must be in \[0, 1\), got "):
                 OptimizerConfig(**{field: bad}).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -1e-4])
+    def test_weight_decay(self, bad):
+        OptimizerConfig(weight_decay=0.0).validate()
+        with pytest.raises(ConfigError, match=r"^weight_decay must be finite "
+                                              r"and >= 0, got "):
+            OptimizerConfig(weight_decay=bad).validate()
 
     def test_eps(self):
         OptimizerConfig(eps=1e-30).validate()
@@ -202,9 +250,10 @@ class TestOptimizerOverNetwork:
         assert summarize(opt.cfg, opt.step_count)["step_count"] == 2
 
 
-# The textbook steps, one NumPy expression per line, masking the gradient,
-# the update and the parameter; the fused in-place steps must give the same
-# bytes, signed zeros included.
+# The whole-tensor steps, one NumPy expression per line, masking the
+# gradient, the update and the parameter; the fused in-place steps must give
+# the same bytes, signed zeros included. Adam's is Kingma & Ba's efficient
+# form, with m and v scaled by 1 / (1 - beta1) and 1 / (1 - beta2).
 def ref_sgd_step(param, grad, velocity, lr, weight_decay=0.0, momentum=0.0,
                  mask=None):
     g = grad + weight_decay * param
@@ -224,17 +273,31 @@ def ref_adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
     if mask is not None:
         g = g * mask
     m *= beta1
-    m += (1 - beta1) * g
+    m += g
     v *= beta2
-    v += (1 - beta2) * (g * g)
-    m_hat = m / (1 - beta1 ** step)
-    v_hat = v / (1 - beta2 ** step)
-    update = lr * m_hat / (np.sqrt(v_hat) + eps)
+    v += g * g
+    r = ((1 - beta2 ** step) / (1 - beta2)) ** 0.5
+    update = lr * (1 - beta1) / (1 - beta1 ** step) * r * m / (
+        np.sqrt(v) + eps * r)
     if mask is not None:
         update *= mask
     param -= update
     if mask is not None:
         param *= mask
+
+
+def textbook_adam_step(param, grad, m, v, step, lr, weight_decay=0.0,
+                       beta1=0.9, beta2=0.999, eps=1e-8):
+    """The bias-corrected Adam update as Kingma & Ba's Algorithm 1 writes
+    it, with the textbook moments."""
+    g = grad + weight_decay * param
+    m *= beta1
+    m += (1 - beta1) * g
+    v *= beta2
+    v += (1 - beta2) * (g * g)
+    m_hat = m / (1 - beta1 ** step)
+    v_hat = v / (1 - beta2 ** step)
+    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def pruned_net(rng, build):
@@ -292,7 +355,7 @@ class TestFusedStepsMatchReference:
 
 class TestBlockedSteps:
     """Steps that walk a tensor in blocks of ``BLOCK`` entries give the
-    bytes of the textbook whole-tensor step."""
+    bytes of the whole-tensor step."""
 
     @pytest.mark.parametrize("kind", ["sgd", "adam"])
     def test_thirty_steps_over_blocks_bytes(self, kind):
