@@ -8,8 +8,8 @@ grids two other ways, in this one process: with ``np.savetxt(fmt="%.9g")``,
 which the export used before, and with one ``%`` over each row's Python
 floats (``row.tolist()``), the simplest byte-exact writer. It asserts the
 three files are byte-identical, and writes the median seconds of each, with
-the host, NumPy and its BLAS, to the JSON file (by default
-``bench/BENCH_csv_export.json``).
+``harness.host``'s record (BLAS pinned to one thread, as in the other bench
+scripts), to the JSON file (by default ``bench/BENCH_csv_export.json``).
 The grids look like the pipeline's: rows of scores summing to 1, every
 seventh row dead (all zero), and ~14% of the columns zero, as LeNet-5 fc-1's
 always-dead inputs are.
@@ -18,14 +18,17 @@ always-dead inputs are.
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+
+import harness  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -65,36 +68,19 @@ def tolist_csv(scores, path, rows=16):
                               grid[r:r + rows].tolist()]).encode())
 
 
-def host():
-    cpu = platform.processor() or "unknown"
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh
-                        if ln.startswith("model name")), cpu)
-    except OSError:
-        pass
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        blas = "unknown"
-    return {"cpu_model": cpu, "nproc": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": np.__version__,
-            "blas": blas}
-
-
 WRITERS = {"export_importance_csv": export_importance_csv,
            "savetxt": savetxt_csv, "tolist": tolist_csv}
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--repeats", type=int, default=15)
+    p.add_argument("--repeats", type=harness.count, default=15)
     p.add_argument("--out", default=str(ROOT / "bench" /
                                         "BENCH_csv_export.json"))
     args = p.parse_args(argv)
     cli._keep_freed_memory()
 
-    result = {"host": host(), "repeats": args.repeats, "grids": {}}
+    result = {"host": harness.host(), "repeats": args.repeats, "grids": {}}
     with tempfile.TemporaryDirectory() as tmp:
         paths = {k: Path(tmp) / f"{k}.csv" for k in WRITERS}
         t0 = time.perf_counter()

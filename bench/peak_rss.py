@@ -18,10 +18,9 @@ interpreter's start and exit as well as the command's work. On a shared host tho
 other tenants come and go, so, as ``perfbench/run.py`` does, the script
 runs ``perfbench/reference.py`` (a fixed task of ~0.18 s) before each
 command and after the last, and also records each command's wall time at
-the reference speed: times ``REF_S`` over the mean of the two reference
-runs around it. Each command's peak RSS and raw and scaled wall seconds
-are recorded per sequence (seeds times repeats), with their median and
-range per tree.
+the reference speed, with ``perfbench/run.py``'s ``speed_scaled``. Each
+command's peak RSS and raw and scaled wall seconds are recorded per
+sequence (seeds times repeats), with their median and range per tree.
 
 Each sequence's quality is recorded too: the post-retrain accuracy and the
 remaining percentage of the last history line, as
@@ -33,9 +32,10 @@ spread across seeds.
 
 A child's ``ru_maxrss`` starts at the peak RSS of the process that launched
 it, so a launcher that has imported NumPy (or generated data) lifts every
-small command to its own peak. This one imports only the standard library
-and ``perfbench/workloads.py``, and checks at the end that NumPy never got
-loaded; its own peak is recorded next to the commands'.
+small command to its own peak. This one imports only the standard library,
+``bench/harness.py`` and ``perfbench/run.py``, which load no NumPy, and
+checks at the end that NumPy never got loaded; its own peak is recorded
+next to the commands'.
 
 Every sequence runs in its own directory under a private work directory
 (``--work``, by default a fresh temporary directory, removed at the end),
@@ -47,19 +47,17 @@ sources from. The script also hashes everything the six commands write (the
 run directory and each command's standard output) and records, per workload,
 whether all trees wrote the same bytes for every seed.
 
-The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
-(by default ``bench/BENCH_peak_rss.json``). The host block also names the
-OpenBLAS kernel (``openblas_core``), from the ``Core:`` line that the data
-child prints under ``OPENBLAS_VERBOSE=2``; the commands inherit the same
-environment, so they load the same kernel. ``outputs_identical`` is a byte
-claim that holds for that kernel: another kernel computes other bytes.
+The result, with the host record of ``harness.host``, goes to ``--out``
+(by default ``bench/BENCH_peak_rss.json``). That record is taken in the
+commands' environment, so its ``openblas_core`` names the kernel the
+commands load. ``outputs_identical`` is a byte claim that holds for that
+kernel: another kernel computes other bytes.
 """
 
 import argparse
 import hashlib
 import json
 import os
-import platform
 import resource
 import shutil
 import statistics
@@ -69,38 +67,25 @@ import tempfile
 import time
 from pathlib import Path
 
+import harness
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-REFERENCE = PERFBENCH / "reference.py"
-# reference.py's wall time on an uncontended host, as in perfbench/run.py
-# (which this launcher cannot import: it imports NumPy)
-REF_S = 0.18
 sys.path.insert(0, str(PERFBENCH))
 
-from checks import final_state  # noqa: E402  (standard library only)
-from workloads import WORKLOADS  # noqa: E402  (dataclasses only, no NumPy)
+from checks import final_state  # noqa: E402
+from run import (COMMANDS, REFERENCE, THREAD_VARS, cli_args,  # noqa: E402
+                 speed_scaled)
+from workloads import WORKLOADS  # noqa: E402
 
-COMMANDS = ("train", "prune", "report", "scores", "bounds", "eval")
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
-
-# run in a child: the only process here that imports NumPy before the
-# commands do; prints the data paths and the NumPy build as one JSON line
+# run in a child, as it imports NumPy; prints the data paths as one JSON line
 GENERATE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import idxgen
-import numpy as np
 paths = idxgen.write_dataset(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]),
                              int(sys.argv[5]))
-try:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    blas = f"{blas.get('name')} {blas.get('version')}"
-except (TypeError, KeyError):
-    blas = "unknown"
-print(json.dumps({"paths": {k: str(v) for k, v in paths.items()},
-                  "numpy": np.__version__, "blas": blas}))
+print(json.dumps({k: str(v) for k, v in paths.items()}))
 """
 
 
@@ -118,22 +103,15 @@ def run_child(argv, env, cwd, stdout):
 
 
 def generate(workload, seed, data_dir, env):
-    """Write the workload's data; returns its paths, the NumPy build and
-    the OpenBLAS kernel the child loaded."""
+    """Write the workload's data; returns its paths."""
     out = data_dir / "generate.json"
-    # OpenBLAS names the kernel it loads on stderr ("Core: Haswell")
     code, _, _ = run_child([sys.executable, "-c", GENERATE, str(PERFBENCH),
                             str(data_dir), str(seed), str(workload.n_train),
-                            str(workload.n_test)],
-                           dict(env, OPENBLAS_VERBOSE="2"), data_dir, out)
-    err = Path(f"{out}.err").read_text()
+                            str(workload.n_test)], env, data_dir, out)
     if code:
-        raise SystemExit(f"data generation failed ({code}): {err}")
-    gen = json.loads(out.read_text())
-    gen["openblas_core"] = next((ln.split(":", 1)[1].strip()
-                                 for ln in err.splitlines()
-                                 if ln.startswith("Core:")), "unknown")
-    return gen
+        raise SystemExit(f"data generation failed ({code}): "
+                         f"{Path(f'{out}.err').read_text()}")
+    return json.loads(out.read_text())
 
 
 def tree_digest(seq_dir: Path) -> str:
@@ -172,14 +150,9 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
     rss, wall, refs = {}, {}, []
     for cmd in COMMANDS:
         refs.append(run_reference(ref_dir, len(refs), env))
-        if cmd == "report":
-            args = ["report", "--run", "run"]
-        else:
-            args = [cmd, "--config", str(config), "--out", "run"]
-        if cmd == "bounds":
-            args += ["--layer", str(workload.bounds_layer)]
         code, rss[cmd], wall[cmd] = run_child(
-            [sys.executable, "-m", "prune_relief.cli", *args], cmd_env,
+            [sys.executable, "-m", "prune_relief.cli",
+             *cli_args(cmd, workload, str(config), "run")], cmd_env,
             seq_dir, seq_dir / f"{cmd}.out")
         if code:
             err = (seq_dir / f"{cmd}.out.err").read_text()
@@ -187,13 +160,11 @@ def run_sequence(workload, config: Path, src: Path, seq_dir: Path, env):
                              f"{code}:\n{err}")
     refs.append(run_reference(ref_dir, len(refs), env))
     shutil.rmtree(ref_dir)
-    scaled = {c: wall[c] * REF_S / ((refs[i] + refs[i + 1]) / 2)
-              for i, c in enumerate(COMMANDS)}
     final = final_state(seq_dir / "run")
     if final is None:
         raise SystemExit(f"{workload.name}: no final state in the history "
                          f"of {seq_dir / 'run'}")
-    return rss, wall, scaled, tree_digest(seq_dir), final
+    return rss, wall, speed_scaled(wall, refs), tree_digest(seq_dir), final
 
 
 def summary(runs: list[dict], walls: list[dict], scaled: list[dict]) -> dict:
@@ -236,41 +207,20 @@ def quality(finals: dict) -> dict:
     return out
 
 
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo") as fh:
-            return next((ln.split(":", 1)[1].strip() for ln in fh
-                         if ln.startswith("model name")), platform.machine())
-    except OSError:
-        return platform.machine()
-
-
-def parse_tree(text: str):
-    label, sep, path = text.partition("=")
-    src = Path(path).resolve() / "src"
-    if not sep or not label or not (src / "prune_relief" / "cli.py").is_file():
-        raise argparse.ArgumentTypeError(
-            f"expected LABEL=PATH with PATH a checkout holding "
-            f"src/prune_relief, got {text!r}")
-    return label, src
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--tree", type=parse_tree, action="append", required=True,
+    p.add_argument("--tree", type=harness.tree, action="append", required=True,
                    help="LABEL=PATH of a checkout to measure; repeatable")
     p.add_argument("--workload", action="append", choices=list(WORKLOADS),
                    help="workload to run; repeatable (default: all)")
-    p.add_argument("--seed", type=int, action="append",
+    p.add_argument("--seed", type=harness.seed, action="append",
                    help="data and run seed; repeatable (default: 1)")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=harness.count, default=3)
     p.add_argument("--work", help="parent of the private work directory "
                                   "(default: the system's temporary one)")
     p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_peak_rss.json"))
     args = p.parse_args(argv)
-    trees = dict(args.tree)
-    if len(trees) != len(args.tree):
-        p.error("tree labels must be distinct")
+    trees = harness.distinct_trees(p, args.tree)
     names = args.workload or list(WORKLOADS)
     seeds = args.seed or [1]
     if len(set(seeds)) != len(seeds):
@@ -279,11 +229,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)
     work = Path(tempfile.mkdtemp(prefix="peak_rss-", dir=args.work))
-    result = {"host": {"cpu_model": cpu_model(),
-                       "nproc": len(os.sched_getaffinity(0)),
-                       "python": platform.python_version(),
-                       "blas_threads": 1},
-              "seeds": seeds, "repeats": args.repeats,
+    result = {"host": harness.host(env), "seeds": seeds, "repeats": args.repeats,
               "commands": list(COMMANDS), "trees": list(trees),
               "workloads": {}}
     try:
@@ -304,12 +250,10 @@ def main(argv=None) -> int:
                 # one data directory name for every seed: the same paths
                 data_dir = work / name / "data"
                 data_dir.mkdir(parents=True)
-                gen = generate(workload, seed, data_dir, env)
-                result["host"].update(numpy=gen["numpy"], blas=gen["blas"],
-                                      openblas_core=gen["openblas_core"])
+                paths = generate(workload, seed, data_dir, env)
                 config = data_dir / "config.json"
                 config.write_text(json.dumps(
-                    workload.config(seed, gen["paths"]), indent=2) + "\n")
+                    workload.config(seed, paths), indent=2) + "\n")
                 for rep in range(args.repeats):
                     for t, (label, src) in enumerate(order):
                         # equal-length names: the same environment for

@@ -5,7 +5,7 @@ more source trees in one process.
         [--repeats 20] [--steps 5] [--seed 1] [--moved-bits] [--out PATH]
 
 Each ``--tree LABEL=PATH`` names a repository checkout (by default only
-``change=.``). Its ``src/prune_relief`` is loaded as a package of its own,
+``change=`` the one holding this script). Its ``src/prune_relief`` is loaded as a package of its own,
 ``prune_relief_<LABEL>``, so all trees run side by side in this process,
 with the same NumPy, BLAS and malloc settings (the CLI's
 ``_keep_freed_memory``), and BLAS pinned to one thread.
@@ -35,8 +35,8 @@ new float order in a step) it records, per tree after the first, whether
 the bytes matched in ``params_identical`` and goes on; without it every
 entry there is true.
 
-The result, with the host, Python, NumPy and its BLAS, goes to ``--out``
-(by default ``bench/BENCH_step.json``).
+The result, with ``harness.host``'s record (which names the OpenBLAS kernel
+the byte check holds for), goes to ``--out`` (``bench/BENCH_step.json``).
 """
 
 import argparse
@@ -55,10 +55,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+import harness  # noqa: E402
 
-from csv_export import host  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
 
 # name: (model, batch size, sparsity)
 CASES = {
@@ -73,10 +72,10 @@ BATCHES = 4  # distinct batches per case, cycled through the steps
 LR = 1e-3
 
 
-def load_tree(label, path):
+def load_tree(label, src):
     """The tree's ``src/prune_relief`` as the package
     ``prune_relief_<label>``."""
-    pkg_dir = Path(path).resolve() / "src" / "prune_relief"
+    pkg_dir = src / "prune_relief"
     name = f"prune_relief_{label}"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
@@ -240,11 +239,13 @@ def run_case(trees, clock, model, batch, sparsity, args):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--tree", action="append", metavar="LABEL=PATH",
-                   help="a checkout to time (repeatable; default change=.)")
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--tree", type=harness.tree, action="append",
+                   metavar="LABEL=PATH",
+                   help="a checkout to time (repeatable; default: change= "
+                        "this script's checkout)")
+    p.add_argument("--repeats", type=harness.count, default=20)
+    p.add_argument("--steps", type=harness.count, default=5)
+    p.add_argument("--seed", type=harness.seed, default=1)
     p.add_argument("--case", action="append", choices=list(CASES),
                    help="a case to run (repeatable; default all)")
     p.add_argument("--moved-bits", action="store_true",
@@ -252,12 +253,14 @@ def main(argv=None) -> int:
                         "than the first instead of stopping")
     p.add_argument("--out", default=str(ROOT / "bench" / "BENCH_step.json"))
     args = p.parse_args(argv)
-    specs = [t.split("=", 1) for t in (args.tree or ["change=."])]
-    trees = {label: load_tree(label, path) for label, path in specs}
-    importlib.import_module(f"prune_relief_{specs[0][0]}.cli")._keep_freed_memory()
+    trees = harness.distinct_trees(p, args.tree
+                                   or [harness.tree(f"change={ROOT}")])
+    trees = {label: load_tree(label, src) for label, src in trees.items()}
+    first = next(iter(trees))
+    importlib.import_module(f"prune_relief_{first}.cli")._keep_freed_memory()
     clock = LayerClock(trees.values())
 
-    result = {"host": host(), "trees": list(trees),
+    result = {"host": harness.host(), "trees": list(trees),
               "repeats": args.repeats, "steps": args.steps,
               "seed": args.seed, "moved_bits": args.moved_bits, "cases": {}}
     for name in args.case or CASES:
@@ -265,7 +268,7 @@ def main(argv=None) -> int:
         result["cases"][name] = case
         line = ", ".join(f"{label} {ms['step']['median']:.2f} ms"
                          for label, ms in case["ms"].items())
-        wins = case.get("faster_than_" + specs[0][0], {})
+        wins = case.get("faster_than_" + first, {})
         line += "".join(f"; {label} faster in {k}/{args.repeats}"
                         for label, k in wins.items())
         line += "".join(f"; {label} trained other bytes"

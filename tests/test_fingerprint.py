@@ -14,13 +14,10 @@ table once and says why.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
-import numpy as np
 import pytest
 
+from bench.harness import host
 from perfbench.idxgen import write_dataset
 from prune_relief.cli import main
 
@@ -122,20 +119,6 @@ PINNED = {
 }
 
 
-def blas_key() -> tuple[str, str]:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # NumPy before 1.26 has no dict form
-        blas = {}
-    # OpenBLAS names the kernel it loads on stderr ("Core: Haswell")
-    err = subprocess.run([sys.executable, "-c", "import numpy"],
-                         env=dict(os.environ, OPENBLAS_VERBOSE="2"),
-                         capture_output=True, text=True).stderr
-    core = next((ln.split(":", 1)[1].strip() for ln in err.splitlines()
-                 if ln.startswith("Core:")), "unknown")
-    return f"{blas.get('name')} {blas.get('version')}", core
-
-
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """model -> (run file -> sha256, dead-end targets per prunable layer
@@ -169,7 +152,8 @@ def runs(tmp_path_factory):
 def test_run_bytes_are_pinned(runs, model):
     hashes, dead_end = runs[model]
     assert all(dead_end[:-1]) and dead_end[-1] == 0
-    key = blas_key()
+    record = host()
+    key = record["blas"], record["openblas_core"]
     if key not in PINNED:
         print(json.dumps({"key": key, model: hashes}, indent=1))
         pytest.skip(f"no pinned run bytes for {key}")
