@@ -20,7 +20,7 @@ import numpy as np
 from .activations import ACTIVATIONS
 from .datasets import Dataset, load_idx, normalize_pair, synth_dataset
 from .errors import ConfigError
-from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
+from .layers import from_record
 from .network import Network
 from .optimizers import LrSpan, OptimizerConfig
 from .pipeline import PruneConfig
@@ -234,12 +234,6 @@ _POOL_RE = re.compile(r"^pool(\d+)(?:s(\d+))?$")
 _FC_RE = re.compile(r"^fc(\d+)$")
 
 
-def _check_size(model: str, part: str, size: int) -> None:
-    if size < 1:
-        raise ConfigError(f"model {model!r}: part {part!r} has size {size}; "
-                          f"sizes must be >= 1")
-
-
 def _flat_dim(shape) -> int:
     return int(np.prod(shape))
 
@@ -272,7 +266,9 @@ def build_network(model: str, input_shape, classes: int,
             raise ConfigError(f"model {model!r} needs at least input and "
                               f"output sizes")
         for d in dims:
-            _check_size(model, str(d), d)
+            if d < 1:
+                raise ConfigError(f"model {model!r}: part '{d}' has size {d}; "
+                                  f"sizes must be >= 1")
         if dims[0] != _flat_dim(input_shape):
             raise ConfigError(
                 f"model {model!r} expects {dims[0]} input values, dataset "
@@ -289,43 +285,40 @@ def build_network(model: str, input_shape, classes: int,
             f"unknown model {model!r}; expected 'lenet300100', 'lenet5', "
             f"'mlp:<dims>', or 'cnn:<parts>'")
 
+    # each part as a layer record; the last, an fc part, emits the logits
     layers = []
     cur = input_shape
     flat = False
-    for part in parts:
+    for j, part in enumerate(parts):
         part = part.strip()
+        act = "identity" if j == len(parts) - 1 else activation
         try:
             if m := _CONV_RE.match(part):
                 if flat:
                     raise ConfigError(f"model {model!r}: conv after fc")
-                c_out, k = int(m.group(1)), int(m.group(2))
-                _check_size(model, part, min(c_out, k))
                 s = int(m.group(3) or 1)
                 p = int(m.group(4) or 0)
-                layers.append(ConvLayer(
-                    np.zeros((c_out, cur[0], k, k), np.float32),
-                    np.zeros(c_out, np.float32), activation,
-                    (s, s), (p, p)))
+                rec = {"kind": "conv", "activation": act,
+                       "out": int(m.group(1)), "in": cur[0],
+                       "kernel": int(m.group(2)),
+                       "stride": [s, s], "padding": [p, p]}
             elif m := _POOL_RE.match(part):
                 if flat:
                     raise ConfigError(f"model {model!r}: pool after fc")
                 w = int(m.group(1))
-                _check_size(model, part, w)
                 s = int(m.group(2) or w)
-                layers.append(MaxPool2D((w, w), (s, s)))
+                rec = {"kind": "maxpool", "window": [w, w], "stride": [s, s]}
             elif m := _FC_RE.match(part):
                 if not flat:
-                    layers.append(Flatten())
+                    layers.append(from_record({"kind": "flatten"}))
                     cur = layers[-1].output_shape(cur)
                     flat = True
-                units = int(m.group(1))
-                _check_size(model, part, units)
-                layers.append(DenseLayer(np.zeros((units, cur[0]), np.float32),
-                                         np.zeros(units, np.float32),
-                                         activation))
+                rec = {"kind": "dense", "activation": act,
+                       "out": int(m.group(1)), "in": cur[0]}
             else:
                 raise ConfigError(f"model {model!r}: cannot parse part "
                                   f"{part!r}")
+            layers.append(from_record(rec))
             cur = layers[-1].output_shape(cur)
         except ConfigError:
             raise
@@ -334,11 +327,9 @@ def build_network(model: str, input_shape, classes: int,
                               f"fit input {input_shape}: {e}") from e
     if not flat:
         raise ConfigError(f"model {model!r} must end with an fc part")
-    last = layers[-1]
-    if last.fan_out != classes:
-        raise ConfigError(f"model {model!r} emits {last.fan_out} logits "
+    if layers[-1].fan_out != classes:
+        raise ConfigError(f"model {model!r} emits {layers[-1].fan_out} logits "
                           f"but the dataset has {classes} classes")
-    layers[-1] = DenseLayer(last.weights, last.bias, "identity")
     return Network(layers, input_shape, classes)
 
 

@@ -24,6 +24,9 @@ None in its place.
 Layers themselves stay immutable during the forward pass so a frozen network
 can be evaluated from many threads.
 
+A layer's ``record()`` is its JSON object in a checkpoint's ``model.json``;
+:func:`from_record` builds every layer, of a checkpoint or a model string.
+
 Activation layout: dense layers read and write (N, features) batches. Conv
 and max-pool layers read and write sample-last (C, H, W, N) maps, so a conv
 step is one 2-D matrix product over every sample and position, and pool taps
@@ -81,18 +84,6 @@ def _bits(a):
     return a.view(f"u{a.itemsize}")
 
 
-def _ones_where(hit, dtype):
-    """All-ones bit pattern where ``hit`` holds, zeros elsewhere.
-
-    Selecting through this mask with bit operations does not branch;
-    ``np.where`` and masked copies do, and run several times slower when
-    ``hit`` follows no pattern, as in max pooling.
-    """
-    ones = hit.astype(dtype)
-    np.negative(ones, out=ones)
-    return ones
-
-
 def _over(grid, p):
     """A (targets, contributors) ``grid`` with one length-1 axis for each
     further axis of the parameter ``p``, so that one entry covers a conv
@@ -108,16 +99,16 @@ def _read_only(a):
 
 
 class _MaskedLayer:
-    """The masks, the mask writer and the copies shared by dense and conv
-    layers.
+    """The masks, the mask writer, the record and the copies shared by dense
+    and conv layers.
 
     Subclasses name their weight and bias tensors in ``_param_names`` and
     the masks of those tensors in ``_mask_names``, weight before bias, and
-    define ``fan_in`` and ``fan_out``. The weight tensor's leading axes are
-    (targets, contributors), the shape of the weight mask. A copy takes the
-    layer's settings and new parameter tensors, and new masks or read-only
-    views of the layer's; whatever it holds of a valid layer is valid, so it
-    skips the constructor's checks.
+    define ``activation``, ``fan_in`` and ``fan_out``. The weight tensor's
+    leading axes are (targets, contributors), the shape of the weight mask.
+    A copy takes the layer's settings and new parameter tensors, and new
+    masks or read-only views of the layer's; whatever it holds of a valid
+    layer is valid, so it skips the constructor's checks.
     """
 
     def _set_masks(self, *masks) -> None:
@@ -155,6 +146,10 @@ class _MaskedLayer:
         return {name: np.broadcast_to(_over(mask, p), p.shape)
                 for (name, p), mask in zip(self.params().items(),
                                            self.stored_masks().values())}
+
+    def record(self) -> dict:
+        return {"kind": self.kind, "activation": self.activation,
+                "out": self.fan_out, "in": self.fan_in}
 
     def clone(self):
         """A copy with its own parameters and masks."""
@@ -203,8 +198,9 @@ class _MaskedLayer:
                                  self.stored_masks().values(),
                                  (keep[:, :-1], keep[:, -1])):
             mask &= kept
+            # times the keep bit: a dropped entry's bits clear without a branch
             bits = _bits(p)
-            bits &= _over(_ones_where(kept, bits.dtype), p)
+            bits *= _over(kept, p)
 
 
 class DenseLayer(_MaskedLayer):
@@ -405,6 +401,10 @@ class ConvLayer(_MaskedLayer):
         dx = col2im(dcols, x.shape, self.kernel_size, self.stride, self.padding)
         return dx, {"kernels": dk, "bias": db}
 
+    def record(self) -> dict:
+        return {**super().record(), "kernel": self.kernel_size,
+                "stride": list(self.stride), "padding": list(self.padding)}
+
     def output_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:
             raise DimensionError(
@@ -427,6 +427,9 @@ class _ParameterFree:
 
     def stored_masks(self):
         return {}
+
+    def clone(self):
+        return from_record(self.record())
 
 
 class MaxPool2D(_ParameterFree):
@@ -528,12 +531,13 @@ class MaxPool2D(_ParameterFree):
         # taps in reverse: an input element then receives its gradients in
         # the row-major order of the windows
         for k, rows, cols in reversed(list(self._taps(ho, wo))):
-            routed = g_bits & _ones_where(arg == k, g_bits.dtype)  # else +0.0
+            routed = g_bits * (arg == k)  # else +0.0
             dx[:, rows, cols] += routed.view(d_out.dtype)
         return dx, {}
 
-    def clone(self) -> "MaxPool2D":
-        return MaxPool2D(self.window, self.stride)
+    def record(self) -> dict:
+        return {"kind": "maxpool", "window": list(self.window),
+                "stride": list(self.stride)}
 
     def output_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -609,11 +613,49 @@ class Flatten(_ParameterFree):
             return np.ascontiguousarray(d_out.T).reshape(cache), {}
         return d_out.reshape(cache), {}
 
-    def clone(self) -> "Flatten":
-        return Flatten()
+    def record(self) -> dict:
+        return {"kind": "flatten"}
 
     def output_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
 
 PRUNABLE_KINDS = ("dense", "conv")
+
+
+def _fresh(name, shape):
+    """A new layer's tensor: zeros for a parameter, None (keep every entry)
+    for a mask."""
+    return None if name.endswith("_mask") else np.zeros(shape, np.float32)
+
+
+def _size(rec, field) -> int:
+    size = int(rec[field])
+    if size < 1:
+        raise DimensionError(f"{field!r} is {size}; sizes must be >= 1")
+    return size
+
+
+def from_record(rec, tensor=_fresh):
+    """The layer that ``rec``, a layer's ``record()``, describes.
+
+    ``tensor(name, shape)`` gives each parameter and mask by its name in
+    ``params()`` or ``stored_masks()`` (default: :func:`_fresh`). Every size
+    (``out``, ``in``, ``kernel``) must be at least 1."""
+    kind = rec["kind"]
+    if kind == "flatten":
+        return Flatten()
+    if kind == "maxpool":
+        return MaxPool2D(tuple(rec["window"]), tuple(rec["stride"]))
+    if kind == "dense":
+        o, n = _size(rec, "out"), _size(rec, "in")
+        return DenseLayer(tensor("weights", (o, n)), tensor("bias", (o,)),
+                          rec["activation"], tensor("weight_mask", (o, n)),
+                          tensor("bias_mask", (o,)))
+    if kind == "conv":
+        o, n, r = _size(rec, "out"), _size(rec, "in"), _size(rec, "kernel")
+        return ConvLayer(tensor("kernels", (o, n, r, r)), tensor("bias", (o,)),
+                         rec["activation"], tuple(rec["stride"]),
+                         tuple(rec["padding"]), tensor("kernel_mask", (o, n)),
+                         tensor("bias_mask", (o,)))
+    raise ValueError(f"unknown layer kind {kind!r}")

@@ -6,12 +6,13 @@ manifest order, followed by the layers' boolean masks as uint8 0/1). Every
 blob records its byte offset, length, and CRC32 so loads can reject torn or
 tampered files. A parameter tensor holding NaN or infinity is rejected too,
 even under a valid CRC: no command could give a meaningful result from it.
-So is a mask byte other than 0 or 1, a layer record no layer can take (a
-stride or window below 1, a negative padding), a size or offset that is no
-integer (JSON's ``1e400`` is infinite) and a layer stack that does not
-chain from ``input_shape``: every malformed checkpoint raises
-``FormatError``. Round-tripping a network
-through save/load is bit-exact.
+So is a mask byte other than 0 or 1, a layer record no layer can take (an
+``out``, ``in`` or ``kernel`` size, a stride or a window below 1, a
+negative padding), a size or offset that is no integer (JSON's ``1e400`` is
+infinite) and a layer stack that does not chain from ``input_shape``: every
+malformed checkpoint raises ``FormatError``. The layer records are each
+layer's ``record()`` (``layers.from_record`` reads them back).
+Round-tripping a network through save/load is bit-exact.
 """
 
 import json
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .layers import ConvLayer, DenseLayer, Flatten, MaxPool2D
+from .layers import from_record
 from .network import Network
 
 FORMAT_NAME = "prune-relief-model"
@@ -29,23 +30,6 @@ FORMAT_VERSION = 1
 
 _FLOAT = "f32le"
 _MASK = "u8"
-
-
-def _layer_record(layer) -> dict:
-    if isinstance(layer, DenseLayer):
-        return {"kind": "dense", "activation": layer.activation,
-                "out": layer.fan_out, "in": layer.fan_in}
-    if isinstance(layer, ConvLayer):
-        return {"kind": "conv", "activation": layer.activation,
-                "out": layer.out_channels, "in": layer.in_channels,
-                "kernel": layer.kernel_size,
-                "stride": list(layer.stride), "padding": list(layer.padding)}
-    if isinstance(layer, MaxPool2D):
-        return {"kind": "maxpool", "window": list(layer.window),
-                "stride": list(layer.stride)}
-    if isinstance(layer, Flatten):
-        return {"kind": "flatten"}
-    raise FormatError(f"cannot serialize layer kind {type(layer).__name__}")
 
 
 def save_model(net: Network, path) -> None:
@@ -80,7 +64,7 @@ def save_model(net: Network, path) -> None:
         "version": FORMAT_VERSION,
         "input_shape": list(net.input_shape),
         "classes": net.classes,
-        "layers": [_layer_record(l) for l in net.layers],
+        "layers": [l.record() for l in net.layers],
         "tensors": tensors,
     }
     write_json(path / "model.json", manifest)
@@ -170,49 +154,29 @@ def load_model(path) -> Network:
         arr = _extract(blob, rec, path)
         tensors[str(rec["name"])] = arr
 
-    def take(name, expect_shape=None):
+    def take(name, shape):
         if name not in tensors:
             raise FormatError(f"manifest is missing tensor {name}")
         arr = tensors.pop(name)
-        if expect_shape is not None and arr.shape != tuple(expect_shape):
+        if arr.shape != shape:
             raise FormatError(f"tensor {name} has shape {arr.shape}, layer "
-                              f"declaration implies {tuple(expect_shape)}")
+                              f"declaration implies {shape}")
         return arr
 
     layers = []
-    try:
-        for i, rec in enumerate(manifest["layers"]):
-            kind = rec.get("kind")
-            if kind == "dense":
-                o, n = int(rec["out"]), int(rec["in"])
-                layers.append(DenseLayer(
-                    take(f"layers.{i}.weights", (o, n)),
-                    take(f"layers.{i}.bias", (o,)),
-                    rec["activation"],
-                    take(f"layers.{i}.weight_mask", (o, n)),
-                    take(f"layers.{i}.bias_mask", (o,))))
-            elif kind == "conv":
-                o, n, r = int(rec["out"]), int(rec["in"]), int(rec["kernel"])
-                layers.append(ConvLayer(
-                    take(f"layers.{i}.kernels", (o, n, r, r)),
-                    take(f"layers.{i}.bias", (o,)),
-                    rec["activation"],
-                    tuple(rec["stride"]), tuple(rec["padding"]),
-                    take(f"layers.{i}.kernel_mask", (o, n)),
-                    take(f"layers.{i}.bias_mask", (o,))))
-            elif kind == "maxpool":
-                layers.append(MaxPool2D(tuple(rec["window"]), tuple(rec["stride"])))
-            elif kind == "flatten":
-                layers.append(Flatten())
-            else:
-                raise FormatError(f"layer {i}: unknown kind {kind!r}")
-    except (KeyError, TypeError) as e:
-        raise FormatError(f"malformed layer record in {path}: {e}") from e
-    except (ValueError, OverflowError, DimensionError) as e:
-        # mask/value invariant violations surface as ValueError from layers,
-        # a bad stride, padding or pool window as DimensionError, an
-        # infinite size (JSON's 1e400) as OverflowError
-        raise FormatError(f"invalid checkpoint {path}: {e}") from e
+    for i, rec in enumerate(manifest["layers"]):
+        try:
+            layers.append(from_record(
+                rec, lambda name, shape: take(f"layers.{i}.{name}", shape)))
+        except (KeyError, TypeError) as e:
+            raise FormatError(f"malformed record of layer {i} in {path}: "
+                              f"{e}") from e
+        except (ValueError, OverflowError, DimensionError) as e:
+            # a masked nonzero or an unknown kind is a ValueError, a size,
+            # stride or window below 1 a DimensionError, JSON's 1e400 an
+            # OverflowError
+            raise FormatError(f"invalid checkpoint {path}: layer {i}: "
+                              f"{e}") from e
     if tensors:
         raise FormatError(f"manifest declares tensors not owned by any layer: "
                           f"{sorted(tensors)}")

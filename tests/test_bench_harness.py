@@ -2,6 +2,7 @@
 script rejects a bad argument with a usage error before doing any work."""
 
 import argparse
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +25,21 @@ def test_tree_rejects(tmp_path, text):
         harness.tree(text.replace("EMPTY", str(tmp_path)))
 
 
+HOST_KEYS = ["cpu_model", "nproc", "python", "blas_threads", "numpy", "blas",
+             "openblas_core"]
+
+
 def test_host_keys():
-    assert list(harness.host()) == ["cpu_model", "nproc", "python",
-                                    "blas_threads", "numpy", "blas",
-                                    "openblas_core"]
+    assert list(harness.host()) == HOST_KEYS
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("BENCH_*.json")),
+                         ids=lambda p: p.name)
+def test_committed_results_name_their_kernel(path):
+    # a result's byte and timing claims hold for the kernel it names
+    host = json.loads(path.read_text())["host"]
+    assert list(host) == HOST_KEYS
+    assert host["openblas_core"] != "unknown"
 
 
 def test_host_leaves_numpy_unloaded():

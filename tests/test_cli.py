@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prune_relief import Flatten, MaxPool2D, Network
+from prune_relief import ConvLayer, DenseLayer, Flatten, MaxPool2D, Network
 from prune_relief.cli import build_parser, main
 from prune_relief.model_io import load_model, save_model
 from prune_relief.pipeline import read_history
@@ -566,6 +566,27 @@ class TestFailureModes:
         assert f"invalid checkpoint {ckpt}" in err
         assert "Traceback" not in err
 
+    # checkpoints whose tensors agree with a layer size of 0: a dense
+    # hidden layer of no units, a conv of 0 x 0 kernels that would turn
+    # the 1 x 16 map into 2 x 17 maps
+    @pytest.mark.parametrize("layers,field", [
+        ([Flatten(), DenseLayer(np.zeros((0, 16)), np.zeros(0)),
+          DenseLayer(np.zeros((3, 0)), np.zeros(3), "identity")], "out"),
+        ([ConvLayer(np.zeros((2, 1, 0, 0)), np.zeros(2)), Flatten(),
+          DenseLayer(np.zeros((3, 68)), np.zeros(3), "identity")], "kernel"),
+    ], ids=["dense_out", "conv_kernel"])
+    def test_zero_size_layer_exit_3(self, run, tmp_path, capsys, layers,
+                                    field):
+        cfg, _ = run
+        ckpt = tmp_path / "zero"
+        save_model(Network(layers, (1, 1, 16), 3), ckpt)
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        layer = 1 if field == "out" else 0
+        assert f"layer {layer}: '{field}' is 0; sizes must be >= 1" in err
+        assert "Traceback" not in err
+
     def test_checkpoint_for_other_inputs_exit_2(self, run, tmp_path, capsys):
         # a consistent checkpoint that does not fit the dataset is a usage
         # mismatch, not a malformed file
@@ -707,6 +728,26 @@ class TestFailureModes:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"the {empty} split" in err and "no samples" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_images_without_pixels_exit_2(self, tmp_path, capsys):
+        # 20 samples of 0 x 0 pixels flatten to 0 values, the fc part's
+        # fan-in
+        paths = {}
+        for split in ("train", "test"):
+            images = tmp_path / f"{split}-images"
+            labels = tmp_path / f"{split}-labels"
+            images.write_bytes(idx_images_bytes(np.zeros((20, 0, 0))))
+            labels.write_bytes(idx_labels_bytes(np.arange(20) % 3))
+            paths[f"{split}_images"] = str(images)
+            paths[f"{split}_labels"] = str(labels)
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                           model="cnn:fc3", dataset={"kind": "idx", **paths})
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "part 'fc3'" in err
+        assert "'in' is 0; sizes must be >= 1" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 

@@ -6,9 +6,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from prune_relief import (FormatError, build_network, init_params, load_model,
-                          save_model)
+from prune_relief import (ConvLayer, DenseLayer, FormatError, Network,
+                          build_network, init_params, load_model, save_model)
 from tests.conftest import mask_pairs, small_cnn, small_mlp
 
 
@@ -256,3 +258,61 @@ class TestRejection:
         _corrupt(ckpt, mutate)
         with pytest.raises(FormatError):
             load_model(ckpt)
+
+    @pytest.mark.parametrize("kind,field", [
+        ("dense", "out"), ("dense", "in"),
+        ("conv", "out"), ("conv", "in"), ("conv", "kernel")])
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_size_below_one_rejected(self, tmp_path, kind, field, size):
+        # a layer of size 0 saves, and its tensors agree with its record,
+        # so only the size check catches it; a -1 is written over the 0
+        dims = {"out": 2, "in": 3, "kernel": 2, field: 0}
+        o, n, r = dims["out"], dims["in"], dims["kernel"]
+        layer = DenseLayer(np.zeros((o, n)), np.zeros(o)) if kind == "dense" \
+            else ConvLayer(np.zeros((o, n, r, r)), np.zeros(o))
+        save_model(Network([layer], (n,), 2), tmp_path)
+
+        def mutate(m, b):
+            m["layers"][0][field] = size
+            return m, b
+        _corrupt(tmp_path, mutate)
+        with pytest.raises(FormatError,
+                           match=f"layer 0: '{field}' is {size}; sizes must "
+                                 f"be >= 1"):
+            load_model(tmp_path)
+
+
+# anything JSON can hold in a layer record's field
+JSON_VALUES = st.one_of(
+    st.integers(-2, 3), st.none(), st.booleans(), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-2, 3), max_size=3),
+    st.lists(st.text(max_size=1), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(-2, 3), max_size=1),
+    st.sampled_from(["dense", "conv", "maxpool", "flatten", "relu",
+                     "identity"]))
+RECORD_KEYS = ["kind", "activation", "out", "in", "kernel", "stride",
+               "padding", "window"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(layer=st.integers(0, 3),
+       edits=st.dictionaries(st.sampled_from(RECORD_KEYS), JSON_VALUES,
+                             min_size=1, max_size=3))
+def test_edited_layer_record_loads_or_raises_format_error(tmp_path, layer,
+                                                          edits):
+    # the layers of small_cnn: conv (3 filters of 2 x 3 x 3, sizes that
+    # lie in [-2, 3] too), 2 x 2 pool, flatten, dense (3 x 12)
+    path = tmp_path / "ckpt"
+    save_model(small_cnn(np.random.default_rng(0)), path)
+
+    def mutate(m, b):
+        m["layers"][layer].update(edits)
+        return m, b
+    _corrupt(path, mutate)
+    try:
+        net = load_model(path)
+    except FormatError:
+        return
+    # what loads is a net that runs
+    assert net.forward(np.zeros((2, *net.input_shape))).shape == (2, 3)
