@@ -225,6 +225,8 @@ def main(argv=None) -> int:
     seeds = args.seed or [1]
     if len(set(seeds)) != len(seeds):
         p.error("seeds must be distinct")
+    if args.work is not None and not Path(args.work).is_dir():
+        p.error(f"--work {args.work} is not a directory")
 
     env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
     env.pop("PYTHONPATH", None)

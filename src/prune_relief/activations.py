@@ -101,7 +101,7 @@ ACTIVATIONS = {
 def get_activation(name: str) -> Activation:
     try:
         return ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a list or dict, unhashable
         raise ValueError(
             f"unknown activation {name!r}; expected one of {sorted(ACTIVATIONS)}"
         ) from None

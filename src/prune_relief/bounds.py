@@ -20,40 +20,36 @@ set keeps the pruned layer's input and the logits, and one scoring of that
 layer gives the masks and the signal totals S(l) that every bound takes. The
 deviations are measured on the same kept input. A layer whose tail is not
 all dense gets no network bound, so its report runs only the layers before
-it, and none for layer 0. ``measure_deviation`` runs both layers of a pair
-through their own ``forward``, so the measured layer is the one the network
-evaluates, on float64 copies made once per pair; z is that forward's output
-with the identity activation.
-The copies share the layers' masks as read-only views (``astype``); only
-``clone``, which the pruned network is made with, copies them.
+it, and none for layer 0. ``measure_deviation`` makes z from float64
+copies of each layer's weights and bias: a dense layer's ``x @ W.T + b``,
+the expression its ``forward`` runs, and a conv layer's product of its
+kernels with each sample's patches (``tensor_ops.sample_patches``).
 
 Both kinds of pair run one chunk of samples at a time, so the measurement
-holds the same memory whatever the pruning-set size: a conv chunk's patch
-columns, z and act(z) of both layers and their difference fit
+holds the same memory whatever the pruning-set size: a conv chunk's
+patches, z and act(z) of both layers and their difference fit
 ``tensor_ops.COLUMN_BUDGET``, and a dense chunk's input rows, z and act(z)
 of both layers and their difference fit ``tensor_ops.ROW_BUDGET``
 (``tensor_ops.dense_chunks``). Only the per-sample deviations, one float64
-value per sample and target for each of the two fields, grow with the set.
-The chunks give the bytes of the whole set in one product: conv chunks span
-whole ``COLUMN_TILE``s of columns, dense chunk boundaries are multiples of
-``SAMPLE_TILE`` samples, and the mean over the samples is taken once, over
-the whole set's per-sample array.
+value per sample and target for each of the two fields, grow with the set,
+and the mean over the samples is taken once, over the whole set's
+per-sample array. A conv sample's deviations come from its own products,
+so any chunks give the same bytes; dense chunk boundaries are multiples of
+``SAMPLE_TILE`` samples, which give the bytes of one product over the
+whole set.
 
 All measurement and bound arithmetic here runs in float64: bounds compared
 against measurements at 1e-5 tolerances should not inherit float32
 accumulation noise from the network dtype.
 """
 
-import copy
-
 import numpy as np
 
-from .activations import get_activation
 from .errors import CapabilityError, DimensionError, EmptyPruningSetError
 from .importance import _as_input_batch, _mask_layer, check_alpha, score_layer
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import dense_chunks, sample_chunks
+from .tensor_ops import dense_chunks, sample_chunks, sample_patches
 
 
 def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
@@ -63,28 +59,19 @@ def check_prunable(net: Network, layer_index: int, error=IndexError) -> None:
                     f"are {net.prunable_indices()}")
 
 
-def _pre_and_post(layer, x):
-    """z and act(z) of ``layer`` on ``x``; z is the output of the layer's
-    own ``forward`` run with the identity activation."""
-    linear = copy.copy(layer)
-    linear.act = get_activation("identity")
-    z = linear.forward(x)
-    return z, layer.act.f(z)
-
-
 def measure_deviation(before, after, inputs):
     """Mean pre- and post-activation deviation per target of a layer pair.
 
-    ``after`` is meant to be a masked copy of ``before``; both run their own
-    ``forward`` on the same inputs in float64, as copies made once per pair
-    that share the layers' masks. ``inputs`` are in the layers' layout:
-    (N, features) for dense, (C, H, W, N) maps for conv layers. Dense
-    targets report the mean |delta z|, conv filters the mean Frobenius norm
-    of the difference over their output map. The pair runs one chunk of
-    samples at a time (``tensor_ops.dense_chunks`` and ``sample_chunks``),
-    writes each sample's deviations into one array per field and takes one
-    mean over the samples, so the result has the bytes of the whole set in
-    one product.
+    ``after`` is meant to be a masked copy of ``before``. ``inputs`` are in
+    the layers' layout: (N, features) for dense, (C, H, W, N) maps for conv
+    layers. Dense targets report the mean |delta z|, conv filters the mean
+    Frobenius norm of the difference over their output map. z is made in
+    float64 from float64 copies of each layer's weights and bias: a dense
+    layer's ``x @ W.T + b``, the expression its forward runs, and a conv
+    layer's one product per sample over ``tensor_ops.sample_patches``. The
+    pair runs one chunk of samples at a time (``tensor_ops.dense_chunks``
+    and ``sample_chunks``), writes each sample's deviations into one array
+    per field and takes one mean over the samples.
     """
     if type(before) is not type(after) \
             or not isinstance(before, (DenseLayer, ConvLayer)):
@@ -100,46 +87,41 @@ def measure_deviation(before, after, inputs):
     conv = isinstance(before, ConvLayer)
     # rejects a wrongly shaped batch
     out_shape = before.output_shape(x.shape[:-1] if conv else x.shape[1:])
-    # the sample axis of the inputs and of the per-sample deviations
-    axis = -1 if conv else 0
-    n = x.shape[axis]
+    n = x.shape[-1 if conv else 0]
     if n == 0:
         raise EmptyPruningSetError("deviation measurement needs samples")
     if conv:
         co, ho, wo = out_shape
-        # a column's float64 patch and, per filter, z and act(z) of both
-        # layers and one difference
-        column_bytes = (before.in_channels * before.kernel_size ** 2
-                        + 5 * co) * 8
-        chunks = sample_chunks(n, ho * wo, column_bytes)
-        shape, deviation = (co, n), _frobenius
+        # a sample's float64 patches (C*r*r rows, a filter's size) and, per
+        # filter, z and act(z) of both layers and one difference
+        chunks = sample_chunks(n, ho * wo * (before.kernels[0].size + 5 * co) * 8)
     else:
         chunks = dense_chunks(n, before.fan_in, before.fan_out)
-        shape, deviation = (n, before.fan_out), _abs_diff
-    b64, a64 = before.astype(np.float64), after.astype(np.float64)
-    pre, post = np.empty(shape), np.empty(shape)
+    # each layer's (targets, contributors) weights and (targets, 1) bias
+    pair = [[p.reshape(l.fan_out, -1).astype(np.float64)
+             for p in l.params().values()] for l in (before, after)]
+    pre, post = np.empty((n, before.fan_out)), np.empty((n, before.fan_out))
     for s0, s1 in chunks:
-        part = np.s_[..., s0:s1] if conv else np.s_[s0:s1]
-        xc = x[part].astype(np.float64)
-        zb, yb = _pre_and_post(b64, xc)
-        za, ya = _pre_and_post(a64, xc)
-        pre[part] = deviation(zb, za)
-        post[part] = deviation(yb, ya)
-    return pre.mean(axis=axis), post.mean(axis=axis)
-
-
-def _abs_diff(a, b):
-    """|a - b| of (n, targets) dense outputs."""
-    d = a - b
-    return np.abs(d, out=d)
-
-
-def _frobenius(a, b):
-    """Per-sample Frobenius norm of each target's a - b over the (H, W) axes
-    of (targets, H, W, n) conv maps: a (targets, n) array."""
-    d = a - b
-    d *= d
-    return np.sqrt(d.sum(axis=(1, 2)))
+        if conv:
+            xc = sample_patches(x[..., s0:s1].astype(np.float64),
+                                before.kernel_size, before.stride,
+                                before.padding)
+        else:
+            xc = x[s0:s1].astype(np.float64)
+        # z is (samples, targets), or (samples, filters, Ho*Wo) maps
+        zs = [np.matmul(w, xc) + b if conv else xc @ w.T + b.T
+              for w, b in pair]
+        ys = [before.act.f(zs[0]), after.act.f(zs[1])]
+        for out, (u, v) in ((pre, zs), (post, ys)):
+            d = u - v
+            if conv:  # each sample's Frobenius norm over the map
+                np.sqrt(np.square(d, out=d).sum(axis=-1), out=out[s0:s1])
+            else:
+                np.abs(d, out=out[s0:s1])
+            del d  # before the next difference is made
+        # and the chunk's arrays before the next chunk's
+        del xc, zs, ys
+    return pre.mean(axis=0), post.mean(axis=0)
 
 
 def _dense_tail(net: Network, layer_index: int) -> bool:

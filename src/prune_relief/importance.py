@@ -46,10 +46,11 @@ own stride and padding):
 where (*) is the layer's convolution applied to the absolute input channel
 with the absolute kernel. Score accumulation runs in float64 regardless of
 the network dtype. The conv numerators take one input channel and one chunk
-of samples at a time, whose columns and float64 (filters, columns) maps
-together fit ``tensor_ops.COLUMN_BUDGET``: each sample's norms go into one
-(filters, samples) array and the mean over samples is taken once, so the
-scores are the bytes a whole-set pass gives.
+of samples at a time, whose patches and float64 (filters, positions) maps
+together fit ``tensor_ops.COLUMN_BUDGET``. Each sample's maps are one
+product of its own patches (``tensor_ops.sample_patches``), and its norms
+go into one (samples, filters) array whose mean over the samples is taken
+once, so the scores have the same bytes whatever the chunks.
 """
 
 from dataclasses import dataclass
@@ -59,8 +60,8 @@ import numpy as np
 from .errors import DimensionError, EmptyPruningSetError
 from .layers import ConvLayer, DenseLayer
 from .network import Network
-from .tensor_ops import (ROW_BUDGET, conv_output_hw, equal_parts, im2col,
-                         sample_chunks)
+from .tensor_ops import (ROW_BUDGET, conv_output_hw, equal_parts,
+                         sample_chunks, sample_patches)
 
 
 @dataclass
@@ -159,20 +160,20 @@ def conv_importance(layer: ConvLayer, inputs) -> ImportanceScores:
     # equality-tight bounds are checked against
     khat = np.abs(layer.kernels).astype(np.float64)
     grid = np.empty((layer.fan_out, layer.fan_in + 1))
-    norms = np.empty((co, n), dtype=np.float64)
-    # one float64 product per input channel and chunk of samples, over that
-    # channel's columns only: the columns of every channel and sample at
-    # once would take 256 MB for LeNet-5's second conv at 1000 samples. A
-    # chunk's budget counts its columns and the (Co, columns) maps
-    chunks = sample_chunks(n, ho * wo, (r * r + co) * 8)
+    norms = np.empty((n, co))
+    # one product per sample over one input channel's patches: the patches
+    # of every channel and sample at once would take 256 MB for LeNet-5's
+    # second conv at 1000 samples. A chunk's budget counts each sample's
+    # patches and (Co, Ho*Wo) maps
+    chunks = sample_chunks(n, ho * wo * (r * r + co) * 8)
     for i in range(ci):
         ki = khat[:, i].reshape(co, -1)
         for s0, s1 in chunks:
             xi = np.abs(x[i : i + 1, :, :, s0:s1]).astype(np.float64)
-            maps = np.matmul(ki, im2col(xi, r, layer.stride, layer.padding))
-            np.square(maps, out=maps)  # (Co, Ho*Wo*n)
-            norms[:, s0:s1] = np.sqrt(maps.reshape(co, ho * wo, -1).sum(axis=1))
-        grid[:, i] = norms.mean(axis=1)
+            maps = np.matmul(ki, sample_patches(xi, r, layer.stride, layer.padding))
+            np.square(maps, out=maps)  # (samples, Co, Ho*Wo)
+            np.sqrt(maps.sum(axis=-1), out=norms[s0:s1])
+        grid[:, i] = norms.mean(axis=0)
     bias_numer = grid[:, -1]
     np.abs(layer.bias, out=bias_numer)
     bias_numer *= np.sqrt(float(ho * wo))

@@ -56,8 +56,8 @@ import numpy as np
 
 from .activations import get_activation
 from .errors import DimensionError
-from .tensor_ops import (check_stride_padding, col2im, conv_output_hw, im2col,
-                         pad_maps, row_bands)
+from .tensor_ops import (check_pair, check_stride_padding, col2im,
+                         conv_output_hw, im2col, pad_maps, row_bands)
 
 
 SPATIAL_KINDS = ("conv", "maxpool")
@@ -91,13 +91,6 @@ def _over(grid, p):
     return grid.reshape(grid.shape + (1,) * (p.ndim - grid.ndim))
 
 
-def _read_only(a):
-    """A view of ``a`` that cannot be written through."""
-    v = a.view()
-    v.flags.writeable = False
-    return v
-
-
 class _MaskedLayer:
     """The masks, the mask writer, the record and the copies shared by dense
     and conv layers.
@@ -106,9 +99,8 @@ class _MaskedLayer:
     the masks of those tensors in ``_mask_names``, weight before bias, and
     define ``activation``, ``fan_in`` and ``fan_out``. The weight tensor's
     leading axes are (targets, contributors), the shape of the weight mask.
-    A copy takes the layer's settings and new parameter tensors, and new
-    masks or read-only views of the layer's; whatever it holds of a valid
-    layer is valid, so it skips the constructor's checks.
+    A copy takes the layer's settings and new tensors; whatever it holds of
+    a valid layer is valid, so it skips the constructor's checks.
     """
 
     def _set_masks(self, *masks) -> None:
@@ -153,19 +145,9 @@ class _MaskedLayer:
 
     def clone(self):
         """A copy with its own parameters and masks."""
-        return self._copy(self.bias.dtype, np.copy)
-
-    def astype(self, dtype):
-        """A copy with the parameters in ``dtype`` that shares the layer's
-        masks as read-only views: it computes, it is not masked."""
-        return self._copy(dtype, _read_only)
-
-    def _copy(self, dtype, copy_mask):
         out = copy.copy(self)
-        for name, a in self.params().items():
-            setattr(out, name, a.astype(dtype))
-        for name, a in self.stored_masks().items():
-            setattr(out, name, copy_mask(a))
+        for name, a in {**self.params(), **self.stored_masks()}.items():
+            setattr(out, name, a.copy())
         return out
 
     def take(self, rows, cols):
@@ -439,10 +421,9 @@ class MaxPool2D(_ParameterFree):
     kind = "maxpool"
 
     def __init__(self, window=(2, 2), stride=None):
-        self.window, _ = check_stride_padding(window, (0, 0))
-        if stride is None:
-            stride = self.window
-        self.stride, _ = check_stride_padding(stride, (0, 0))
+        self.window = check_pair(window, "window", 1)
+        self.stride = check_pair(self.window if stride is None else stride,
+                                 "stride", 1)
 
     @property
     def tiles(self) -> bool:
@@ -630,32 +611,50 @@ def _fresh(name, shape):
 
 
 def _size(rec, field) -> int:
-    size = int(rec[field])
+    # a bool, a float or a string would load as another value than it holds
+    size = rec[field]
+    if type(size) is not int:
+        raise ValueError(f"{field!r} must be an int, got {size!r}")
     if size < 1:
         raise DimensionError(f"{field!r} is {size}; sizes must be >= 1")
     return size
+
+
+def _pair(rec, field) -> tuple:
+    value = rec[field]
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ValueError(f"{field!r} must be a list of ints, got {value!r}")
+    return tuple(value)
 
 
 def from_record(rec, tensor=_fresh):
     """The layer that ``rec``, a layer's ``record()``, describes.
 
     ``tensor(name, shape)`` gives each parameter and mask by its name in
-    ``params()`` or ``stored_masks()`` (default: :func:`_fresh`). Every size
-    (``out``, ``in``, ``kernel``) must be at least 1."""
+    ``params()`` or ``stored_masks()`` (default: :func:`_fresh`). ``rec``
+    holds only the fields of its kind's ``record()``; every size (``out``,
+    ``in``, ``kernel``) is an int of at least 1 and ``stride``, ``padding``
+    and ``window`` are lists of ints, so the layer's ``record()`` is
+    ``rec``."""
     kind = rec["kind"]
     if kind == "flatten":
-        return Flatten()
-    if kind == "maxpool":
-        return MaxPool2D(tuple(rec["window"]), tuple(rec["stride"]))
-    if kind == "dense":
+        layer = Flatten()
+    elif kind == "maxpool":
+        layer = MaxPool2D(_pair(rec, "window"), _pair(rec, "stride"))
+    elif kind == "dense":
         o, n = _size(rec, "out"), _size(rec, "in")
-        return DenseLayer(tensor("weights", (o, n)), tensor("bias", (o,)),
-                          rec["activation"], tensor("weight_mask", (o, n)),
-                          tensor("bias_mask", (o,)))
-    if kind == "conv":
+        layer = DenseLayer(tensor("weights", (o, n)), tensor("bias", (o,)),
+                           rec["activation"], tensor("weight_mask", (o, n)),
+                           tensor("bias_mask", (o,)))
+    elif kind == "conv":
         o, n, r = _size(rec, "out"), _size(rec, "in"), _size(rec, "kernel")
-        return ConvLayer(tensor("kernels", (o, n, r, r)), tensor("bias", (o,)),
-                         rec["activation"], tuple(rec["stride"]),
-                         tuple(rec["padding"]), tensor("kernel_mask", (o, n)),
-                         tensor("bias_mask", (o,)))
-    raise ValueError(f"unknown layer kind {kind!r}")
+        layer = ConvLayer(tensor("kernels", (o, n, r, r)), tensor("bias", (o,)),
+                          rec["activation"], _pair(rec, "stride"),
+                          _pair(rec, "padding"), tensor("kernel_mask", (o, n)),
+                          tensor("bias_mask", (o,)))
+    else:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    extra = set(rec) - set(layer.record())
+    if extra:
+        raise ValueError(f"a {kind} record has no field {min(extra)!r}")
+    return layer

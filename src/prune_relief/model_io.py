@@ -8,10 +8,12 @@ tampered files. A parameter tensor holding NaN or infinity is rejected too,
 even under a valid CRC: no command could give a meaningful result from it.
 So is a mask byte other than 0 or 1, a layer record no layer can take (an
 ``out``, ``in`` or ``kernel`` size, a stride or a window below 1, a
-negative padding), a size or offset that is no integer (JSON's ``1e400`` is
-infinite) and a layer stack that does not chain from ``input_shape``: every
-malformed checkpoint raises ``FormatError``. The layer records are each
-layer's ``record()`` (``layers.from_record`` reads them back).
+negative padding, a field its kind does not have), a size or offset that is
+no integer (JSON's ``1e400`` is infinite, and a record's ``"3"``, ``3.0``
+or ``true`` is no int either) and a layer stack that does not chain from
+``input_shape``: every malformed checkpoint raises ``FormatError``. The
+layer records are each layer's ``record()`` (``layers.from_record`` reads
+them back).
 Round-tripping a network through save/load is bit-exact.
 """
 
@@ -171,10 +173,10 @@ def load_model(path) -> Network:
         except (KeyError, TypeError) as e:
             raise FormatError(f"malformed record of layer {i} in {path}: "
                               f"{e}") from e
-        except (ValueError, OverflowError, DimensionError) as e:
-            # a masked nonzero or an unknown kind is a ValueError, a size,
-            # stride or window below 1 a DimensionError, JSON's 1e400 an
-            # OverflowError
+        except (ValueError, DimensionError) as e:
+            # a masked nonzero, an unknown kind or field or a field of
+            # another type than records hold is a ValueError, a size,
+            # stride or window below 1 a DimensionError
             raise FormatError(f"invalid checkpoint {path}: layer {i}: "
                               f"{e}") from e
     if tensors:

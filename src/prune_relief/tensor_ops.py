@@ -1,4 +1,4 @@
-"""Dense tensor primitives: the patch lowering behind 2-D convolution, and
+"""Dense tensor primitives: the patch lowerings behind 2-D convolution, and
 the sample chunks that work without a backward cache runs in.
 
 Everything here is pure and dtype-preserving. Maps are sample-last,
@@ -8,49 +8,50 @@ zero padding: it lowers patches to (C*r*r, Ho*Wo*N) columns with
 :func:`im2col`, so the forward pass is one 2-D matrix product, the weight
 gradient reads the columns as a transposed operand, and :func:`col2im`, the
 adjoint, adds the input gradient's columns back into a (C, H, W, N) map.
+:func:`sample_patches` lowers the same patches into one matrix per sample,
+for products that run once per sample.
 
 Only a training step's backward lowers a whole batch, one layer at a time,
 for its weight gradient. Every conv forward, with or without a cache, lowers
 at most :data:`COLUMN_BUDGET` bytes of columns at a time, one band of output
 rows at a time (:func:`row_bands`), so training and inference run the same
-products. Scoring and measurement run in float64 one chunk of samples at a
-time (:func:`sample_chunks`), each chunk's columns and float64 maps within
-:data:`COLUMN_BUDGET`, and on the SkylakeX, Haswell and Sandybridge
-kernels their chunks give the bytes of one product over the whole set: they
-span whole tiles of :data:`COLUMN_TILE` columns and, at LeNet-5's shapes,
-hundreds of columns or more, and the per-sample reductions run in order.
+products. Conv scoring and deviation measurement run in float64 one chunk of
+samples at a time (:func:`sample_chunks`), each chunk's patches and float64
+maps within :data:`COLUMN_BUDGET`. Each sample's numbers come from products
+and sums over that sample's own patches, the same calls in any chunk, so
+the chunks change the memory they take and not a bit of what they give.
 Dense deviation measurement runs float64 layer pairs one chunk of samples at
-a time (:func:`dense_chunks`), each chunk's rows within :data:`ROW_BUDGET`;
-its chunks start at multiples of :data:`SAMPLE_TILE` samples and give the
-bytes of one product over the whole set. Each of these equalities holds on
-one BLAS thread: a threaded product splits its columns or samples among the
-threads at boundaries of its own.
+a time (:func:`dense_chunks`), each chunk's rows within :data:`ROW_BUDGET`,
+as one product per chunk: one product per sample costs 3.4 to 3.8 times
+as much at LeNet-300-100's 784 -> 300 layer (OpenBLAS on one thread of a
+Xeon with AVX-512). Its chunks start at multiples of :data:`SAMPLE_TILE`
+samples and give the bytes of one product over the whole set on one BLAS
+thread: a threaded product splits its samples among the threads at
+boundaries of its own.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
 
-def _as_pair(v, name: str) -> tuple[int, int]:
+def check_pair(v, name: str, least: int) -> tuple[int, int]:
+    """``v``, an int or a pair, as a pair of ints, each at least ``least``."""
     if isinstance(v, (int, np.integer)):
         v = (int(v), int(v))
     v = tuple(int(x) for x in v)
     if len(v) != 2:
         raise DimensionError(f"{name} must be an int or a pair, got {v!r}")
+    if min(v) < least:
+        raise DimensionError(f"{name} components must be >= {least}, got {v}")
     return v
 
 
 def check_stride_padding(stride, padding) -> tuple[tuple[int, int], tuple[int, int]]:
-    stride = _as_pair(stride, "stride")
-    padding = _as_pair(padding, "padding")
-    if stride[0] < 1 or stride[1] < 1:
-        raise DimensionError(f"stride components must be >= 1, got {stride}")
-    if padding[0] < 0 or padding[1] < 0:
-        raise DimensionError(f"padding components must be >= 0, got {padding}")
-    return stride, padding
+    return check_pair(stride, "stride", 1), check_pair(padding, "padding", 0)
 
 
 def conv_output_hw(h: int, w: int, r: int, stride, padding) -> tuple[int, int]:
@@ -69,19 +70,19 @@ at once. A band counts its patch columns only, of C*r*r entries each; its
 z and activations take C_out entries per column (0.8 times the columns at
 LeNet-5's first conv, 0.1 at its second), and a pooled forward carries
 fewer than one window's rows of them from band to band. A chunk counts its
-patch columns and the float64 maps it makes of them: per filter, one map
-for scoring, and z and act(z) of both layers and their difference for
-measurement (0.8 and 2 times the columns when scoring LeNet-5's two convs,
-4 and 0.5 times when measuring them). A band holds at least one output row
-and a chunk at least two samples (and one tile of columns), so a layer
-whose smallest part exceeds the budget goes over it."""
+patches and the float64 maps it makes of them: per filter, one map for
+scoring, and z and act(z) of both layers and their difference for
+measurement (0.8 and 2 times the patches when scoring LeNet-5's two
+convs, 4 and 0.5 times when measuring them). A band holds at least one
+output row and a chunk at least one sample, so a layer whose smallest part
+exceeds the budget goes over it."""
 
 COLUMN_TILE = 16
-"""Every band or chunk but the last spans a multiple of this many columns.
+"""Every forward band but the last spans a multiple of this many columns.
 With OpenBLAS on x86-64, a column keeps its bits in a narrower product when
 the columns before it span whole tiles of 16; the columns of a partial tile
 (8, 12 or an odd count past the last whole one) can come out otherwise.
-Aligned this way, the only partial tile is the last part's, and it holds the
+Aligned this way, the only partial tile is the last band's, and it holds the
 same columns as the whole product's. The Haswell float32 kernel keeps them
 at no offset, so a float32 band's bytes there are its own."""
 
@@ -101,31 +102,19 @@ def equal_parts(total: int, most: int, unit: int = 1) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _unit(columns_per_step: int) -> int:
-    """Steps (rows or samples) per whole number of column tiles."""
-    return COLUMN_TILE // math.gcd(columns_per_step, COLUMN_TILE)
-
-
 def row_bands(ho: int, wo: int, n: int, column_bytes: int) -> list[tuple[int, int]]:
     """Bands [h0, h1) of the output rows of ``n`` (ho, wo) maps whose
     columns, ``column_bytes`` each, fit :data:`COLUMN_BUDGET`."""
-    return equal_parts(ho, COLUMN_BUDGET // max(wo * n * column_bytes, 1),
-                       _unit(wo * n))
+    # the fewest rows that span whole column tiles
+    unit = COLUMN_TILE // math.gcd(wo * n, COLUMN_TILE)
+    return equal_parts(ho, COLUMN_BUDGET // max(wo * n * column_bytes, 1), unit)
 
 
-def sample_chunks(n: int, positions: int, column_bytes: int) -> list[tuple[int, int]]:
-    """Chunks [s0, s1) of ``n`` samples with ``positions`` output positions
-    each that fit :data:`COLUMN_BUDGET` at ``column_bytes`` per column: its
-    patch and what the chunk's products make of it.
-
-    Each chunk holds at least two samples when n >= 2: NumPy sums a lone
-    sample's (targets, positions, 1) map pairwise along the positions, but a
-    run of samples one position at a time, so a one-sample chunk would change
-    the last bits of its per-sample norms. A limit of four per chunk or more
-    keeps every equal part at two or more.
-    """
-    most = max(COLUMN_BUDGET // (positions * column_bytes), 4)
-    return equal_parts(n, most, _unit(positions))
+def sample_chunks(n: int, sample_bytes: int) -> list[tuple[int, int]]:
+    """Equal chunks [s0, s1) of ``n`` samples that fit :data:`COLUMN_BUDGET`
+    at ``sample_bytes`` per sample: its patches and what the chunk's
+    products make of them. A chunk holds at least one sample."""
+    return equal_parts(n, COLUMN_BUDGET // max(sample_bytes, 1))
 
 
 SAMPLE_TILE = 24
@@ -166,7 +155,7 @@ def dense_chunks(n: int, fan_in: int, targets: int) -> list[tuple[int, int]]:
 def pad_maps(x: np.ndarray, padding) -> np.ndarray:
     """(C, H, W, N) maps with ``padding`` rows and columns of zeros around
     each map; ``x`` itself when there is no padding."""
-    ph, pw = _as_pair(padding, "padding")
+    ph, pw = check_pair(padding, "padding", 0)
     if not (ph or pw):
         return x
     c, h, w, n = x.shape
@@ -198,6 +187,26 @@ def im2col(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
         for t in range(r):
             cols[:, q, t] = xp[:, q : q + sh * ho : sh, t : t + sw * wo : sw]
     return cols.reshape(c * r * r, ho * wo * n)
+
+
+def sample_patches(x: np.ndarray, r: int, stride, padding) -> np.ndarray:
+    """Lower sample-last (C, H, W, N) maps into one (C*r*r, Ho*Wo) patch
+    matrix per sample: an (N, C*r*r, Ho*Wo) array.
+
+    Rows are in :func:`im2col`'s (c, q, t) order and positions row-major,
+    so ``np.matmul(kernels.reshape(C_out, -1), patches)`` runs one product
+    per sample and gives each sample's (C_out, Ho*Wo) output from that
+    sample's patches alone, whichever other samples it is lowered with.
+    """
+    c, h, w, n = x.shape
+    sh, sw = check_stride_padding(stride, padding)[0]
+    ho, wo = conv_output_hw(h, w, r, stride, padding)
+    xs = np.moveaxis(pad_maps(x, padding), -1, 0)
+    # (N, C, Ho, Wo, r, r) windows, copied once in (c, q, t) row order
+    windows = sliding_window_view(np.ascontiguousarray(xs), (r, r), axis=(2, 3))
+    windows = windows[:, :, : sh * ho : sh, : sw * wo : sw]
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
+    return patches.reshape(n, c * r * r, ho * wo)
 
 
 def col2im(cols: np.ndarray, x_shape, r: int, stride, padding) -> np.ndarray:

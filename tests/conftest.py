@@ -19,6 +19,7 @@ import pytest  # noqa: E402
 from prune_relief import (ConvLayer, DenseLayer, Flatten, MaxPool2D, Network,
                           bounds, importance, score_network, select_kept,
                           softmax_cross_entropy, tensor_ops)
+from prune_relief.activations import get_activation
 
 
 def random_dense(rng, n_in, n_out, activation="relu", dtype=np.float32,
@@ -59,6 +60,17 @@ def small_cnn(rng, activation="relu", dtype=np.float32, in_shape=(2, 6, 6),
     flat = int(np.prod(cur))
     layers.append(random_dense(rng, flat, classes, "identity", dtype))
     return Network(layers, in_shape, classes)
+
+
+def cast(layer, dtype, activation=None):
+    """A copy of a dense or conv layer with its parameters in ``dtype``,
+    masks of its own and, if given, another activation."""
+    out = layer.clone()
+    for name, a in out.params().items():
+        setattr(out, name, a.astype(dtype))
+    if activation is not None:
+        out.activation, out.act = activation, get_activation(activation)
+    return out
 
 
 def mask_pairs(layer, targets, contributors):

@@ -60,6 +60,7 @@ def test_host_leaves_numpy_unloaded():
     ("peak_rss.py", ["--tree", "a=.", "--tree", "a=."]),
     ("peak_rss.py", ["--tree", "a=.", "--repeats", "0"]),
     ("peak_rss.py", ["--tree", "a=.", "--seed", "-1"]),
+    ("peak_rss.py", ["--tree", "a=.", "--work", "/missing"]),
     ("csv_export.py", ["--repeats", "0"]),
 ])
 def test_bad_argument_exits_2(tmp_path, script, args):

@@ -1,7 +1,5 @@
 """Deviation bounds: hand equalities, validation, and random satisfaction."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,9 @@ from prune_relief import (CapabilityError, ConvLayer, DenseLayer,
                           Network, bound_report, measure_deviation,
                           network_output_bound,
                           sample_last, score_layer)
-from prune_relief.activations import get_activation
-from prune_relief.bounds import _pre_and_post
-from tests.conftest import (count_forwards_and_scores, prune_one_layer,
-                            random_conv, random_dense, small_cnn, small_mlp)
+from tests.conftest import (cast, count_forwards_and_scores, mask_pairs,
+                            prune_one_layer, random_conv, random_dense,
+                            small_cnn, small_mlp)
 
 F32 = np.float32
 
@@ -138,20 +135,34 @@ class TestMeasurement:
             measure_deviation(Flatten(), Flatten(), rng.standard_normal((2, 6)))
 
 
-    def test_pre_activation_is_the_layers_own_product(self, rng):
+    def test_dense_z_is_the_forwards_expression(self, rng):
+        # against a layer with every weight and bias masked, whose z is 0,
+        # the pre-activation deviation is the mean |z| of the layer alone
         dense = random_dense(rng, 6, 4)
+        zero = dense.clone()
+        mask_pairs(zero, np.arange(4)[:, None], np.arange(7))
         x = rng.standard_normal((5, 6)).astype(F32)
-        z, y = _pre_and_post(dense, x)
-        assert z.tobytes() == (x @ dense.weights.T + dense.bias).tobytes()
-        assert y.tobytes() == dense.forward(x).tobytes()
-        conv = random_conv(rng, 2, 3, 3)
+        pre, post = measure_deviation(dense, zero, x)
+        x64, wide = x.astype(np.float64), cast(dense, np.float64)
+        z = x64 @ wide.weights.T + wide.bias
+        assert pre.tobytes() == np.abs(z).mean(axis=0).tobytes()
+        assert post.tobytes() == wide.forward(x64).mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (2, 1)])
+    def test_conv_deviation_matches_the_forward(self, rng, stride, padding):
+        # per-sample products against one float64 forward of each layer
+        before = random_conv(rng, 2, 3, 3, "tanh", stride, padding)
+        after = before.clone()
+        mask_pairs(after, [0, 2], [1, 2])
         maps = rng.standard_normal((2, 7, 7, 4)).astype(F32)
-        z, y = _pre_and_post(conv, maps)
-        # the same layer with the identity activation outputs its z
-        linear = copy.copy(conv)
-        linear.act = get_activation("identity")
-        assert z.tobytes() == linear.forward(maps).tobytes()
-        assert y.tobytes() == conv.forward(maps).tobytes()
+        got = measure_deviation(before, after, maps)
+        x64 = maps.astype(np.float64)
+        zb, za = (cast(l, np.float64, "identity").forward(x64)
+                  for l in (before, after))
+        for g, (u, v) in zip(got, ((zb, za), (np.tanh(zb), np.tanh(za)))):
+            want = np.sqrt(((u - v) ** 2).sum(axis=(1, 2))).mean(axis=-1)
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=0)
+
 
 ALPHAS = (0.5, 0.7, 0.9, 0.95, 1.0)
 ACTS = ("relu", "elu", "sigmoid", "tanh", "identity")

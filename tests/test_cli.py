@@ -587,6 +587,29 @@ class TestFailureModes:
         assert f"layer {layer}: '{field}' is 0; sizes must be >= 1" in err
         assert "Traceback" not in err
 
+    def test_pool_window_below_one_named(self, run, tmp_path, capsys):
+        # a model string's pool part and a checkpoint's pool record both
+        # name the window, not a stride
+        want = "window components must be >= 1, got (0, 0)"
+        cfg = write_config(tmp_path / "c.json", out=tmp_path / "run",
+                           model="cnn:pool0,fc3")
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "part 'pool0'" in err and want in err
+        assert "Traceback" not in err
+        ckpt = tmp_path / "pool"
+        save_model(Network([MaxPool2D((1, 2)), Flatten(),
+                            random_dense(np.random.default_rng(0), 8, 3,
+                                         "identity")], (1, 1, 16), 3), ckpt)
+        mpath = ckpt / "model.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["layers"][0]["window"] = [0, 0]
+        mpath.write_text(json.dumps(manifest))
+        assert main(["eval", "--config", str(run[0]), "--checkpoint",
+                     str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert f"layer 0: {want}" in err and "Traceback" not in err
+
     def test_checkpoint_for_other_inputs_exit_2(self, run, tmp_path, capsys):
         # a consistent checkpoint that does not fit the dataset is a usage
         # mismatch, not a malformed file

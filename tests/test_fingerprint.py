@@ -43,7 +43,7 @@ PINNED = {
         },
         "lenet5": {
             "history.jsonl":
-                "04dcf3c99530ba202c5771891f96ddbb4d1bcb34916a9f56b4be4fbe518f5843",
+                "dd527b63f5d86eb960724ae9d8fc1a882093bc57d189b162abf6be370c2fbed9",
             "best/weights.bin":
                 "0ca7cbcf58a8c23c4611eebc6d6457cc8aa91fb36817e7b89eb5faf9ec70beae",
             "initial/weights.bin":

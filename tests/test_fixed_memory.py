@@ -7,18 +7,23 @@ batch or pruning-set size; a training step's backward lowers one layer's
 whole batch at a time. A forward without a cache pools each band of a
 conv that a max pool follows as soon as the band is made. Dense deviation
 measurement runs one chunk of samples at a time within
-``tensor_ops.ROW_BUDGET``. Results are compared with ``.tobytes()``. The forward with a cache and the one without share one
-band plan, so they run the same products and ``TestSameBytes`` holds for
-them on every BLAS kernel. The references for scoring and deviation
-measurement are copies of the whole-set computations: their equality rests
-on BLAS giving each output column (each output row, for a dense product)
-the same bits in a narrower product, which OpenBLAS's SkylakeX, Haswell and
-Sandybridge kernels do in float64 for parts that span whole tiles (16
-columns, 24 dense rows) and are not small. Under the shipped budget the
-forward bands from N = 193 up on LeNet-5's layers and at N = 1000 on the
-strided one; a 256 KiB budget makes each layer band or chunk at more of the
-sizes, and a budget of one byte bands every forward as finely as whole
-column tiles allow, one row at a time wherever that is one tile.
+``tensor_ops.ROW_BUDGET``. Results are compared with ``.tobytes()``. The
+forward with a cache and the one without share one band plan, so they run
+the same products and ``TestSameBytes`` holds for them on every BLAS
+kernel. Conv scoring and conv deviation measurement run one product per
+sample, so their references are the same per-sample products over the
+whole set in one call, and any chunk plan gives their bytes; the
+whole-set products over every sample's columns that they replaced stay as
+references within a tolerance. The dense deviation reference is one
+product over the whole set: its equality rests on BLAS giving each output
+row the same bits in a narrower product, which OpenBLAS's SkylakeX,
+Haswell and Sandybridge kernels do in float64 for parts that span whole
+tiles of 24 rows and are not small. Under the shipped budget the forward
+bands from N = 193 up on LeNet-5's layers and at N = 1000 on the strided
+one; a 256 KiB budget makes each layer band or chunk at more of the sizes,
+and a budget of one byte scores and measures one sample per chunk and
+bands every forward as finely as whole column tiles allow, one row at a
+time wherever that is one tile.
 """
 
 import os
@@ -36,7 +41,8 @@ from prune_relief.importance import (_normalize, conv_importance,
                                      prune_pass, score_network)
 from prune_relief.cli import main
 from prune_relief.model_io import save_model
-from prune_relief.tensor_ops import conv_output_hw, equal_parts, im2col
+from prune_relief.tensor_ops import (conv_output_hw, equal_parts, im2col,
+                                     sample_patches)
 from prune_relief.training import forward_backward
 from tests.conftest import mask_pairs, random_dense
 from tests.test_cli import write_config
@@ -106,7 +112,69 @@ def masked_copy(layer):
 
 
 def whole_set_conv_importance(layer, x):
-    """Conv scoring over the whole set at once, one product per channel."""
+    """Conv scoring's per-sample products over the whole set, one call per
+    input channel."""
+    r = layer.kernel_size
+    co, ci = layer.out_channels, layer.in_channels
+    khat = np.abs(layer.kernels).astype(np.float64)
+    numer = np.empty((co, ci))
+    for i in range(ci):
+        patches = sample_patches(np.abs(x[i : i + 1]).astype(np.float64), r,
+                                 layer.stride, layer.padding)
+        maps = np.matmul(khat[:, i].reshape(co, -1), patches)
+        numer[:, i] = np.sqrt(np.square(maps).sum(axis=-1)).mean(axis=0)
+    return _with_bias(layer, x, numer)
+
+
+def whole_set_conv_deviation(before, after, x):
+    """Conv deviation measurement's per-sample products over the whole set
+    in one call per layer."""
+    patches = sample_patches(x.astype(np.float64), before.kernel_size,
+                             before.stride, before.padding)
+
+    def pre_and_post(layer):
+        w = layer.kernels.reshape(layer.out_channels, -1).astype(np.float64)
+        z = np.matmul(w, patches) + layer.bias.astype(np.float64)[:, None]
+        return z, layer.act.f(z)
+
+    def mean_norm(a, b):
+        return np.sqrt(np.square(a - b).sum(axis=-1)).mean(axis=0)
+
+    zb, yb = pre_and_post(before)
+    za, ya = pre_and_post(after)
+    return mean_norm(zb, za), mean_norm(yb, ya)
+
+
+def whole_set_dense_deviation(before, after, x):
+    """Dense deviation measurement over the whole set in one product."""
+    x = np.asarray(x, dtype=np.float64)
+
+    def pre_and_post(layer):
+        w, b = (p.astype(np.float64) for p in layer.params().values())
+        z = x @ w.T + b
+        return z, layer.act.f(z)
+
+    def mean_abs(a, b):
+        return np.abs(a - b).mean(axis=0)
+
+    zb, yb = pre_and_post(before)
+    za, ya = pre_and_post(after)
+    return mean_abs(zb, za), mean_abs(yb, ya)
+
+
+def _with_bias(layer, x, numer):
+    """Scores from a conv layer's (filters, channels) numerators."""
+    ho, wo = conv_output_hw(x.shape[1], x.shape[2], layer.kernel_size,
+                            layer.stride, layer.padding)
+    grid = np.empty((layer.out_channels, layer.in_channels + 1))
+    grid[:, :-1] = numer
+    grid[:, -1] = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
+    return _normalize(grid)
+
+
+def gemm_conv_importance(layer, x):
+    """Conv scoring as one product per channel over every sample's
+    columns: the whole-set form before per-sample products."""
     n = x.shape[3]
     r = layer.kernel_size
     co, ci = layer.out_channels, layer.in_channels
@@ -121,22 +189,22 @@ def whole_set_conv_importance(layer, x):
         np.square(maps, out=maps)
         norms = np.sqrt(maps.reshape(co, ho * wo, n).sum(axis=1))
         numer[:, i] = norms.mean(axis=1)
-    bias_numer = np.abs(layer.bias).astype(np.float64) * np.sqrt(float(ho * wo))
-    return _normalize(np.column_stack([numer, bias_numer]))
+    return _with_bias(layer, x, numer)
 
 
-def whole_set_conv_deviation(before, after, x):
-    """Conv deviation measurement over the whole set at once, each layer's
-    z from one product over every sample's columns."""
+def gemm_conv_deviation(before, after, x):
+    """Conv deviation measurement with each layer's z from one product
+    over every sample's columns: the whole-set form before per-sample
+    products."""
     x = np.asarray(x, dtype=np.float64)
     ho, wo = conv_output_hw(x.shape[1], x.shape[2], before.kernel_size,
                             before.stride, before.padding)
+    cols = im2col(x, before.kernel_size, before.stride, before.padding)
 
     def pre_and_post(layer):
-        layer = layer.astype(np.float64)
-        cols = im2col(x, layer.kernel_size, layer.stride, layer.padding)
-        z = np.matmul(layer.kernels.reshape(layer.out_channels, -1), cols)
-        z += layer.bias[:, None]
+        w = layer.kernels.reshape(layer.out_channels, -1).astype(np.float64)
+        z = np.matmul(w, cols)
+        z += layer.bias.astype(np.float64)[:, None]
         z = z.reshape(layer.out_channels, ho, wo, x.shape[3])
         return z, layer.act.f(z)
 
@@ -150,29 +218,15 @@ def whole_set_conv_deviation(before, after, x):
     return mean_norm(zb, za), mean_norm(yb, ya)
 
 
-def whole_set_dense_deviation(before, after, x):
-    """Dense deviation measurement over the whole set in one product."""
-    x = np.asarray(x, dtype=np.float64)
-
-    def pre_and_post(layer):
-        layer = layer.astype(np.float64)
-        z = x @ layer.weights.T + layer.bias
-        return z, layer.act.f(z)
-
-    def mean_abs(a, b):
-        return np.abs(a - b).mean(axis=0)
-
-    zb, yb = pre_and_post(before)
-    za, ya = pre_and_post(after)
-    return mean_abs(zb, za), mean_abs(yb, ya)
-
-
-@pytest.fixture(params=["shipped", "256KiB"])
+@pytest.fixture(params=["shipped", "256KiB", "1B"])
 def budget(request, monkeypatch):
-    """The shipped column budget, and a smaller one under which every layer
-    bands or chunks at more of the sizes."""
+    """The shipped column budget, a smaller one under which every layer
+    bands or chunks at more of the sizes, and one byte: one sample per
+    chunk, and forward bands as narrow as whole column tiles allow."""
     if request.param == "256KiB":
         monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1 << 18)
+    elif request.param == "1B":
+        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", 1)
 
 
 # (window, stride) of a max pool after the conv: adjacent, overlapping,
@@ -205,14 +259,6 @@ class TestEqualParts:
         assert max(units) - min(units) <= 1
         if unit == 1:
             assert len(parts) == -(-total // most)
-
-    @pytest.mark.parametrize("positions", [1, 49, 64])
-    def test_sample_chunks_hold_two_or_more(self, positions, monkeypatch):
-        # a budget of one sample's columns still gives two-sample chunks
-        monkeypatch.setattr(tensor_ops, "COLUMN_BUDGET", positions * 8)
-        for n in range(2, 60):
-            chunks = tensor_ops.sample_chunks(n, positions, 8)
-            assert min(b - a for a, b in chunks) >= 2, n
 
 
 class TestSameBytes:
@@ -268,6 +314,22 @@ class TestSameBytes:
         want = whole_set_dense_deviation(before, after, x)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", list(CONVS))
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_per_sample_products_match_whole_set_gemms(self, name, n):
+        """Per-sample products sum in another order than one product over
+        every sample's columns, within a few ulps."""
+        layer = make_conv(name)
+        x = make_maps(name, n)
+        got = conv_importance(layer, x)
+        want = gemm_conv_importance(layer, x)
+        np.testing.assert_allclose(got.scores, want.scores, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.totals, want.totals, rtol=1e-13, atol=0)
+        after = masked_copy(layer)
+        for g, w in zip(measure_deviation(layer, after, x),
+                        gemm_conv_deviation(layer, after, x)):
+            np.testing.assert_allclose(g, w, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("n", [7, 200])
     def test_lenet5_logits_match_cached_forwards(self, budget, n):
@@ -374,19 +436,10 @@ def test_dense_prune_pass():
 @pytest.mark.parametrize("build", [lambda: make_dense("lenet300100_fc2"),
                                    lambda: make_conv("lenet5_conv2")],
                          ids=["dense", "conv"])
-def test_float64_copies_share_the_masks(build):
-    """Deviation measurement runs float64 copies of both layers; they read
-    the layers' masks and hold none of their own. A clone still copies the
-    masks, so masking the clone leaves the original's alone."""
+def test_clones_copy_the_masks(build):
+    """A clone, which the pruned network is made with, copies the masks, so
+    masking the clone leaves the original's alone."""
     layer = build()
-    wide = layer.astype(np.float64)
-    for m, n in zip(wide.stored_masks().values(),
-                    layer.stored_masks().values()):
-        assert np.shares_memory(m, n) and not m.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        mask_pairs(wide, 0, 0)
-    assert all(m.all() for m in layer.stored_masks().values())
-
     before = [m.copy() for m in layer.stored_masks().values()]
     after = masked_copy(layer)
     for m, n, b in zip(after.stored_masks().values(),

@@ -46,21 +46,18 @@ class TestCopies:
     @pytest.mark.parametrize("build", [lambda r: random_dense(r, 5, 4),
                                        lambda r: random_conv(r, 3, 4, 3)],
                              ids=["dense", "conv"])
-    def test_astype_keeps_the_mask_dtype(self, rng, build):
+    def test_clone_keeps_the_mask_dtype(self, rng, build):
         layer = build(rng)
         mask_pairs(layer, 1, [0, 2])
-        wide = layer.astype(np.float64)
-        for p, q in zip(wide.params().values(), layer.params().values()):
-            assert p.dtype == np.float64
-            np.testing.assert_array_equal(p, q)
-        for m, n in zip(wide.stored_masks().values(),
+        twin = layer.clone()
+        for p, q in zip(twin.params().values(), layer.params().values()):
+            assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+            assert not np.shares_memory(p, q)
+        for m, n in zip(twin.stored_masks().values(),
                         layer.stored_masks().values()):
             assert m.dtype == bool and m.tobytes() == n.tobytes()
-            # the copy shares the masks and cannot write them
-            assert np.shares_memory(m, n) and not m.flags.writeable
-        back = wide.astype(np.float32)
-        assert [p.tobytes() for p in back.params().values()] == \
-            [p.tobytes() for p in layer.params().values()]
+            # the copy has masks of its own
+            assert not np.shares_memory(m, n) and m.flags.writeable
 
     def test_masks_are_bool_after_every_copy(self, rng, tmp_path):
         net = build_network("cnn:conv3k3,pool2,fc5,fc3", (2, 8, 8), 3)
@@ -71,8 +68,7 @@ class TestCopies:
         rows, cols = np.array([0, 1]), np.array([0, 1])
         for each in (net, load_model(tmp_path), net.clone()):
             for layer in (each.layers[i] for i in each.prunable_indices()):
-                for part in (layer, layer.take(rows, cols),
-                             layer.astype(np.float64)):
+                for part in (layer, layer.take(rows, cols)):
                     for m in part.stored_masks().values():
                         assert m.dtype == bool and m.itemsize == 1
                         assert m.flags["C_CONTIGUOUS"]

@@ -14,9 +14,9 @@ from prune_relief import (LrSpan, Optimizer, OptimizerConfig, build_network,
                           compression_stats, evaluate, forward_backward,
                           init_params, train)
 from prune_relief.network import Network, Subnetwork
-from tests.conftest import (assert_every_unmasked_entry_moved, cut_units,
-                            flat_grads, mask_pairs, small_cnn, small_mlp,
-                            tensors)
+from tests.conftest import (assert_every_unmasked_entry_moved, cast,
+                            cut_units, flat_grads, mask_pairs, small_cnn,
+                            small_mlp, tensors)
 
 # float64 gradients that differ only in the order of their sums; relative
 # to the largest entry of each tensor
@@ -28,9 +28,9 @@ def lenet5(rng, dtype=np.float32):
     init_params(net, int(rng.integers(1 << 30)))
     if dtype == np.float32:
         return net
-    # the parameter-free layers carry over as they are; astype shares the
-    # masks read-only, and clone gives the copy masks of its own to cut
-    return Network([l.astype(dtype).clone() if l.params() else l
+    # the parameter-free layers carry over as they are; each cast copy has
+    # masks of its own to cut
+    return Network([cast(l, dtype) if l.params() else l
                     for l in net.layers],
                    net.input_shape, net.classes)
 

@@ -282,6 +282,34 @@ class TestRejection:
             load_model(tmp_path)
 
 
+    # values int() and tuple() would read as other values than they hold,
+    # fields the kind has no use for, and a window the pool cannot take
+    @pytest.mark.parametrize("layer,field,value,message", [
+        (0, "stride", "11", "'stride' must be a list of ints, got '11'"),
+        (0, "padding", [0.7, 0], "'padding' must be a list of ints"),
+        (0, "in", True, "'in' must be an int, got True"),
+        (0, "kernel", "3", "'kernel' must be an int, got '3'"),
+        (0, "out", 3.0, "'out' must be an int, got 3.0"),
+        (3, "in", "12", "'in' must be an int, got '12'"),
+        (1, "window", [2, True], "'window' must be a list of ints"),
+        (1, "stride", 2, "'stride' must be a list of ints, got 2"),
+        (3, "kernel", 3, "a dense record has no field 'kernel'"),
+        (2, "out", 12, "a flatten record has no field 'out'"),
+        (1, "window", [0, 0], "window components must be >= 1, got (0, 0)"),
+        (0, "activation", ["relu"], "unknown activation ['relu']"),
+    ])
+    def test_bad_field_rejected(self, tmp_path, layer, field, value, message):
+        save_model(small_cnn(np.random.default_rng(0)), tmp_path)
+
+        def mutate(m, b):
+            m["layers"][layer][field] = value
+            return m, b
+        _corrupt(tmp_path, mutate)
+        with pytest.raises(FormatError, match=f"layer {layer}: ") as e:
+            load_model(tmp_path)
+        assert message in str(e.value)
+
+
 # anything JSON can hold in a layer record's field
 JSON_VALUES = st.one_of(
     st.integers(-2, 3), st.none(), st.booleans(), st.floats(),
@@ -314,5 +342,7 @@ def test_edited_layer_record_loads_or_raises_format_error(tmp_path, layer,
         net = load_model(path)
     except FormatError:
         return
-    # what loads is a net that runs
+    # what loads is a net that runs, and saves the records it was read from
     assert net.forward(np.zeros((2, *net.input_shape))).shape == (2, 3)
+    records = json.loads((path / "model.json").read_text())["layers"]
+    assert [l.record() for l in net.layers] == records
